@@ -29,15 +29,15 @@ from .harness import (
     liquidity_scaling_study,
     optimize_noise_lp,
     parse_curve,
+    parse_integer,
+    parse_number,
     parse_privacy,
     replica_rng,
     reproduce_deviation_theorem,
+    strict_keys,
     validate_lp_solution,
-    _integer,
-    _number,
-    _strict_keys,
 )
-from .market import MarketState, eavesdrop_infer, execute_trade
+from .market import MarketState, eavesdrop_infer, execute_trade, write_csv
 from .privacy import PrivacySpec, binary_mechanism, verify_pldp
 
 EXIT_OK = 0
@@ -137,13 +137,8 @@ def _render_table(payload: dict, indent: str = "") -> str:
 
 
 def _csv_from_rows(header: tuple[str, ...], rows: list[tuple]) -> str:
-    import csv as _csv
-
     buf = io.StringIO()
-    writer = _csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    write_csv(buf, header, rows)
     return buf.getvalue()
 
 
@@ -228,10 +223,10 @@ def attack_demo_cmd(args: argparse.Namespace) -> int:
 
 
 def _parse_experiment_block(obj: dict) -> tuple[str, str | None, float]:
-    _strict_keys(obj, ("kind", "case", "mu"), "experiment")
+    strict_keys(obj, ("kind", "case", "mu"), "experiment")
     kind = obj.get("kind", "excess_profit")
     if kind == "excess_profit":
-        _strict_keys(obj, ("kind",), "experiment")
+        strict_keys(obj, ("kind",), "experiment")
         return kind, None, 0.0
     if kind == "witness_scan":
         case = obj.get("case")
@@ -239,7 +234,7 @@ def _parse_experiment_block(obj: dict) -> tuple[str, str | None, float]:
             raise ConfigError(
                 f"experiment.case must be 'positive_mean' or 'negative_mean', got {case!r}"
             )
-        return kind, case, _number(obj, "mu", "experiment")
+        return kind, case, parse_number(obj, "mu", "experiment")
     raise ConfigError(
         f"experiment.kind must be 'excess_profit' or 'witness_scan', got {kind!r}"
     )
@@ -332,7 +327,7 @@ def simulate_cmd(args: argparse.Namespace) -> int:
 
 def optimize_cmd(args: argparse.Namespace) -> int:
     raw = _load_config_file(args.config)
-    _strict_keys(
+    strict_keys(
         raw,
         ("curve", "reference_x", "privacy", "n_inputs", "n_outputs", "method", "expect"),
         "config",
@@ -344,10 +339,10 @@ def optimize_cmd(args: argparse.Namespace) -> int:
     spec = parse_privacy(raw["privacy"])
     problem = LPNoiseProblem.build(
         curve,
-        _number(raw, "reference_x", "config"),
+        parse_number(raw, "reference_x", "config"),
         spec,
-        n_inputs=_integer(raw, "n_inputs", "config", 21),
-        n_outputs=_integer(raw, "n_outputs", "config", 41),
+        n_inputs=parse_integer(raw, "n_inputs", "config", 21),
+        n_outputs=parse_integer(raw, "n_outputs", "config", 41),
     )
     method = raw.get("method", "highs")
     if not isinstance(method, str):
@@ -356,9 +351,9 @@ def optimize_cmd(args: argparse.Namespace) -> int:
     max_avg = None
     fee_at: tuple[float, float] | None = None
     if expect_obj is not None:
-        _strict_keys(expect_obj, ("max_average_fee", "max_fee_at"), "expect")
+        strict_keys(expect_obj, ("max_average_fee", "max_fee_at"), "expect")
         if "max_average_fee" in expect_obj:
-            max_avg = _number(expect_obj, "max_average_fee", "expect")
+            max_avg = parse_number(expect_obj, "max_average_fee", "expect")
         if "max_fee_at" in expect_obj:
             pair = expect_obj["max_fee_at"]
             if not (isinstance(pair, list) and len(pair) == 2):
@@ -421,7 +416,7 @@ def verify_cmd(args: argparse.Namespace) -> int:
 
 def scaling_cmd(args: argparse.Namespace) -> int:
     raw = _load_config_file(args.config)
-    _strict_keys(
+    strict_keys(
         raw,
         ("base_level", "multipliers", "price", "trade_size", "privacy", "expect_max_spread"),
         "config",
@@ -437,15 +432,15 @@ def scaling_cmd(args: argparse.Namespace) -> int:
     ):
         raise ConfigError(f"field 'multipliers' must be a non-empty number list")
     study = liquidity_scaling_study(
-        _number(raw, "base_level", "config"),
+        parse_number(raw, "base_level", "config"),
         [float(m) for m in multipliers],
-        _number(raw, "price", "config", 1.0),
-        _number(raw, "trade_size", "config", 1.0),
+        parse_number(raw, "price", "config", 1.0),
+        parse_number(raw, "trade_size", "config", 1.0),
         parse_privacy(raw["privacy"]),
     )
     tol = raw.get("expect_max_spread")
     if tol is not None:
-        tol = _number(raw, "expect_max_spread", "config")
+        tol = parse_number(raw, "expect_max_spread", "config")
     ok = True if tol is None else study.max_relative_spread <= tol
     summary = f"fee*|L| relative spread {study.max_relative_spread:.3e}"
     if tol is not None:

@@ -65,7 +65,7 @@ def noise_fee(
     Works for any curve family and any finite-support distribution. Every
     atom's contribution is nonnegative for monotone price curves, so the fee
     is nonnegative regardless of the noise mean; the zero atom contributes
-    exactly 0.0.
+    exactly 0.0. A fee that overflows to a non-finite value raises DomainError.
     """
     s = state_x + delta
     curve._require(s, "post-trade reserve x+delta")
@@ -79,6 +79,8 @@ def noise_fee(
         if atom.eta == 0.0:
             continue
         gamma += atom.p * curve.reversal_gain(s, atom.eta)
+    if not math.isfinite(gamma):
+        raise DomainError(f"noise fee {gamma} is not finite")
     return FeeQuote(gamma, state_x, delta, dist, FeeMethod.GENERIC)
 
 
@@ -112,6 +114,8 @@ def noise_fee_closed_form(
         if point <= 0.0:
             raise DomainError(f"reserve {point} not strictly positive")
     gamma = -level * eta1 * eta2 / (s * (s + eta1) * (s + eta2))
+    if not math.isfinite(gamma):
+        raise DomainError(f"noise fee {gamma} is not finite")
     return FeeQuote(gamma, state_x, delta, dist, FeeMethod.CLOSED_FORM)
 
 

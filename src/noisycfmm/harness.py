@@ -10,7 +10,7 @@ execution order, and reruns are bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -75,7 +75,8 @@ def policy_rng(seed: int, index: int) -> np.random.Generator:
 # -- strict config parsing ----------------------------------------------------
 
 
-def _strict_keys(obj: dict, allowed: Sequence[str], where: str) -> None:
+def strict_keys(obj: dict, allowed: Sequence[str], where: str) -> None:
+    """Reject a non-object or any field outside ``allowed``."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be an object, got {type(obj).__name__}")
     unknown = sorted(set(obj) - set(allowed))
@@ -83,7 +84,8 @@ def _strict_keys(obj: dict, allowed: Sequence[str], where: str) -> None:
         raise ConfigError(f"unknown field(s) {unknown} in {where}; allowed: {sorted(allowed)}")
 
 
-def _number(obj: dict, key: str, where: str, default: float | None = None) -> float:
+def parse_number(obj: dict, key: str, where: str, default: float | None = None) -> float:
+    """Field ``key`` as a float; bools are refused, a missing key needs a default."""
     if key not in obj:
         if default is None:
             raise ConfigError(f"missing required field '{key}' in {where}")
@@ -94,7 +96,8 @@ def _number(obj: dict, key: str, where: str, default: float | None = None) -> fl
     return float(v)
 
 
-def _integer(obj: dict, key: str, where: str, default: int | None = None) -> int:
+def parse_integer(obj: dict, key: str, where: str, default: int | None = None) -> int:
+    """Field ``key`` as an int; bools are refused, a missing key needs a default."""
     if key not in obj:
         if default is None:
             raise ConfigError(f"missing required field '{key}' in {where}")
@@ -106,7 +109,7 @@ def _integer(obj: dict, key: str, where: str, default: int | None = None) -> int
 
 
 def parse_curve(obj: dict) -> TradingCurve:
-    _strict_keys(obj, ("family", "level", "slope", "x_min", "x_max"), "curve")
+    strict_keys(obj, ("family", "level", "slope", "x_min", "x_max"), "curve")
     family_name = obj.get("family")
     if family_name not in _CURVE_FAMILIES:
         raise ConfigError(
@@ -114,13 +117,13 @@ def parse_curve(obj: dict) -> TradingCurve:
         )
     kwargs = {}
     if "x_min" in obj:
-        kwargs["x_min"] = _number(obj, "x_min", "curve")
+        kwargs["x_min"] = parse_number(obj, "x_min", "curve")
     if "x_max" in obj:
-        kwargs["x_max"] = _number(obj, "x_max", "curve")
+        kwargs["x_max"] = parse_number(obj, "x_max", "curve")
     family = _CURVE_FAMILIES[family_name]
-    level = _number(obj, "level", "curve")
+    level = parse_number(obj, "level", "curve")
     if family is Family.CONSTANT_SUM:
-        return TradingCurve(family, level, slope=_number(obj, "slope", "curve"), **kwargs)
+        return TradingCurve(family, level, slope=parse_number(obj, "slope", "curve"), **kwargs)
     if "slope" in obj:
         raise ConfigError("field 'slope' only applies to constant-sum curves")
     return TradingCurve(family, level, **kwargs)
@@ -136,7 +139,7 @@ def curve_to_json_obj(curve: TradingCurve) -> dict:
 
 
 def parse_privacy(obj: dict) -> PrivacySpec:
-    _strict_keys(obj, ("tau", "epsilon"), "privacy")
+    strict_keys(obj, ("tau", "epsilon"), "privacy")
     tau = obj.get("tau")
     if not (isinstance(tau, list) and len(tau) == 2):
         raise ConfigError(f"privacy field 'tau' must be [lower, upper], got {tau!r}")
@@ -153,20 +156,20 @@ def parse_privacy(obj: dict) -> PrivacySpec:
 
 
 def parse_fee_policy(obj: dict) -> FeePolicy:
-    _strict_keys(obj, ("policy", "value", "multiplier"), "fee_policy")
+    strict_keys(obj, ("policy", "value", "multiplier"), "fee_policy")
     kind = obj.get("policy")
     if kind == "noise_fee":
-        _strict_keys(obj, ("policy",), "fee_policy")
+        strict_keys(obj, ("policy",), "fee_policy")
         return FeePolicy.noise_fee()
     if kind == "zero":
-        _strict_keys(obj, ("policy",), "fee_policy")
+        strict_keys(obj, ("policy",), "fee_policy")
         return FeePolicy.zero()
     if kind == "fixed":
-        _strict_keys(obj, ("policy", "value"), "fee_policy")
-        return FeePolicy.fixed(_number(obj, "value", "fee_policy"))
+        strict_keys(obj, ("policy", "value"), "fee_policy")
+        return FeePolicy.fixed(parse_number(obj, "value", "fee_policy"))
     if kind == "scaled":
-        _strict_keys(obj, ("policy", "multiplier"), "fee_policy")
-        return FeePolicy.scaled(_number(obj, "multiplier", "fee_policy"))
+        strict_keys(obj, ("policy", "multiplier"), "fee_policy")
+        return FeePolicy.scaled(parse_number(obj, "multiplier", "fee_policy"))
     raise ConfigError(
         f"fee policy must be one of ['noise_fee', 'zero', 'fixed', 'scaled'], got {kind!r}"
     )
@@ -179,13 +182,13 @@ class NoiseConfig:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "NoiseConfig":
-        _strict_keys(obj, ("kind", "mu"), "noise")
+        strict_keys(obj, ("kind", "mu"), "noise")
         kind = obj.get("kind", "binary")
         if kind == "binary":
-            _strict_keys(obj, ("kind",), "noise")
+            strict_keys(obj, ("kind",), "noise")
             return cls("binary", 0.0)
         if kind == "biased_binary":
-            return cls("biased_binary", _number(obj, "mu", "noise"))
+            return cls("biased_binary", parse_number(obj, "mu", "noise"))
         raise ConfigError(f"noise kind must be 'binary' or 'biased_binary', got {kind!r}")
 
     def to_json_obj(self) -> dict:
@@ -220,16 +223,16 @@ class StrategyConfig:
             "case2": ("kind", "trade_size", "detour_price"),
             "adaptive_random": ("kind", "policies", "bound"),
         }
-        _strict_keys(obj, allowed_by_kind[kind], f"strategy({kind})")
+        strict_keys(obj, allowed_by_kind[kind], f"strategy({kind})")
         out = cls(
             kind=kind,
-            max_rounds=_integer(obj, "max_rounds", "strategy", DEFAULT_MAX_ROUNDS),
-            trade_size=_number(obj, "trade_size", "strategy", 1.0),
+            max_rounds=parse_integer(obj, "max_rounds", "strategy", DEFAULT_MAX_ROUNDS),
+            trade_size=parse_number(obj, "trade_size", "strategy", 1.0),
             detour_price=(
-                _number(obj, "detour_price", "strategy") if "detour_price" in obj else None
+                parse_number(obj, "detour_price", "strategy") if "detour_price" in obj else None
             ),
-            policies=_integer(obj, "policies", "strategy", 100),
-            bound=_integer(obj, "bound", "strategy", 8),
+            policies=parse_integer(obj, "policies", "strategy", 100),
+            bound=parse_integer(obj, "bound", "strategy", 8),
         )
         if kind == "case2" and out.detour_price is None:
             raise ConfigError("strategy case2 requires 'detour_price'")
@@ -274,7 +277,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ExperimentConfig":
-        _strict_keys(obj, cls._ALLOWED, "config")
+        strict_keys(obj, cls._ALLOWED, "config")
         for req in ("curve", "initial_x", "true_price", "privacy", "strategy"):
             if req not in obj:
                 raise ConfigError(f"missing required field '{req}' in config")
@@ -286,16 +289,16 @@ class ExperimentConfig:
             raise ConfigError(f"field 'expect' must be one of {list(EXPECTATIONS)}, got {expect!r}")
         return cls(
             curve=parse_curve(obj["curve"]),
-            initial_x=_number(obj, "initial_x", "config"),
-            true_price=_number(obj, "true_price", "config"),
+            initial_x=parse_number(obj, "initial_x", "config"),
+            true_price=parse_number(obj, "true_price", "config"),
             privacy=parse_privacy(obj["privacy"]),
             strategy=StrategyConfig.from_json_obj(obj["strategy"]),
             fee_policy=parse_fee_policy(obj["fee_policy"]) if "fee_policy" in obj else FeePolicy.noise_fee(),
             noise=NoiseConfig.from_json_obj(obj["noise"]) if "noise" in obj else NoiseConfig(),
-            replicas=_integer(obj, "replicas", "config", 10000),
+            replicas=parse_integer(obj, "replicas", "config", 10000),
             seed=seed,
-            hidden_x=_number(obj, "hidden_x", "config", 1e9),
-            hidden_y=_number(obj, "hidden_y", "config", 1e9),
+            hidden_x=parse_number(obj, "hidden_x", "config", 1e9),
+            hidden_y=parse_number(obj, "hidden_y", "config", 1e9),
             expect=expect,
         )
 
@@ -371,8 +374,9 @@ def make_random_policy(
     Parameters (aggression toward the true-price reserve, a constant probe
     offset, masking width, epsilon, and how often to trade privately) are
     drawn once from the policy substream; the policy itself is then a pure
-    function of the observed state, so replicas stay reproducible and fee
-    policies can be compared on identical noise streams.
+    function of the observed state (the private cadence reads
+    ``state.trades``), so replicas stay reproducible and fee policies can be
+    compared on identical noise streams.
     """
     rng = policy_rng(seed, index)
     aggression = rng.uniform(0.2, 1.2)
@@ -386,7 +390,7 @@ def make_random_policy(
         delta = aggression * (target - state.x) + offset
         cap = 0.25 * state.x  # keep probes small next to the reserve
         delta = min(max(delta, -cap), cap)
-        if len(state.trade_log) % private_period == 0 and width > 0.0:
+        if state.trades % private_period == 0 and width > 0.0:
             half = 0.5 * width
             return delta, PrivacySpec(delta - half, delta + half, epsilon)
         return delta, PrivacySpec(delta, delta, math.inf)
@@ -445,32 +449,26 @@ def estimate_excess_profit(
     if kind == "adaptive_random":
         n_policies = config.strategy.policies
         per_policy = max(1, config.replicas // n_policies)
-        samples = np.empty(n_policies * per_policy)
-        per_policy_means = []
-        idx = 0
-        for j in range(n_policies):
-            policy = make_random_policy(seed, j, config.privacy, config.true_price)
-            start = idx
-            for _ in range(per_policy):
-                trace = run_strategy_once(config, state0, replica_rng(seed, idx), policy)
-                samples[idx] = trace.total_profit - benchmark
-                idx += 1
-            per_policy_means.append(float(np.mean(samples[start:idx])))
-        mean, se, ci = _summarize(samples)
-        return ExcessProfitResult(
-            kind, config.fee_policy.kind.value, mean, se, ci, samples.size, benchmark,
-            tuple(per_policy_means),
-            tuple(samples.tolist()) if keep_samples else None,
-        )
-
-    samples = np.empty(config.replicas)
-    for i in range(config.replicas):
-        trace = run_strategy_once(config, state0, replica_rng(seed, i))
+        policies = [
+            make_random_policy(seed, j, config.privacy, config.true_price)
+            for j in range(n_policies)
+        ]
+    else:
+        per_policy, policies = config.replicas, [None]
+    # replica i runs policy i // per_policy on stream i, whatever the strategy
+    samples = np.empty(len(policies) * per_policy)
+    for i in range(samples.size):
+        trace = run_strategy_once(config, state0, replica_rng(seed, i), policies[i // per_policy])
         samples[i] = trace.total_profit - benchmark
+    per_policy_means = None
+    if kind == "adaptive_random":
+        per_policy_means = tuple(
+            float(np.mean(row)) for row in samples.reshape(n_policies, per_policy)
+        )
     mean, se, ci = _summarize(samples)
     return ExcessProfitResult(
         kind, config.fee_policy.kind.value, mean, se, ci, samples.size, benchmark,
-        None,
+        per_policy_means,
         tuple(samples.tolist()) if keep_samples else None,
     )
 
@@ -593,8 +591,8 @@ def reproduce_deviation_theorem(
     candidate screens positive, which is the control the truthfulness theorem
     predicts.
 
-    config.strategy is ignored: the scan drives the two deviation strategies
-    itself.
+    Only config.strategy.trade_size is used: the confirmation runs the two
+    deviation strategies through estimate_excess_profit.
     """
     if case not in ("positive_mean", "negative_mean"):
         raise ConfigError(f"case must be 'positive_mean' or 'negative_mean', got {case!r}")
@@ -602,37 +600,16 @@ def reproduce_deviation_theorem(
         raise ConfigError(f"positive_mean scan needs mu >= 0, got {mu}")
     if case == "negative_mean" and mu > 0:
         raise ConfigError(f"negative_mean scan needs mu <= 0, got {mu}")
-    seed = config.require_seed()
+    config.require_seed()  # fail before scanning, not at confirmation
     curve = config.curve
-    spec = config.privacy
     trade_size = config.strategy.trade_size if config.strategy else 1.0
-    dist = biased_binary(trade_size, spec, mu)
-    state0 = config.initial_state()
-    spot = state0.spot
+    dist = biased_binary(trade_size, config.privacy, mu)
+    spot = config.initial_state().spot
     grid = factor2_grid()
     margin = 2.0  # require the predicted CI to clear zero by this factor
 
     def charged(pre_x: float) -> float:
         return config.fee_policy.charge(noise_fee(curve, pre_x, trade_size, dist).gamma)
-
-    def confirm(p_hat: float, detour: float | None) -> tuple[float, float, tuple[float, float]]:
-        benchmark = truthful_strategy(state0, p_hat).total_profit
-        samples = np.empty(config.replicas)
-        factory = biased_factory(mu)
-        for i in range(config.replicas):
-            rng = replica_rng(seed, i)
-            if detour is None:
-                trace = case1_deviation(
-                    state0, p_hat, trade_size, spec, rng,
-                    fee_policy=config.fee_policy, dist_factory=factory,
-                )
-            else:
-                trace = case2_deviation(
-                    state0, p_hat, detour, trade_size, spec, rng,
-                    fee_policy=config.fee_policy, dist_factory=factory,
-                )
-            samples[i] = trace.total_profit - benchmark
-        return _summarize(samples)
 
     candidates: list[WitnessCandidate] = []
 
@@ -702,9 +679,16 @@ def reproduce_deviation_theorem(
             case, mu, False, None, None, None, None, None, config.replicas, tuple(candidates)
         )
     p_hat, detour = hit
-    mean, se, ci = confirm(p_hat, detour)
+    if detour is None:
+        strategy = StrategyConfig("case1", trade_size=trade_size)
+    else:
+        strategy = StrategyConfig("case2", trade_size=trade_size, detour_price=detour)
+    confirmed = estimate_excess_profit(replace(
+        config, true_price=p_hat, strategy=strategy, noise=NoiseConfig("biased_binary", mu),
+    ))
     return WitnessScanResult(
-        case, mu, ci[0] > 0.0, p_hat, detour, mean, se, ci, config.replicas, tuple(candidates)
+        case, mu, confirmed.ci99[0] > 0.0, p_hat, detour, confirmed.mean,
+        confirmed.std_error, confirmed.ci99, config.replicas, tuple(candidates),
     )
 
 

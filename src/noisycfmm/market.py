@@ -17,11 +17,13 @@ noise, which is the whole point.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import enum
 import json
+import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -101,10 +103,13 @@ class TradeRecord:
     post_x: float
 
     def to_json_obj(self) -> dict:
+        """Standard-JSON form; a non-private leg's infinite epsilon is spelled
+        "inf", as configs spell it."""
+        eps = self.spec.epsilon
         return {
             "delta": self.delta,
             "tau": [self.spec.lower, self.spec.upper],
-            "epsilon": self.spec.epsilon,
+            "epsilon": "inf" if math.isinf(eps) else eps,
             "y_out": self.y_out,
             "gamma": self.gamma,
             "eta": self.eta,
@@ -112,18 +117,24 @@ class TradeRecord:
             "post_x": self.post_x,
         }
 
+    def to_row(self, seq: int) -> list:
+        """The record as one row under TRADE_LOG_COLUMNS."""
+        return [
+            seq, self.delta, self.spec.lower, self.spec.upper, self.spec.epsilon,
+            self.y_out, self.gamma, self.eta, self.pre_x, self.post_x,
+        ]
+
 
 @dataclass(frozen=True, slots=True)
 class MarketState:
-    """Immutable snapshot: visible reserves, hidden account, ledger, history."""
+    """Immutable snapshot: visible reserves, hidden account, ledger, trade count."""
 
     curve: TradingCurve
     x: float
     hidden_x: float
     hidden_y: float
     fee_ledger: float = 0.0
-    trade_log: tuple[TradeRecord, ...] = ()
-    topups: tuple[tuple[float, float], ...] = ()
+    trades: int = 0
 
     @property
     def y(self) -> float:
@@ -132,18 +143,6 @@ class MarketState:
     @property
     def spot(self) -> float:
         return self.curve.spot_price(self.x)
-
-    def top_up(self, add_x: float, add_y: float) -> "MarketState":
-        """Operator funds the hidden account. Logged so profit accounting can
-        ignore it; never part of any trader's flows."""
-        if add_x < 0 or add_y < 0:
-            raise ValueError("top-ups only add funds")
-        return replace(
-            self,
-            hidden_x=self.hidden_x + add_x,
-            hidden_y=self.hidden_y + add_y,
-            topups=self.topups + ((add_x, add_y),),
-        )
 
 
 def support_check(state: MarketState, delta: float, dist: NoiseDistribution) -> bool:
@@ -223,7 +222,7 @@ def execute_trade(
         hidden_x=state.hidden_x - eta,
         hidden_y=state.hidden_y + (y_s - y_post),
         fee_ledger=state.fee_ledger + gamma,
-        trade_log=state.trade_log + (record,),
+        trades=state.trades + 1,
     )
     return new_state, record
 
@@ -249,43 +248,42 @@ TRADE_LOG_COLUMNS = (
 )
 
 
-def _record_row(seq: int, r: TradeRecord) -> list:
-    return [
-        seq, r.delta, r.spec.lower, r.spec.upper, r.spec.epsilon,
-        r.y_out, r.gamma, r.eta, r.pre_x, r.post_x,
-    ]
+@contextlib.contextmanager
+def text_handle(target: TextIO | str, mode: str) -> Iterator[TextIO]:
+    """The handle itself, or the file a path names, opened for the duration."""
+    if isinstance(target, str):
+        with open(target, mode, newline="") as handle:
+            yield handle
+    else:
+        yield target
+
+
+def write_csv(out: TextIO | str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Header plus rows; floats are written as repr so they read back bit-exact."""
+    with text_handle(out, "w") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
 def trade_log_to_csv(records: Sequence[TradeRecord], out: TextIO | str) -> None:
     """Write the trade log as CSV, one row per trade in execution order."""
-    if isinstance(out, str):
-        with open(out, "w", newline="") as handle:
-            trade_log_to_csv(records, handle)
-        return
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(TRADE_LOG_COLUMNS)
-    for seq, record in enumerate(records):
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in _record_row(seq, record)])
+    write_csv(out, TRADE_LOG_COLUMNS, (r.to_row(seq) for seq, r in enumerate(records)))
 
 
 def trade_log_to_jsonl(records: Sequence[TradeRecord], out: TextIO | str) -> None:
-    """Write the trade log as JSON lines, one object per trade."""
-    if isinstance(out, str):
-        with open(out, "w") as handle:
-            trade_log_to_jsonl(records, handle)
-        return
-    for seq, record in enumerate(records):
-        obj = {"seq": seq, **record.to_json_obj()}
-        out.write(json.dumps(obj, sort_keys=True) + "\n")
+    """Write the trade log as standard JSON lines, one object per trade."""
+    with text_handle(out, "w") as handle:
+        for seq, record in enumerate(records):
+            obj = {"seq": seq, **record.to_json_obj()}
+            handle.write(json.dumps(obj, sort_keys=True, allow_nan=False) + "\n")
 
 
 def trade_log_from_csv(source: TextIO | str) -> list[dict]:
     """Read back a CSV trade log as typed dicts (floats everywhere but seq)."""
-    if isinstance(source, str):
-        with open(source, newline="") as handle:
-            return trade_log_from_csv(handle)
-    rows = []
-    for row in csv.DictReader(source):
-        parsed = {k: (int(v) if k == "seq" else float(v)) for k, v in row.items()}
-        rows.append(parsed)
-    return rows
+    with text_handle(source, "r") as handle:
+        return [
+            {k: (int(v) if k == "seq" else float(v)) for k, v in row.items()}
+            for row in csv.DictReader(handle)
+        ]

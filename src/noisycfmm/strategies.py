@@ -16,7 +16,6 @@ bottom line.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from typing import Callable, TextIO
@@ -26,12 +25,15 @@ import numpy as np
 from .errors import HiddenAccountError
 from .market import (
     NOISE_FEE_POLICY,
+    TRADE_LOG_COLUMNS,
     DistFactory,
     ExternalMarket,
     FeePolicy,
     MarketState,
     TradeRecord,
     execute_trade,
+    text_handle,
+    write_csv,
 )
 from .privacy import PrivacySpec, binary_mechanism
 
@@ -256,10 +258,11 @@ def run_adaptive(
 ) -> StrategyTrace:
     """Drive an arbitrary bounded adaptive policy against the market.
 
-    The policy sees the full market state (including its own past trades) and
-    decides the next private or non-private trade; the runner hedges every X
-    leg at the true price, stops after ``bound`` trades or when the policy
-    stops or a trade is rejected, and reports the trace. This is the harness
+    The policy sees the full market state (including ``state.trades``, the
+    number of trades executed so far) and decides the next private or
+    non-private trade; the runner hedges every X leg at the true price,
+    stops after ``bound`` trades or when the policy stops or a trade is
+    rejected, and reports the trace. This is the harness
     for the optional-stopping experiments: any such bounded policy has
     expected excess at most zero when the noise is zero-mean and priced.
     """
@@ -276,32 +279,19 @@ def run_adaptive(
     return runner.finish()
 
 
-TRACE_COLUMNS = (
-    "seq", "delta", "l", "u", "epsilon", "y_out", "gamma", "eta",
-    "pre_x", "post_x", "settle_x", "settle_y",
-)
+TRACE_COLUMNS = TRADE_LOG_COLUMNS + ("settle_x", "settle_y")
 
 
 def trace_to_csv(trace: StrategyTrace, out: TextIO | str) -> None:
     """One row per strategy step: the market trade plus its external hedge."""
-    if isinstance(out, str):
-        with open(out, "w", newline="") as handle:
-            trace_to_csv(trace, handle)
-        return
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(TRACE_COLUMNS)
-    for seq, (r, flow) in enumerate(zip(trace.steps, trace.external_flows)):
-        row = [
-            seq, r.delta, r.spec.lower, r.spec.upper, r.spec.epsilon,
-            r.y_out, r.gamma, r.eta, r.pre_x, r.post_x, flow.x_amount, flow.y_cash,
-        ]
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    write_csv(out, TRACE_COLUMNS, (
+        [*r.to_row(seq), flow.x_amount, flow.y_cash]
+        for seq, (r, flow) in enumerate(zip(trace.steps, trace.external_flows))
+    ))
 
 
 def trace_to_json(trace: StrategyTrace, out: TextIO | str) -> None:
-    if isinstance(out, str):
-        with open(out, "w") as handle:
-            trace_to_json(trace, handle)
-        return
-    json.dump(trace.to_json_obj(), out, sort_keys=True, indent=2)
-    out.write("\n")
+    """The trace as one standard JSON document."""
+    with text_handle(out, "w") as handle:
+        json.dump(trace.to_json_obj(), handle, sort_keys=True, indent=2, allow_nan=False)
+        handle.write("\n")

@@ -1,0 +1,46 @@
+"""Package surface: modules share only public names, and __all__ resolves."""
+
+import ast
+from pathlib import Path
+
+import noisycfmm
+
+PACKAGE = Path(noisycfmm.__file__).parent
+
+
+def private_imports(source: str) -> list[str]:
+    """Underscore names one module imports from another package module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        internal = node.level > 0 or (node.module or "").split(".")[0] == "noisycfmm"
+        if not internal:
+            continue
+        found.extend(
+            f"{'.' * node.level}{node.module or ''}.{alias.name}"
+            for alias in node.names
+            if alias.name.startswith("_")
+        )
+    return found
+
+
+def test_no_module_imports_another_modules_private_name():
+    offenders = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (names := private_imports(path.read_text()))
+    }
+    assert offenders == {}
+
+
+def test_scanner_catches_a_private_import():
+    assert private_imports("from .harness import _hidden, shown\n") == [".harness._hidden"]
+    assert private_imports("from noisycfmm.market import _x\n") == ["noisycfmm.market._x"]
+    assert private_imports("from os import _exit\n") == []
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in noisycfmm.__all__ if not hasattr(noisycfmm, name)]
+    assert missing == []
+    assert len(set(noisycfmm.__all__)) == len(noisycfmm.__all__)

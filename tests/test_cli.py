@@ -103,6 +103,16 @@ class TestQuoteFee:
             cli.main(["quote-fee", "--curve", "cp"])
         assert exc.value.code == 2
 
+    def test_overflowing_fee_is_a_domain_error(self, capsys):
+        # a deep pool at a tiny reserve prices the noise beyond float range
+        code, out, err = run(capsys, [
+            "quote-fee", "--curve", "cp", "--level", "1e308", "--x", "1e-3",
+            "--delta", "0.001", "--tau", "0,0.002", "--epsilon", "2", "--output", "json",
+        ])
+        assert code == 2
+        assert out == ""
+        assert "not finite" in err
+
 
 class TestAttackDemo:
     BASE = [

@@ -13,8 +13,8 @@ from noisycfmm import (
     Family,
     NoSolutionError,
     TradingCurve,
-    integral_price_quadrature,
 )
+from oracles import integral_price_quadrature
 
 # Closed forms are exact algebra; anything tighter than a few ulps of the
 # operands is luck, so relative comparisons sit at 1e-12.

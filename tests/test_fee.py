@@ -17,10 +17,10 @@ from noisycfmm import (
     biased_binary,
     binary_mechanism,
     fee_liquidity_ratio,
-    integral_price_quadrature,
     noise_fee,
     noise_fee_closed_form,
 )
+from oracles import integral_price_quadrature
 
 # Generic vs closed form: both are exact algebra on the same floats.
 AGREE_REL = 1e-9
@@ -160,6 +160,15 @@ class TestGenericEngine:
         # noise atoms push the reserve negative
         with pytest.raises(DomainError):
             noise_fee(CP, 100.0, 0.0, d)
+
+    def test_non_finite_fee_is_a_domain_error(self):
+        # every reserve is on the curve, but the fee overflows float range
+        deep = TradingCurve.constant_product(1e308)
+        d = binary_mechanism(1e-3, PrivacySpec(0.0, 2e-3, 2.0))
+        with pytest.raises(DomainError, match="not finite"):
+            noise_fee(deep, 1e-3, 1e-3, d)
+        with pytest.raises(DomainError, match="not finite"):
+            noise_fee_closed_form(deep.level, 1e-3, 1e-3, d)
 
     @given(
         x=st.floats(min_value=20.0, max_value=400.0),

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from noisycfmm import (
+    TRADE_LOG_COLUMNS,
     FeePolicy,
     MarketState,
     PrivacySpec,
@@ -19,6 +20,7 @@ from noisycfmm import (
     run_adaptive,
     trace_to_csv,
     trace_to_json,
+    trade_log_to_csv,
     truthful_strategy,
 )
 
@@ -213,3 +215,25 @@ class TestTraceExport:
         assert obj["total_profit"] == trace.total_profit
         assert len(obj["steps"]) == len(trace.steps)
         assert obj["steps"][0]["epsilon"] == 2.0
+
+    def test_json_is_standard(self):
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        buf = io.StringIO()
+        trace_to_json(self._trace(), buf)
+        obj = json.loads(buf.getvalue(), parse_constant=reject)
+        # the closing correction is non-private: epsilon spelled as configs spell it
+        assert obj["steps"][-1]["epsilon"] == "inf"
+
+    def test_csv_extends_the_trade_log_columns(self):
+        trace = self._trace()
+        traced, logged = io.StringIO(), io.StringIO()
+        trace_to_csv(trace, traced)
+        trade_log_to_csv(trace.steps, logged)
+        n = len(TRADE_LOG_COLUMNS)
+        assert n == 10
+        traced_rows = [line.split(",") for line in traced.getvalue().splitlines()]
+        logged_rows = [line.split(",") for line in logged.getvalue().splitlines()]
+        assert [row[:n] for row in traced_rows] == logged_rows
+        assert traced_rows[0][n:] == ["settle_x", "settle_y"]
