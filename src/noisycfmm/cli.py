@@ -47,8 +47,20 @@ EXIT_USAGE = 2
 SCAN_EXPECTATIONS = ("witness_found", "no_witness")
 
 
+def _spell_infinities(value):
+    """The value with every infinite float spelled "inf" or "-inf", as configs spell them."""
+    if isinstance(value, float) and math.isinf(value):
+        return "inf" if value > 0.0 else "-inf"
+    if isinstance(value, dict):
+        return {k: _spell_infinities(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_spell_infinities(v) for v in value]
+    return value
+
+
 def _canonical_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Standard JSON: infinities spelled out, and a NaN raises instead of printing."""
+    return json.dumps(_spell_infinities(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _sig3(x: float) -> str:

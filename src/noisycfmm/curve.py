@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DomainError, NoSolutionError
 
@@ -45,7 +45,8 @@ class TradingCurve:
     exchange rate r and is ignored by the other families. ``x_min``/``x_max``
     bound the X reserves the simulation is willing to represent; they are
     intersected with the interval where the level set keeps both reserves
-    strictly positive.
+    strictly positive. ``x_lo``/``x_hi`` are derived, not set: the smallest
+    and largest X reserve ``contains`` accepts.
     """
 
     family: Family
@@ -53,6 +54,8 @@ class TradingCurve:
     slope: float = 1.0
     x_min: float = DEFAULT_X_MIN
     x_max: float = DEFAULT_X_MAX
+    x_lo: float = field(init=False, compare=False, repr=False)
+    x_hi: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.level) and self.level > 0.0):
@@ -67,6 +70,12 @@ class TradingCurve:
             raise DomainError(
                 f"need 0 < x_min < x_max, got x_min={self.x_min}, x_max={self.x_max}"
             )
+        # The natural bounds are open and [x_min, x_max] is closed; stepping
+        # one float inside the natural ones makes both closed, so contains is
+        # two comparisons (which also reject NaN and the infinities).
+        lo, hi = self.natural_bounds()
+        object.__setattr__(self, "x_lo", max(math.nextafter(lo, math.inf), self.x_min))
+        object.__setattr__(self, "x_hi", min(math.nextafter(hi, -math.inf), self.x_max))
 
     @classmethod
     def constant_product(
@@ -107,13 +116,10 @@ class TradingCurve:
         return lo, hi
 
     def contains(self, x: float) -> bool:
-        if not math.isfinite(x):
-            return False
-        lo, hi = self.natural_bounds()
-        return lo < x < hi and self.x_min <= x <= self.x_max
+        return self.x_lo <= x <= self.x_hi
 
     def _require(self, x: float, what: str) -> None:
-        if not self.contains(x):
+        if not self.x_lo <= x <= self.x_hi:  # contains, inlined on the hot path
             lo, hi = self.natural_bounds()
             raise DomainError(
                 f"{what}={x} outside the represented domain "

@@ -5,6 +5,16 @@ randomness from a counter-based generator keyed by (seed, replica index), so
 replica i sees the same noise stream no matter which fee policy or strategy
 variant is being compared (common random numbers), results do not depend on
 execution order, and reruns are bit-identical.
+
+estimate_excess_profit runs the replicas of an experiment together, as numpy
+arrays with one entry per replica, in blocks. Its reference is the scalar
+engine: run_strategy_once over the strategy functions (truthful_strategy,
+noise_chasing_strategy, case1_deviation, case2_deviation, run_adaptive),
+replica by replica. The batched step evaluates the same float operations in
+the same order, and transcendental curve queries through the same scalar
+math calls, so every sample is bit-identical to that loop's. A block in which
+some replica would raise in the scalar engine is rerun there, replica by
+replica, so the caller gets the exception that loop raised.
 """
 
 from __future__ import annotations
@@ -18,10 +28,12 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .curve import Family, TradingCurve
-from .errors import ConfigError, DomainError, OptimizationError
+from .errors import ConfigError, DomainError, NoisyCfmmError, OptimizationError
 from .fee import noise_fee
 from .market import FeePolicy, FeePolicyKind, MarketState, support_check
 from .privacy import (
+    EPSILON_FLOOR,
+    PROBABILITY_TOL,
     NoiseAtom,
     NoiseDistribution,
     PLDPReport,
@@ -211,6 +223,10 @@ class StrategyConfig:
     policies: int = 100
     bound: int = 8
 
+    def __post_init__(self) -> None:
+        if self.policies < 1:
+            raise ConfigError(f"strategy field 'policies' must be at least 1, got {self.policies}")
+
     @classmethod
     def from_json_obj(cls, obj: dict) -> "StrategyConfig":
         kind = obj.get("kind") if isinstance(obj, dict) else None
@@ -274,6 +290,10 @@ class ExperimentConfig:
         "curve", "initial_x", "true_price", "privacy", "strategy", "fee_policy",
         "noise", "replicas", "seed", "hidden_x", "hidden_y", "expect",
     )
+
+    def __post_init__(self) -> None:
+        if self.replicas < 1:
+            raise ConfigError(f"config field 'replicas' must be at least 1, got {self.replicas}")
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ExperimentConfig":
@@ -366,6 +386,19 @@ def _summarize(samples: np.ndarray) -> tuple[float, float, tuple[float, float]]:
     return mean, se, (mean - Z99 * se, mean + Z99 * se)
 
 
+def _policy_params(
+    seed: int, index: int, base_spec: PrivacySpec
+) -> tuple[float, float, float, float, int]:
+    """Aggression, offset, width, epsilon and private period of random policy ``index``."""
+    rng = policy_rng(seed, index)
+    aggression = rng.uniform(0.2, 1.2)
+    offset = rng.uniform(-0.4, 0.4) * max(base_spec.width, 1.0)
+    width = base_spec.width * rng.uniform(0.5, 2.0)
+    epsilon = base_spec.epsilon * rng.uniform(0.5, 2.0)
+    private_period = int(rng.integers(1, 4))
+    return aggression, offset, width, epsilon, private_period
+
+
 def make_random_policy(
     seed: int, index: int, base_spec: PrivacySpec, true_price: float
 ) -> AdaptivePolicy:
@@ -378,12 +411,7 @@ def make_random_policy(
     ``state.trades``), so replicas stay reproducible and fee policies can be
     compared on identical noise streams.
     """
-    rng = policy_rng(seed, index)
-    aggression = rng.uniform(0.2, 1.2)
-    offset = rng.uniform(-0.4, 0.4) * max(base_spec.width, 1.0)
-    width = base_spec.width * rng.uniform(0.5, 2.0)
-    epsilon = base_spec.epsilon * rng.uniform(0.5, 2.0)
-    private_period = int(rng.integers(1, 4))
+    aggression, offset, width, epsilon, private_period = _policy_params(seed, index, base_spec)
 
     def policy(state: MarketState) -> tuple[float, PrivacySpec] | None:
         target = state.curve.x_of_price(true_price)
@@ -432,6 +460,269 @@ def run_strategy_once(
     raise ConfigError(f"unknown strategy kind {kind!r}")
 
 
+# -- the batched replica engine --------------------------------------------------
+
+# Replicas run together in blocks of at most _BLOCK, and each replica's
+# uniforms are drawn _CHUNK at a time, so memory stays bounded whatever the
+# replica count and the number of rounds.
+_BLOCK = 4096
+_CHUNK = 64
+
+
+class _Replay(Exception):
+    """Some replica of the block would raise in the scalar engine."""
+
+
+def _y_of_x(curve: TradingCurve, x: np.ndarray) -> np.ndarray:
+    """TradingCurve.y_of_x at each point, all of them inside the domain.
+
+    LMSR points go through the scalar method one by one, here and in
+    _reversal_gain: numpy's exp and log may round differently from math's.
+    """
+    if curve.family is Family.CONSTANT_PRODUCT:
+        return curve.level / x
+    if curve.family is Family.CONSTANT_SUM:
+        return curve.level - curve.slope * x
+    return np.array([curve.y_of_x(v) for v in x.tolist()])
+
+
+def _reversal_gain(curve: TradingCurve, s: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """TradingCurve.reversal_gain at each (s, eta), both ends inside the domain."""
+    if curve.family is Family.CONSTANT_PRODUCT:
+        den = s * s * (s + eta)
+        if np.any((den == 0.0) & (eta != 0.0)):  # the float division would raise
+            raise _Replay
+        return np.where(eta == 0.0, 0.0, curve.level * eta * eta / den)
+    if curve.family is Family.CONSTANT_SUM:
+        return np.zeros(s.size)
+    return np.array([curve.reversal_gain(a, b) for a, b in zip(s.tolist(), eta.tolist())])
+
+
+def _bad_shape(lo: np.ndarray, hi: np.ndarray, p_lo: np.ndarray, p_hi: np.ndarray) -> np.ndarray:
+    """Where a two-atom NoiseDistribution would refuse its atoms."""
+    tol = PROBABILITY_TOL
+    total = 0.0 + p_lo + p_hi
+    return ~(
+        np.isfinite(lo) & np.isfinite(hi)
+        & (-tol <= p_lo) & (p_lo <= 1.0 + tol) & (-tol <= p_hi) & (p_hi <= 1.0 + tol)
+    ) | (np.abs(total - 1.0) > tol * 2)
+
+
+class _Batch:
+    """Replicas start..stop-1 of one experiment, one array entry per replica.
+
+    The arrays hold what the scalar engine keeps per replica: MarketState's
+    visible reserve and hidden account, and the running sums of y_out, fee
+    and external cash that _Runner.finish totals. Replica i takes its
+    uniforms from replica_rng(seed, i), one per noisy trade, as
+    NoiseDistribution.sample does.
+    """
+
+    def __init__(
+        self, config: ExperimentConfig, state0: MarketState, seed: int,
+        start: int, stop: int, max_draws: int,
+    ) -> None:
+        n = stop - start
+        self.curve = config.curve
+        self.true_price = config.true_price
+        self.fee_policy = config.fee_policy
+        self.mu = config.noise.mu if config.noise.kind == "biased_binary" else None
+        self.x = np.full(n, state0.x, dtype=float)
+        self.hidden_x = np.full(n, state0.hidden_x, dtype=float)
+        self.hidden_y = np.full(n, state0.hidden_y, dtype=float)
+        self.y_out = np.zeros(n)
+        self.fees = np.zeros(n)
+        self.cash = np.zeros(n)
+        self.gens = [replica_rng(seed, i) for i in range(start, stop)]
+        self.chunk = max(0, min(max_draws, _CHUNK))  # a negative count runs no rounds
+        self.uniforms = np.empty((n, self.chunk))
+        self.used = np.full(n, self.chunk)  # columns of each row already consumed
+
+    def _draw(self, rows: np.ndarray) -> np.ndarray:
+        """The next uniform of each replica in rows."""
+        spent = rows[self.used[rows] == self.chunk]
+        for r in spent.tolist():
+            self.uniforms[r] = self.gens[r].random(self.chunk)
+        self.used[spent] = 0
+        cols = self.used[rows]
+        self.used[rows] = cols + 1
+        return self.uniforms[rows, cols]
+
+    def trade(
+        self, rows: np.ndarray, delta: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+        epsilon: np.ndarray | float, tanh_half_eps: np.ndarray | float,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """execute_trade plus the external hedge, for each replica in rows.
+
+        The masking spec is [lower, upper] with budget epsilon, and
+        tanh_half_eps = tanh(epsilon/2) as binary_mechanism computes it.
+        Returns the mask of rows the hidden account supported (the others are
+        left as they were) and the noise each supported row executed. Raises
+        _Replay where execute_trade would raise anything but
+        HiddenAccountError.
+        """
+        curve, t = self.curve, tanh_half_eps
+        x = self.x[rows]
+        # the PrivacySpec, execute_trade's and binary_mechanism's checks
+        bad = ~(np.isfinite(lower) & np.isfinite(upper) & (lower <= upper) & (epsilon > 0.0))
+        bad |= ~((lower <= delta) & (delta <= upper))
+        noisy = (lower != upper) & ~np.isinf(epsilon)  # a degenerate spec gets the zero atom
+        half = 0.5 * (upper - lower)
+        mid = 0.5 * (upper + lower)
+        big = half / t
+        center = mid - delta
+        d = (delta - mid) / half
+        lo, hi = center - big, center + big
+        p_lo, p_hi = 0.5 * (1.0 - d * t), 0.5 * (1.0 + d * t)
+        bad |= noisy & ((epsilon < EPSILON_FLOOR) | (half == 0.0) | _bad_shape(lo, hi, p_lo, p_hi))
+        if self.mu is not None:  # biased_binary: the same atoms with mean mu
+            span = hi - lo
+            p_hi = (self.mu - lo) / span
+            p_lo = 1.0 - p_hi
+            bad |= noisy & (
+                (span == 0.0) | ~((0.0 <= p_hi) & (p_hi <= 1.0)) | _bad_shape(lo, hi, p_lo, p_hi)
+            )
+        lo, hi = np.where(noisy, lo, 0.0), np.where(noisy, hi, 0.0)
+        # noise_fee: the post-trade and noised reserves stay on the curve
+        s = x + delta
+        s_lo, s_hi = s + lo, s + hi
+        x_lo, x_hi = curve.x_lo, curve.x_hi
+        bad |= ~(
+            (x_lo <= s) & (s <= x_hi) & (x_lo <= s_lo) & (s_lo <= x_hi)
+            & (x_lo <= s_hi) & (s_hi <= x_hi)
+        )
+        if bad.any():
+            raise _Replay
+        quote = (
+            0.0 + np.where(lo == 0.0, 0.0, p_lo * _reversal_gain(curve, s, lo))
+            + np.where(hi == 0.0, 0.0, p_hi * _reversal_gain(curve, s, hi))
+        )
+        if not np.isfinite(quote).all():
+            raise _Replay
+        # support_check: can the hidden account fund every atom? The atoms
+        # straddle zero (|center| <= half <= big), so only hi can need X and
+        # only lo can need Y.
+        y_s = _y_of_x(curve, s)
+        hidden_x, hidden_y = self.hidden_x[rows], self.hidden_y[rows]
+        ok = ~(
+            ((hi > 0.0) & (hidden_x < hi))
+            | ((lo < 0.0) & (hidden_y < _y_of_x(curve, s_lo) - y_s))
+        )
+        if not ok.all():
+            rows, x, delta, s, y_s, lo, hi, p_lo, noisy, quote, hidden_x, hidden_y = (
+                a[ok] for a in (
+                    rows, x, delta, s, y_s, lo, hi, p_lo, noisy, quote, hidden_x, hidden_y,
+                )
+            )
+        fee = np.where(noisy, self.fee_policy.charge(quote), 0.0)
+        eta = np.zeros(rows.size)
+        draw = np.flatnonzero(noisy)
+        if draw.size:
+            u = self._draw(rows[draw])
+            eta[draw] = np.where(u < p_lo[draw], lo[draw], hi[draw])
+        post = s + eta
+        y_post = _y_of_x(curve, post)
+        self.y_out[rows] += _y_of_x(curve, x) - y_s
+        self.fees[rows] += fee
+        self.cash[rows] += self.true_price * -delta
+        self.x[rows] = post
+        self.hidden_x[rows] = hidden_x - eta
+        self.hidden_y[rows] = hidden_y + (y_s - y_post)
+        return ok, eta
+
+    def trade_to(self, rows: np.ndarray, target: float) -> None:
+        """Non-private trades landing each replica's reserve on ``target``."""
+        delta = target - self.x[rows]
+        move = delta != 0.0
+        rows, delta = rows[move], delta[move]
+        if rows.size:
+            self.trade(rows, delta, delta, delta, math.inf, 1.0)
+
+    def excess(self, benchmark: float) -> np.ndarray:
+        """Each replica's total profit, summed as _Runner.finish does, less the benchmark."""
+        # finish() also reads the terminal spot, which can fail where x*x underflows
+        if self.curve.family is Family.CONSTANT_PRODUCT:
+            if np.any(self.x * self.x == 0.0):
+                raise _Replay
+        elif self.curve.family is Family.LMSR:
+            for v in self.x.tolist():
+                self.curve.spot_price(v)
+        return self.y_out - self.fees + self.cash - benchmark
+
+
+def _run_block(
+    config: ExperimentConfig, state0: MarketState, seed: int, start: int, stop: int,
+    policies: np.ndarray | None, per_policy: int, benchmark: float,
+) -> np.ndarray:
+    """Excess profits of replicas start..stop-1, as run_strategy_once computes them.
+
+    ``policies`` holds _policy_params rows for adaptive_random. Raises
+    _Replay, or the error of a scalar curve query, where some replica would
+    raise in the scalar engine.
+    """
+    strategy, spec, curve = config.strategy, config.privacy, config.curve
+    kind = strategy.kind
+    target = curve.x_of_price(config.true_price)
+    rows = np.arange(stop - start)
+    t = math.tanh(0.5 * spec.epsilon)
+    if kind == "noise_chasing" and not spec.degenerate:
+        batch = _Batch(config, state0, seed, start, stop, strategy.max_rounds)
+        half = 0.5 * spec.width  # PrivacySpec.recentered
+        live = rows
+        for _ in range(strategy.max_rounds):
+            if not live.size:
+                break
+            delta = target - batch.x[live]
+            ok, eta = batch.trade(live, delta, delta - half, delta + half, spec.epsilon, t)
+            live = live[ok][eta != 0.0]  # a rejected trade or a zero draw ends the chase
+    elif kind in ("case1", "case2"):
+        spot = state0.spot
+        if kind == "case1" and not config.true_price > spot:
+            raise _Replay
+        if kind == "case2" and not (config.true_price < spot and strategy.detour_price > spot):
+            raise _Replay
+        batch = _Batch(config, state0, seed, start, stop, 1)
+        if kind == "case2":
+            batch.trade_to(rows, curve.x_of_price(strategy.detour_price))
+        size = np.full(rows.size, strategy.trade_size, dtype=float)
+        ok, _ = batch.trade(
+            rows, size, np.full(rows.size, spec.lower), np.full(rows.size, spec.upper),
+            spec.epsilon, t,
+        )
+        if not ok.all():  # these strategies let HiddenAccountError propagate
+            raise _Replay
+    elif kind == "adaptive_random":
+        aggression, offset, width, epsilon, period, tanh_half = policies[
+            (start + rows) // per_policy
+        ].T
+        batch = _Batch(config, state0, seed, start, stop, strategy.bound)
+        live = rows
+        # every live replica has made k trades, the count the private cadence reads
+        for k in range(strategy.bound):
+            if not live.size:
+                break
+            x = batch.x[live]
+            delta = aggression[live] * (target - x) + offset[live]
+            cap = 0.25 * x
+            delta = np.where(-cap > delta, -cap, delta)  # min(max(delta, -cap), cap)
+            delta = np.where(cap < delta, cap, delta)
+            private = (k % period[live] == 0) & (width[live] > 0.0)
+            half = 0.5 * width[live]
+            ok, _ = batch.trade(
+                live, delta, np.where(private, delta - half, delta),
+                np.where(private, delta + half, delta),
+                np.where(private, epsilon[live], math.inf), tanh_half[live],
+            )
+            live = live[ok]
+    elif kind in ("truthful", "noise_chasing"):  # chasing with nothing to mask is truthful
+        batch = _Batch(config, state0, seed, start, stop, 0)
+    else:  # run_strategy_once names the unknown kind
+        raise _Replay
+    if kind != "adaptive_random":
+        batch.trade_to(rows, target)
+    return batch.excess(benchmark)
+
+
 def estimate_excess_profit(
     config: ExperimentConfig, *, keep_samples: bool = False
 ) -> ExcessProfitResult:
@@ -439,7 +730,9 @@ def estimate_excess_profit(
 
     The benchmark is deterministic and computed once. For adaptive_random the
     replica budget is split evenly over the random policies and the confidence
-    interval pools all samples.
+    interval pools all samples. Replica i runs policy i // per_policy on
+    stream i, whatever the strategy. The replicas run batched; every sample
+    equals what run_strategy_once gives on replica_rng(seed, i).
     """
     seed = config.require_seed()
     state0 = config.initial_state()
@@ -449,17 +742,29 @@ def estimate_excess_profit(
     if kind == "adaptive_random":
         n_policies = config.strategy.policies
         per_policy = max(1, config.replicas // n_policies)
-        policies = [
-            make_random_policy(seed, j, config.privacy, config.true_price)
-            for j in range(n_policies)
-        ]
+        params = [_policy_params(seed, j, config.privacy) for j in range(n_policies)]
+        policies = np.array([(*p, math.tanh(0.5 * p[3])) for p in params])
     else:
-        per_policy, policies = config.replicas, [None]
-    # replica i runs policy i // per_policy on stream i, whatever the strategy
-    samples = np.empty(len(policies) * per_policy)
-    for i in range(samples.size):
-        trace = run_strategy_once(config, state0, replica_rng(seed, i), policies[i // per_policy])
-        samples[i] = trace.total_profit - benchmark
+        n_policies, per_policy, policies = 1, config.replicas, None
+    samples = np.empty(n_policies * per_policy)
+    for start in range(0, samples.size, _BLOCK):
+        stop = min(start + _BLOCK, samples.size)
+        try:
+            with np.errstate(all="ignore"):
+                samples[start:stop] = _run_block(
+                    config, state0, seed, start, stop, policies, per_policy, benchmark
+                )
+            continue
+        except (_Replay, NoisyCfmmError, ArithmeticError):
+            pass
+        # Some replica would raise in the scalar engine: rerun the block there,
+        # replica by replica, so that the first of them raises as it did.
+        for i in range(start, stop):
+            policy = None if policies is None else make_random_policy(
+                seed, i // per_policy, config.privacy, config.true_price
+            )
+            trace = run_strategy_once(config, state0, replica_rng(seed, i), policy)
+            samples[i] = trace.total_profit - benchmark
     per_policy_means = None
     if kind == "adaptive_random":
         per_policy_means = tuple(

@@ -76,7 +76,9 @@ class PrivacySpec:
         return PrivacySpec(delta - half, delta + half, self.epsilon)
 
     def to_json_obj(self) -> dict:
-        return {"tau": [self.lower, self.upper], "epsilon": self.epsilon}
+        """Standard-JSON form; an infinite epsilon is spelled "inf", as configs spell it."""
+        eps = "inf" if math.isinf(self.epsilon) else self.epsilon
+        return {"tau": [self.lower, self.upper], "epsilon": eps}
 
 
 @dataclass(frozen=True, slots=True)

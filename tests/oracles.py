@@ -2,7 +2,17 @@
 
 from __future__ import annotations
 
-from noisycfmm import TradingCurve
+import numpy as np
+
+from noisycfmm import (
+    ExcessProfitResult,
+    TradingCurve,
+    make_random_policy,
+    replica_rng,
+    run_strategy_once,
+    truthful_strategy,
+)
+from noisycfmm.harness import _summarize
 
 
 def integral_price_quadrature(
@@ -44,3 +54,40 @@ def integral_price_quadrature(
     mid = 0.5 * (a + b)
     fa, fm, fb = f(a), f(mid), f(b)
     return recurse(a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), tol, 48)
+
+
+def scalar_excess_profit(config, *, keep_samples: bool = False):
+    """estimate_excess_profit as the scalar engine computes it, replica by replica.
+
+    The reference the batched engine is checked against: replica i runs
+    run_strategy_once on replica_rng(seed, i), with random policy
+    i // per_policy for adaptive_random, and the samples are summarized as
+    estimate_excess_profit summarizes them.
+    """
+    seed = config.require_seed()
+    state0 = config.initial_state()
+    benchmark = truthful_strategy(state0, config.true_price).total_profit
+    kind = config.strategy.kind
+    if kind == "adaptive_random":
+        n_policies = config.strategy.policies
+        per_policy = max(1, config.replicas // n_policies)
+        policies = [
+            make_random_policy(seed, j, config.privacy, config.true_price)
+            for j in range(n_policies)
+        ]
+    else:
+        per_policy, policies = config.replicas, [None]
+    samples = np.empty(len(policies) * per_policy)
+    for i in range(samples.size):
+        trace = run_strategy_once(config, state0, replica_rng(seed, i), policies[i // per_policy])
+        samples[i] = trace.total_profit - benchmark
+    per_policy_means = None
+    if kind == "adaptive_random":
+        per_policy_means = tuple(
+            float(np.mean(row)) for row in samples.reshape(len(policies), per_policy)
+        )
+    mean, se, ci = _summarize(samples)
+    return ExcessProfitResult(
+        kind, config.fee_policy.kind.value, mean, se, ci, samples.size, benchmark,
+        per_policy_means, tuple(samples.tolist()) if keep_samples else None,
+    )

@@ -33,6 +33,11 @@ def write_config(tmp_path, obj, name="config.json"):
     return str(path)
 
 
+def reject_constant(name):
+    """json.loads hook: Infinity, -Infinity and NaN are not standard JSON."""
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def simulate_config(**overrides):
     obj = {
         "curve": {"family": "constant_product", "level": 1e4},
@@ -159,6 +164,16 @@ class TestVerifyPldp:
         assert code == 0
         assert payload["grid_size"] == 11
 
+    def test_infinite_epsilon_is_standard_json(self, capsys):
+        code, out, _ = run(
+            capsys, ["verify-pldp", "--tau", "0,2", "--epsilon", "inf", "--output", "json"]
+        )
+        assert code == 0
+        doc, _, _ = out.rpartition("}\n")
+        payload = json.loads(doc + "}\n", parse_constant=reject_constant)
+        assert payload["bound"] == payload["max_ratio"] == "inf"
+        assert payload["privacy"]["epsilon"] == "inf"
+
 
 class TestSimulate:
     def test_truthful_contains_zero(self, capsys, tmp_path):
@@ -220,6 +235,19 @@ class TestSimulate:
         lines = out.strip().split("\n")
         assert lines[0] == "replica,excess"
         assert len(lines) == 1 + 25 + 1  # header, rows, summary line
+
+    def test_zero_replicas_is_a_config_error(self, capsys, tmp_path):
+        path = write_config(tmp_path, simulate_config(replicas=0))
+        code, out, err = run(capsys, ["simulate", "--config", path, "--output", "json"])
+        assert (code, out) == (2, "")
+        assert "'replicas' must be at least 1, got 0" in err
+
+    def test_zero_policies_is_a_config_error(self, capsys, tmp_path):
+        config = simulate_config(strategy={"kind": "adaptive_random", "policies": 0})
+        path = write_config(tmp_path, config)
+        code, out, err = run(capsys, ["simulate", "--config", path, "--output", "json"])
+        assert (code, out) == (2, "")
+        assert "'policies' must be at least 1, got 0" in err
 
     def test_config_file_must_exist(self, capsys):
         code, _, err = run(capsys, ["simulate", "--config", "/nonexistent.json"])

@@ -252,6 +252,32 @@ class TestValidationAndDomain:
         with pytest.raises(DomainError):
             tight.x_of_price(100.0)
 
+    @pytest.mark.parametrize("curve", [
+        CP, LMSR, LMSR_SHALLOW, CSUM, TradingCurve.lmsr(1.0),
+        TradingCurve(Family.CONSTANT_PRODUCT, 1e4, x_min=1.0, x_max=math.inf),
+        TradingCurve(Family.LMSR, 1.9, x_min=0.5, x_max=3.0),
+    ])
+    def test_contains_is_open_natural_and_closed_window(self, curve):
+        lo, hi = curve.natural_bounds()
+        points = [math.inf, -math.inf, math.nan, 0.0, -0.0]
+        for bound in (lo, hi, curve.x_min, curve.x_max):
+            for direction in (math.inf, -math.inf):
+                v = bound
+                for _ in range(3):
+                    points.append(v)
+                    v = math.nextafter(v, direction)
+        for x in points:
+            expected = math.isfinite(x) and lo < x < hi and curve.x_min <= x <= curve.x_max
+            assert curve.contains(x) == expected, x
+
+    def test_derived_bounds_stay_out_of_identity(self):
+        twin = TradingCurve.lmsr(1.5)
+        assert twin == LMSR and hash(twin) == hash(LMSR)
+        assert repr(LMSR) == (
+            "TradingCurve(family=<Family.LMSR: 'lmsr'>, level=1.5, slope=1.0, "
+            "x_min=1e-09, x_max=1000000000000.0)"
+        )
+
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):
             CP.y_of_x(math.inf)

@@ -112,6 +112,12 @@ class TestConfigParsing:
         cfg = ExperimentConfig.from_json_obj(obj)
         assert math.isinf(cfg.privacy.epsilon)
 
+    def test_counts_must_be_positive(self):
+        with pytest.raises(ConfigError, match="'replicas' must be at least 1, got 0"):
+            config(replicas=0)
+        with pytest.raises(ConfigError, match="'policies' must be at least 1, got -1"):
+            StrategyConfig("adaptive_random", policies=-1)
+
     def test_seed_required_for_randomized_runs(self):
         with pytest.raises(ConfigError, match="seed"):
             estimate_excess_profit(config(seed=None))
@@ -177,6 +183,8 @@ class TestEstimator:
         cfg = config(strategy=StrategyConfig("sideways"))
         with pytest.raises(ConfigError, match="sideways"):
             run_strategy_once(cfg, cfg.initial_state(), replica_rng(0, 0))
+        with pytest.raises(ConfigError, match="sideways"):
+            estimate_excess_profit(cfg)
 
 
 class TestExpectations:
