@@ -1,9 +1,10 @@
 """Command line front end: strict JSON configs, deterministic outputs.
 
 Exit codes: 0 success, 1 a configured expectation was falsified by the run,
-2 usage or config error. Randomized commands refuse to run without an
-explicit seed; nothing ever falls back to wall-clock seeding. JSON output is
-canonical (sorted keys, two-space indent) so identical config and seed give
+2 usage or config error (any NoisyCfmmError; other exceptions are faults
+and propagate). Randomized commands refuse to run without an explicit seed;
+nothing ever falls back to wall-clock seeding. JSON output is canonical
+(sorted keys, two-space indent) so identical config and seed give
 byte-identical bytes.
 """
 
@@ -15,26 +16,28 @@ import io
 import json
 import math
 import sys
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
+from .codec import (
+    choice, fields_of, integer, number, number_list, optional, pair, parse_fields, parse_kind,
+    to_json,
+)
 from .curve import TradingCurve
 from .errors import ConfigError, NoisyCfmmError
 from .fee import noise_fee, noise_fee_closed_form
 from .harness import (
     ExperimentConfig,
     LPNoiseProblem,
+    ScalingRow,
+    WitnessCandidate,
     check_expectation,
-    curve_to_json_obj,
     estimate_excess_profit,
     liquidity_scaling_study,
     optimize_noise_lp,
     parse_curve,
-    parse_integer,
-    parse_number,
     parse_privacy,
     replica_rng,
     reproduce_deviation_theorem,
-    strict_keys,
     validate_lp_solution,
 )
 from .market import MarketState, eavesdrop_infer, execute_trade, write_csv
@@ -45,22 +48,38 @@ EXIT_FALSIFIED = 1
 EXIT_USAGE = 2
 
 SCAN_EXPECTATIONS = ("witness_found", "no_witness")
+# What the simulate summary says of the CI under each expectation: (met, not met)
+_VERDICTS = {
+    "ci_contains_zero": ("contains 0: PASS", "contains 0: FAIL"),
+    "ci_above_zero": ("above 0: additional arbitrage confirmed", "not above 0: FAIL"),
+    "ci_below_zero": ("below 0: PASS", "below 0: FAIL"),
+    "ci_contains_or_below_zero": (
+        "contains or lies below 0: PASS", "contains or lies below 0: FAIL",
+    ),
+}
 
-
-def _spell_infinities(value):
-    """The value with every infinite float spelled "inf" or "-inf", as configs spell them."""
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0.0 else "-inf"
-    if isinstance(value, dict):
-        return {k: _spell_infinities(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_spell_infinities(v) for v in value]
-    return value
-
-
-def _canonical_json(payload: dict) -> str:
-    """Standard JSON: infinities spelled out, and a NaN raises instead of printing."""
-    return json.dumps(_spell_infinities(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+_EXPERIMENTS = {
+    "excess_profit": {},
+    "witness_scan": {"case": choice("positive_mean", "negative_mean"), "mu": number},
+}
+_LP_FIELDS = {
+    "curve": parse_curve,
+    "reference_x": number,
+    "privacy": parse_privacy,
+    "n_inputs": integer,
+    "n_outputs": integer,
+    "expect": optional(lambda obj, path: parse_fields(
+        obj, {"max_average_fee": number, "max_fee_at": pair}, (), path
+    )),
+}
+_SCALING_FIELDS = {
+    "base_level": number,
+    "multipliers": number_list,
+    "price": number,
+    "trade_size": number,
+    "privacy": parse_privacy,
+    "expect_max_spread": optional(number),
+}
 
 
 def _sig3(x: float) -> str:
@@ -96,7 +115,7 @@ def _load_config_file(path: str) -> dict:
             obj = json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config file {path}: {e}") from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # malformed JSON, bad UTF-8, an over-long integer
         raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
     if not isinstance(obj, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
@@ -104,20 +123,17 @@ def _load_config_file(path: str) -> dict:
 
 
 def _emit(
-    args: argparse.Namespace,
-    payload: dict,
-    summary: str,
-    csv_text: str | None = None,
+    args: argparse.Namespace, payload: dict, summary: str, csv_text: str | None = None
 ) -> None:
     """Render to stdout and optionally to --out.
 
-    json: canonical payload (summary included as a field). csv: bulk rows
-    when the command has them. table: human key-value lines plus summary.
+    json: the canonical payload (summary included as a field), standard JSON
+    in which a NaN raises instead of printing. csv: bulk rows when the command
+    has them. table: human key-value lines plus summary.
     """
-    payload = dict(payload)
-    payload["summary"] = summary
+    payload = to_json({**payload, "summary": summary})
     if args.output == "json":
-        rendered = _canonical_json(payload)
+        rendered = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     elif args.output == "csv":
         if csv_text is None:
             raise ConfigError("csv output is not available for this command")
@@ -148,10 +164,16 @@ def _render_table(payload: dict, indent: str = "") -> str:
     return "\n".join(line for line in lines if line) + ("\n" if not indent else "")
 
 
-def _csv_from_rows(header: tuple[str, ...], rows: list[tuple]) -> str:
+def _csv_from_rows(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     buf = io.StringIO()
     write_csv(buf, header, rows)
     return buf.getvalue()
+
+
+def _csv_from_records(cls: type, records: Sequence) -> str:
+    """One column per field of dataclass ``cls``, one row per record."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    return _csv_from_rows(names, ([getattr(r, name) for name in names] for r in records))
 
 
 # -- quote-fee -----------------------------------------------------------------
@@ -165,12 +187,12 @@ def quote_fee_cmd(args: argparse.Namespace) -> int:
     payload: dict = {
         "gamma": quote.gamma,
         "gamma_3sf": _sig3(quote.gamma),
-        "curve": curve_to_json_obj(curve),
+        "curve": curve,
         "x": args.x,
         "delta": args.delta,
-        "privacy": spec.to_json_obj(),
-        "distribution": dist.to_json_obj(),
-        "method": quote.method.value,
+        "privacy": spec,
+        "distribution": dist,
+        "method": quote.method,
     }
     if curve.family.value == "constant_product" and len(dist.atoms) == 2:
         payload["gamma_closed_form"] = noise_fee_closed_form(
@@ -189,6 +211,8 @@ def attack_demo_cmd(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     if args.seed is None:
         raise ConfigError("attack-demo samples noise and requires an explicit --seed")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be at least 0, got {args.seed}")
     state = MarketState(curve, args.x, 1e9, 1e9)
     pre_price = state.spot
 
@@ -211,12 +235,8 @@ def attack_demo_cmd(args: argparse.Namespace) -> int:
         "noisy_inferred": noisy_inferred,
         "eta": record.eta,
         "fee_paid": record.gamma,
-        "privacy": spec.to_json_obj(),
-        "pldp": {
-            "max_ratio": report.max_ratio,
-            "bound": report.bound,
-            "satisfied": report.satisfied,
-        },
+        "privacy": spec,
+        "pldp": fields_of(report, "grid_size", "n_outputs"),
         "note": note,
         "seed": args.seed,
     }
@@ -234,44 +254,22 @@ def attack_demo_cmd(args: argparse.Namespace) -> int:
 # -- simulate ------------------------------------------------------------------
 
 
-def _parse_experiment_block(obj: dict) -> tuple[str, str | None, float]:
-    strict_keys(obj, ("kind", "case", "mu"), "experiment")
-    kind = obj.get("kind", "excess_profit")
-    if kind == "excess_profit":
-        strict_keys(obj, ("kind",), "experiment")
-        return kind, None, 0.0
-    if kind == "witness_scan":
-        case = obj.get("case")
-        if case not in ("positive_mean", "negative_mean"):
-            raise ConfigError(
-                f"experiment.case must be 'positive_mean' or 'negative_mean', got {case!r}"
-            )
-        return kind, case, parse_number(obj, "mu", "experiment")
-    raise ConfigError(
-        f"experiment.kind must be 'excess_profit' or 'witness_scan', got {kind!r}"
-    )
-
-
 def simulate_cmd(args: argparse.Namespace) -> int:
     raw = _load_config_file(args.config)
-    experiment_obj = raw.pop("experiment", {"kind": "excess_profit"})
-    kind, case, mu = _parse_experiment_block(experiment_obj)
-    expect = raw.get("expect")
-    if kind == "witness_scan":
-        if expect is not None and expect not in SCAN_EXPECTATIONS:
-            raise ConfigError(
-                f"witness_scan expects one of {list(SCAN_EXPECTATIONS)}, got {expect!r}"
-            )
-        raw = dict(raw)
-        raw.pop("expect", None)
+    experiment_obj = raw.pop("experiment", {})
+    experiment = parse_kind(
+        experiment_obj, "kind", _EXPERIMENTS, ("case", "mu"), "config.experiment",
+        default="excess_profit",
+    )
+    if experiment["kind"] == "witness_scan":  # the scan's expectations replace the config's
+        expect = optional(choice(*SCAN_EXPECTATIONS))(raw.pop("expect", None), "config.expect")
     config = ExperimentConfig.from_json_obj(raw)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
 
-    if kind == "witness_scan":
-        scan = reproduce_deviation_theorem(case, mu, config)
-        payload = {"config": config.to_json_obj(), "experiment": experiment_obj,
-                   "result": scan.to_json_obj(), "expect": expect}
+    if experiment["kind"] == "witness_scan":
+        scan = reproduce_deviation_theorem(experiment["case"], experiment["mu"], config)
+        payload = {"config": config, "experiment": experiment_obj, "result": scan, "expect": expect}
         if scan.found:
             detour = "" if scan.detour_price is None else f" via detour {scan.detour_price!r}"
             summary = (
@@ -280,51 +278,23 @@ def simulate_cmd(args: argparse.Namespace) -> int:
             )
         else:
             summary = "no witness found on the scan grid"
-        if expect == "witness_found":
-            ok = scan.found
-        elif expect == "no_witness":
-            ok = not scan.found
-        else:
-            ok = True
+        ok = expect is None or scan.found == (expect == "witness_found")
         summary += "" if expect is None else (": PASS" if ok else ": FAIL")
-        csv_text = _csv_from_rows(
-            ("true_price", "detour_price", "expected_excess", "supported", "note"),
-            [
-                (c.true_price, c.detour_price, c.expected_excess, c.supported, c.note)
-                for c in scan.candidates
-            ],
-        )
         payload["passed"] = ok
-        _emit(args, payload, summary, csv_text)
+        _emit(args, payload, summary, _csv_from_records(WitnessCandidate, scan.candidates))
         return EXIT_OK if ok else EXIT_FALSIFIED
 
     keep = args.output == "csv"
     result = estimate_excess_profit(config, keep_samples=keep)
     ok = check_expectation(result, config.expect)
     lo, hi = result.ci99
+    summary = f"excess CI [{lo:+.4g},{hi:+.4g}]"
     if config.expect is None:
-        summary = f"excess CI [{lo:+.4g},{hi:+.4g}], mean {result.mean:+.4g}"
-        code = EXIT_OK
-    elif config.expect == "ci_contains_zero":
-        summary = f"excess CI [{lo:+.4g},{hi:+.4g}] contains 0: {'PASS' if ok else 'FAIL'}"
-        code = EXIT_OK if ok else EXIT_FALSIFIED
-    elif config.expect == "ci_above_zero":
-        if ok:
-            summary = f"excess CI [{lo:+.4g},{hi:+.4g}] above 0: additional arbitrage confirmed"
-        else:
-            summary = f"excess CI [{lo:+.4g},{hi:+.4g}] not above 0: FAIL"
-        code = EXIT_OK if ok else EXIT_FALSIFIED
-    elif config.expect == "ci_below_zero":
-        summary = f"excess CI [{lo:+.4g},{hi:+.4g}] below 0: {'PASS' if ok else 'FAIL'}"
-        code = EXIT_OK if ok else EXIT_FALSIFIED
+        summary += f", mean {result.mean:+.4g}"
     else:
-        summary = (
-            f"excess CI [{lo:+.4g},{hi:+.4g}] contains or lies below 0: "
-            f"{'PASS' if ok else 'FAIL'}"
-        )
-        code = EXIT_OK if ok else EXIT_FALSIFIED
-    result_obj = result.to_json_obj()
-    payload = {"config": config.to_json_obj(), "result": result_obj, "passed": ok}
+        summary += " " + _VERDICTS[config.expect][0 if ok else 1]
+    code = EXIT_FALSIFIED if ok is False else EXIT_OK
+    payload = {"config": config, "result": result, "passed": ok}
     csv_text = None
     if keep and result.samples is not None:
         csv_text = _csv_from_rows(
@@ -338,41 +308,16 @@ def simulate_cmd(args: argparse.Namespace) -> int:
 
 
 def optimize_cmd(args: argparse.Namespace) -> int:
-    raw = _load_config_file(args.config)
-    strict_keys(
-        raw,
-        ("curve", "reference_x", "privacy", "n_inputs", "n_outputs", "method", "expect"),
-        "config",
+    fields = parse_fields(
+        _load_config_file(args.config), _LP_FIELDS, ("curve", "reference_x", "privacy"), "config"
     )
-    for req in ("curve", "reference_x", "privacy"):
-        if req not in raw:
-            raise ConfigError(f"missing required field '{req}' in config")
-    curve = parse_curve(raw["curve"])
-    spec = parse_privacy(raw["privacy"])
+    expect = fields.pop("expect", None) or {}
+    max_avg, fee_at = expect.get("max_average_fee"), expect.get("max_fee_at")
     problem = LPNoiseProblem.build(
-        curve,
-        parse_number(raw, "reference_x", "config"),
-        spec,
-        n_inputs=parse_integer(raw, "n_inputs", "config", 21),
-        n_outputs=parse_integer(raw, "n_outputs", "config", 41),
+        fields.pop("curve"), fields.pop("reference_x"), fields.pop("privacy"), **fields
     )
-    method = raw.get("method", "highs")
-    if not isinstance(method, str):
-        raise ConfigError(f"field 'method' must be a string, got {method!r}")
-    expect_obj = raw.get("expect")
-    max_avg = None
-    fee_at: tuple[float, float] | None = None
-    if expect_obj is not None:
-        strict_keys(expect_obj, ("max_average_fee", "max_fee_at"), "expect")
-        if "max_average_fee" in expect_obj:
-            max_avg = parse_number(expect_obj, "max_average_fee", "expect")
-        if "max_fee_at" in expect_obj:
-            pair = expect_obj["max_fee_at"]
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise ConfigError("expect.max_fee_at must be [delta, bound]")
-            fee_at = (float(pair[0]), float(pair[1]))
 
-    solution = optimize_noise_lp(problem, method=method)
+    solution = optimize_noise_lp(problem)
     checkup = validate_lp_solution(solution)
     ok = checkup.ok
     parts = [f"avg fee {solution.average_fee!r}"]
@@ -389,11 +334,7 @@ def optimize_cmd(args: argparse.Namespace) -> int:
         good = value <= fee_at[1]
         ok = ok and good
         parts.append(f"fee at {fee_at[0]!r} <= {fee_at[1]!r}: {'PASS' if good else 'FAIL'}")
-    payload = {
-        "solution": solution.to_json_obj(),
-        "validation": checkup.to_json_obj(),
-        "passed": ok,
-    }
+    payload = {"solution": solution, "validation": checkup, "passed": ok}
     csv_text = _csv_from_rows(
         ("input", "fee"),
         list(zip(solution.problem.input_grid, solution.per_input_fees)),
@@ -408,13 +349,7 @@ def optimize_cmd(args: argparse.Namespace) -> int:
 def verify_cmd(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     report = verify_pldp(lambda v: binary_mechanism(v, spec), spec, grid_size=args.grid)
-    payload = {
-        "privacy": spec.to_json_obj(),
-        "grid_size": args.grid,
-        "max_ratio": report.max_ratio,
-        "bound": report.bound,
-        "satisfied": report.satisfied,
-    }
+    payload = {**fields_of(report, "n_outputs"), "privacy": spec, "grid_size": args.grid}
     summary = (
         f"max ratio {report.max_ratio:.5f} <= e^eps: "
         f"{'PASS' if report.satisfied else 'FAIL'}"
@@ -427,45 +362,21 @@ def verify_cmd(args: argparse.Namespace) -> int:
 
 
 def scaling_cmd(args: argparse.Namespace) -> int:
-    raw = _load_config_file(args.config)
-    strict_keys(
-        raw,
-        ("base_level", "multipliers", "price", "trade_size", "privacy", "expect_max_spread"),
+    fields = parse_fields(
+        _load_config_file(args.config), _SCALING_FIELDS, ("base_level", "multipliers", "privacy"),
         "config",
     )
-    for req in ("base_level", "multipliers", "privacy"):
-        if req not in raw:
-            raise ConfigError(f"missing required field '{req}' in config")
-    multipliers = raw["multipliers"]
-    if not (
-        isinstance(multipliers, list)
-        and multipliers
-        and all(isinstance(m, (int, float)) and not isinstance(m, bool) for m in multipliers)
-    ):
-        raise ConfigError(f"field 'multipliers' must be a non-empty number list")
     study = liquidity_scaling_study(
-        parse_number(raw, "base_level", "config"),
-        [float(m) for m in multipliers],
-        parse_number(raw, "price", "config", 1.0),
-        parse_number(raw, "trade_size", "config", 1.0),
-        parse_privacy(raw["privacy"]),
+        fields["base_level"], fields["multipliers"], fields.get("price", 1.0),
+        fields.get("trade_size", 1.0), fields["privacy"],
     )
-    tol = raw.get("expect_max_spread")
-    if tol is not None:
-        tol = parse_number(raw, "expect_max_spread", "config")
+    tol = fields.get("expect_max_spread")
     ok = True if tol is None else study.max_relative_spread <= tol
     summary = f"fee*|L| relative spread {study.max_relative_spread:.3e}"
     if tol is not None:
         summary += f" <= {tol!r}: {'PASS' if ok else 'FAIL'}"
-    payload = {"study": study.to_json_obj(), "passed": ok}
-    csv_text = _csv_from_rows(
-        ("multiplier", "level", "gamma", "liquidity", "fee_liquidity_product"),
-        [
-            (r.multiplier, r.level, r.gamma, r.liquidity, r.fee_liquidity_product)
-            for r in study.rows
-        ],
-    )
-    _emit(args, payload, summary, csv_text)
+    payload = {"study": study, "passed": ok}
+    _emit(args, payload, summary, _csv_from_records(ScalingRow, study.rows))
     return EXIT_OK if ok else EXIT_FALSIFIED
 
 
@@ -548,9 +459,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except NoisyCfmmError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -21,6 +21,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
+from .codec import fields_of
 from .errors import DomainError, NoSolutionError
 
 # Default represented reserve interval; the curve's own geometry may narrow it.
@@ -99,6 +100,10 @@ class TradingCurve:
         x_max: float = DEFAULT_X_MAX,
     ) -> "TradingCurve":
         return cls(Family.CONSTANT_SUM, level, slope=slope, x_min=x_min, x_max=x_max)
+
+    def _json_shape(self) -> dict:
+        """The init fields; the slope only where the family has one."""
+        return fields_of(self) if self.family is Family.CONSTANT_SUM else fields_of(self, "slope")
 
     # -- domain -------------------------------------------------------------
 

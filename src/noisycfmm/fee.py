@@ -47,15 +47,6 @@ class FeeQuote:
     distribution: NoiseDistribution
     method: FeeMethod
 
-    def to_json_obj(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "state_x": self.state_x,
-            "delta": self.delta,
-            "distribution": self.distribution.to_json_obj(),
-            "method": self.method.value,
-        }
-
 
 def noise_fee(
     curve: TradingCurve, state_x: float, delta: float, dist: NoiseDistribution

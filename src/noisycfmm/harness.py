@@ -27,6 +27,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
+from .codec import choice, fields_of, integer, number, optional, pair, parse_fields, parse_kind
 from .curve import Family, TradingCurve
 from .errors import ConfigError, DomainError, NoisyCfmmError, OptimizationError
 from .fee import noise_fee
@@ -57,15 +58,6 @@ from .strategies import (
 # Two-sided 99% normal quantile; CIs here use the normal approximation.
 Z99 = 2.5758293035489004
 
-_CURVE_FAMILIES = {
-    "constant_product": Family.CONSTANT_PRODUCT,
-    "cp": Family.CONSTANT_PRODUCT,
-    "lmsr": Family.LMSR,
-    "constant_sum": Family.CONSTANT_SUM,
-    "csum": Family.CONSTANT_SUM,
-}
-
-STRATEGY_KINDS = ("truthful", "noise_chasing", "case1", "case2", "adaptive_random")
 EXPECTATIONS = (
     "ci_contains_zero",
     "ci_above_zero",
@@ -86,105 +78,55 @@ def policy_rng(seed: int, index: int) -> np.random.Generator:
 
 # -- strict config parsing ----------------------------------------------------
 
-
-def strict_keys(obj: dict, allowed: Sequence[str], where: str) -> None:
-    """Reject a non-object or any field outside ``allowed``."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object, got {type(obj).__name__}")
-    unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown field(s) {unknown} in {where}; allowed: {sorted(allowed)}")
-
-
-def parse_number(obj: dict, key: str, where: str, default: float | None = None) -> float:
-    """Field ``key`` as a float; bools are refused, a missing key needs a default."""
-    if key not in obj:
-        if default is None:
-            raise ConfigError(f"missing required field '{key}' in {where}")
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"field '{key}' in {where} must be a number, got {v!r}")
-    return float(v)
+_CURVE_FAMILIES = {
+    "constant_product": Family.CONSTANT_PRODUCT,
+    "cp": Family.CONSTANT_PRODUCT,
+    "lmsr": Family.LMSR,
+    "constant_sum": Family.CONSTANT_SUM,
+    "csum": Family.CONSTANT_SUM,
+}
+_CURVE_FIELDS = {"level": number, "x_min": number, "x_max": number}
+_CURVE_KINDS = {
+    name: {**_CURVE_FIELDS, "slope": number} if family is Family.CONSTANT_SUM else _CURVE_FIELDS
+    for name, family in _CURVE_FAMILIES.items()
+}
 
 
-def parse_integer(obj: dict, key: str, where: str, default: int | None = None) -> int:
-    """Field ``key`` as an int; bools are refused, a missing key needs a default."""
-    if key not in obj:
-        if default is None:
-            raise ConfigError(f"missing required field '{key}' in {where}")
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"field '{key}' in {where} must be an integer, got {v!r}")
-    return v
+def parse_curve(obj: dict, where: str = "curve") -> TradingCurve:
+    fields = parse_kind(obj, "family", _CURVE_KINDS, ("level", "slope"), where)
+    return TradingCurve(_CURVE_FAMILIES[fields.pop("family")], **fields)
 
 
-def parse_curve(obj: dict) -> TradingCurve:
-    strict_keys(obj, ("family", "level", "slope", "x_min", "x_max"), "curve")
-    family_name = obj.get("family")
-    if family_name not in _CURVE_FAMILIES:
-        raise ConfigError(
-            f"curve family must be one of {sorted(set(_CURVE_FAMILIES))}, got {family_name!r}"
-        )
-    kwargs = {}
-    if "x_min" in obj:
-        kwargs["x_min"] = parse_number(obj, "x_min", "curve")
-    if "x_max" in obj:
-        kwargs["x_max"] = parse_number(obj, "x_max", "curve")
-    family = _CURVE_FAMILIES[family_name]
-    level = parse_number(obj, "level", "curve")
-    if family is Family.CONSTANT_SUM:
-        return TradingCurve(family, level, slope=parse_number(obj, "slope", "curve"), **kwargs)
-    if "slope" in obj:
-        raise ConfigError("field 'slope' only applies to constant-sum curves")
-    return TradingCurve(family, level, **kwargs)
+def _epsilon(value, path: str) -> float:
+    return math.inf if value == "inf" else number(value, path)
 
 
-def curve_to_json_obj(curve: TradingCurve) -> dict:
-    obj: dict = {"family": curve.family.value, "level": curve.level}
-    if curve.family is Family.CONSTANT_SUM:
-        obj["slope"] = curve.slope
-    obj["x_min"] = curve.x_min
-    obj["x_max"] = curve.x_max
-    return obj
+def parse_privacy(obj: dict, where: str = "privacy") -> PrivacySpec:
+    fields = parse_fields(obj, {"tau": pair, "epsilon": _epsilon}, ("tau", "epsilon"), where)
+    return PrivacySpec(*fields["tau"], fields["epsilon"])
 
 
-def parse_privacy(obj: dict) -> PrivacySpec:
-    strict_keys(obj, ("tau", "epsilon"), "privacy")
-    tau = obj.get("tau")
-    if not (isinstance(tau, list) and len(tau) == 2):
-        raise ConfigError(f"privacy field 'tau' must be [lower, upper], got {tau!r}")
-    lo, hi = tau
-    for v in (lo, hi):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"tau bounds must be numbers, got {tau!r}")
-    eps = obj.get("epsilon")
-    if eps == "inf":
-        eps = math.inf
-    elif isinstance(eps, bool) or not isinstance(eps, (int, float)):
-        raise ConfigError(f"privacy field 'epsilon' must be a number or \"inf\", got {eps!r}")
-    return PrivacySpec(float(lo), float(hi), float(eps))
+_FEE_POLICIES = {
+    "noise_fee": {}, "zero": {}, "fixed": {"value": number}, "scaled": {"multiplier": number},
+}
 
 
-def parse_fee_policy(obj: dict) -> FeePolicy:
-    strict_keys(obj, ("policy", "value", "multiplier"), "fee_policy")
-    kind = obj.get("policy")
-    if kind == "noise_fee":
-        strict_keys(obj, ("policy",), "fee_policy")
-        return FeePolicy.noise_fee()
-    if kind == "zero":
-        strict_keys(obj, ("policy",), "fee_policy")
-        return FeePolicy.zero()
-    if kind == "fixed":
-        strict_keys(obj, ("policy", "value"), "fee_policy")
-        return FeePolicy.fixed(parse_number(obj, "value", "fee_policy"))
-    if kind == "scaled":
-        strict_keys(obj, ("policy", "multiplier"), "fee_policy")
-        return FeePolicy.scaled(parse_number(obj, "multiplier", "fee_policy"))
-    raise ConfigError(
-        f"fee policy must be one of ['noise_fee', 'zero', 'fixed', 'scaled'], got {kind!r}"
-    )
+def parse_fee_policy(obj: dict, where: str = "fee_policy") -> FeePolicy:
+    fields = parse_kind(obj, "policy", _FEE_POLICIES, ("value", "multiplier"), where)
+    return FeePolicy(FeePolicyKind(fields.pop("policy")), *fields.values())
+
+
+# The fields each noise and strategy kind takes: the parsers read them and
+# the JSON forms write them, so each table is the one statement of its kinds.
+_NOISE_FIELDS = {"binary": {}, "biased_binary": {"mu": number}}
+_STRATEGY_FIELDS = {
+    "truthful": {},
+    "noise_chasing": {"max_rounds": integer},
+    "case1": {"trade_size": number},
+    "case2": {"trade_size": number, "detour_price": number},
+    "adaptive_random": {"policies": integer, "bound": integer},
+}
+STRATEGY_KINDS = tuple(_STRATEGY_FIELDS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -193,20 +135,11 @@ class NoiseConfig:
     mu: float = 0.0
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "NoiseConfig":
-        strict_keys(obj, ("kind", "mu"), "noise")
-        kind = obj.get("kind", "binary")
-        if kind == "binary":
-            strict_keys(obj, ("kind",), "noise")
-            return cls("binary", 0.0)
-        if kind == "biased_binary":
-            return cls("biased_binary", parse_number(obj, "mu", "noise"))
-        raise ConfigError(f"noise kind must be 'binary' or 'biased_binary', got {kind!r}")
+    def from_json_obj(cls, obj: dict, where: str = "noise") -> "NoiseConfig":
+        return cls(**parse_kind(obj, "kind", _NOISE_FIELDS, ("mu",), where, default="binary"))
 
-    def to_json_obj(self) -> dict:
-        if self.kind == "binary":
-            return {"kind": "binary"}
-        return {"kind": "biased_binary", "mu": self.mu}
+    def _json_shape(self) -> dict:
+        return {"kind": self.kind, **{k: getattr(self, k) for k in _NOISE_FIELDS[self.kind]}}
 
     def factory(self) -> Callable[[float, PrivacySpec], NoiseDistribution]:
         if self.kind == "binary":
@@ -224,49 +157,18 @@ class StrategyConfig:
     bound: int = 8
 
     def __post_init__(self) -> None:
-        if self.policies < 1:
-            raise ConfigError(f"strategy field 'policies' must be at least 1, got {self.policies}")
+        for name, least in (("max_rounds", 0), ("policies", 1), ("bound", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(
+                    f"strategy field '{name}' must be at least {least}, got {getattr(self, name)}"
+                )
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "StrategyConfig":
-        kind = obj.get("kind") if isinstance(obj, dict) else None
-        if kind not in STRATEGY_KINDS:
-            raise ConfigError(f"strategy kind must be one of {list(STRATEGY_KINDS)}, got {kind!r}")
-        allowed_by_kind = {
-            "truthful": ("kind",),
-            "noise_chasing": ("kind", "max_rounds"),
-            "case1": ("kind", "trade_size"),
-            "case2": ("kind", "trade_size", "detour_price"),
-            "adaptive_random": ("kind", "policies", "bound"),
-        }
-        strict_keys(obj, allowed_by_kind[kind], f"strategy({kind})")
-        out = cls(
-            kind=kind,
-            max_rounds=parse_integer(obj, "max_rounds", "strategy", DEFAULT_MAX_ROUNDS),
-            trade_size=parse_number(obj, "trade_size", "strategy", 1.0),
-            detour_price=(
-                parse_number(obj, "detour_price", "strategy") if "detour_price" in obj else None
-            ),
-            policies=parse_integer(obj, "policies", "strategy", 100),
-            bound=parse_integer(obj, "bound", "strategy", 8),
-        )
-        if kind == "case2" and out.detour_price is None:
-            raise ConfigError("strategy case2 requires 'detour_price'")
-        return out
+    def from_json_obj(cls, obj: dict, where: str = "strategy") -> "StrategyConfig":
+        return cls(**parse_kind(obj, "kind", _STRATEGY_FIELDS, ("detour_price",), where))
 
-    def to_json_obj(self) -> dict:
-        obj: dict = {"kind": self.kind}
-        if self.kind == "noise_chasing":
-            obj["max_rounds"] = self.max_rounds
-        elif self.kind == "case1":
-            obj["trade_size"] = self.trade_size
-        elif self.kind == "case2":
-            obj["trade_size"] = self.trade_size
-            obj["detour_price"] = self.detour_price
-        elif self.kind == "adaptive_random":
-            obj["policies"] = self.policies
-            obj["bound"] = self.bound
-        return obj
+    def _json_shape(self) -> dict:
+        return {"kind": self.kind, **{k: getattr(self, k) for k in _STRATEGY_FIELDS[self.kind]}}
 
 
 @dataclass(frozen=True, slots=True)
@@ -286,57 +188,16 @@ class ExperimentConfig:
     hidden_y: float = 1e9
     expect: str | None = None
 
-    _ALLOWED = (
-        "curve", "initial_x", "true_price", "privacy", "strategy", "fee_policy",
-        "noise", "replicas", "seed", "hidden_x", "hidden_y", "expect",
-    )
-
     def __post_init__(self) -> None:
         if self.replicas < 1:
             raise ConfigError(f"config field 'replicas' must be at least 1, got {self.replicas}")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"config field 'seed' must be at least 0, got {self.seed}")
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ExperimentConfig":
-        strict_keys(obj, cls._ALLOWED, "config")
-        for req in ("curve", "initial_x", "true_price", "privacy", "strategy"):
-            if req not in obj:
-                raise ConfigError(f"missing required field '{req}' in config")
-        seed = obj.get("seed")
-        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-            raise ConfigError(f"field 'seed' must be an integer, got {seed!r}")
-        expect = obj.get("expect")
-        if expect is not None and expect not in EXPECTATIONS:
-            raise ConfigError(f"field 'expect' must be one of {list(EXPECTATIONS)}, got {expect!r}")
-        return cls(
-            curve=parse_curve(obj["curve"]),
-            initial_x=parse_number(obj, "initial_x", "config"),
-            true_price=parse_number(obj, "true_price", "config"),
-            privacy=parse_privacy(obj["privacy"]),
-            strategy=StrategyConfig.from_json_obj(obj["strategy"]),
-            fee_policy=parse_fee_policy(obj["fee_policy"]) if "fee_policy" in obj else FeePolicy.noise_fee(),
-            noise=NoiseConfig.from_json_obj(obj["noise"]) if "noise" in obj else NoiseConfig(),
-            replicas=parse_integer(obj, "replicas", "config", 10000),
-            seed=seed,
-            hidden_x=parse_number(obj, "hidden_x", "config", 1e9),
-            hidden_y=parse_number(obj, "hidden_y", "config", 1e9),
-            expect=expect,
-        )
-
-    def to_json_obj(self) -> dict:
-        return {
-            "curve": curve_to_json_obj(self.curve),
-            "initial_x": self.initial_x,
-            "true_price": self.true_price,
-            "privacy": self.privacy.to_json_obj(),
-            "strategy": self.strategy.to_json_obj(),
-            "fee_policy": self.fee_policy.to_json_obj(),
-            "noise": self.noise.to_json_obj(),
-            "replicas": self.replicas,
-            "seed": self.seed,
-            "hidden_x": self.hidden_x,
-            "hidden_y": self.hidden_y,
-            "expect": self.expect,
-        }
+        required = ("curve", "initial_x", "true_price", "privacy", "strategy")
+        return cls(**parse_fields(obj, _EXPERIMENT_FIELDS, required, "config"))
 
     def initial_state(self) -> MarketState:
         return MarketState(self.curve, self.initial_x, self.hidden_x, self.hidden_y)
@@ -345,6 +206,22 @@ class ExperimentConfig:
         if self.seed is None:
             raise ConfigError("randomized experiment requires an explicit seed")
         return self.seed
+
+
+_EXPERIMENT_FIELDS = {
+    "curve": parse_curve,
+    "initial_x": number,
+    "true_price": number,
+    "privacy": parse_privacy,
+    "strategy": StrategyConfig.from_json_obj,
+    "fee_policy": parse_fee_policy,
+    "noise": NoiseConfig.from_json_obj,
+    "replicas": integer,
+    "seed": optional(integer),
+    "hidden_x": number,
+    "hidden_y": number,
+    "expect": optional(choice(*EXPECTATIONS)),
+}
 
 
 # -- excess-profit estimation -------------------------------------------------
@@ -362,20 +239,12 @@ class ExcessProfitResult:
     per_policy_means: tuple[float, ...] | None = None
     samples: tuple[float, ...] | None = None  # per-replica detail, kept on request
 
-    def to_json_obj(self) -> dict:
-        obj = {
-            "strategy": self.strategy,
-            "fee_policy": self.fee_policy,
-            "mean": self.mean,
-            "std_error": self.std_error,
-            "ci99": list(self.ci99),
-            "replicas": self.replicas,
-            "truthful_profit": self.truthful_profit,
-            "variance_reduction": "common_random_numbers",
-        }
-        if self.per_policy_means is not None:
-            obj["per_policy_means"] = list(self.per_policy_means)
-        return obj
+    def _json_shape(self) -> dict:
+        """The fields but the samples, per-policy means only where there are any."""
+        obj = fields_of(self, "samples")
+        if self.per_policy_means is None:
+            del obj["per_policy_means"]
+        return {**obj, "variance_reduction": "common_random_numbers"}
 
 
 def _summarize(samples: np.ndarray) -> tuple[float, float, tuple[float, float]]:
@@ -534,7 +403,7 @@ class _Batch:
         self.fees = np.zeros(n)
         self.cash = np.zeros(n)
         self.gens = [replica_rng(seed, i) for i in range(start, stop)]
-        self.chunk = max(0, min(max_draws, _CHUNK))  # a negative count runs no rounds
+        self.chunk = min(max_draws, _CHUNK)
         self.uniforms = np.empty((n, self.chunk))
         self.used = np.full(n, self.chunk)  # columns of each row already consumed
 
@@ -815,15 +684,6 @@ class WitnessCandidate:
     supported: bool
     note: str
 
-    def to_json_obj(self) -> dict:
-        return {
-            "true_price": self.true_price,
-            "detour_price": self.detour_price,
-            "expected_excess": self.expected_excess,
-            "supported": self.supported,
-            "note": self.note,
-        }
-
 
 @dataclass(frozen=True, slots=True)
 class WitnessScanResult:
@@ -837,20 +697,6 @@ class WitnessScanResult:
     ci99: tuple[float, float] | None
     replicas: int
     candidates: tuple[WitnessCandidate, ...]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "case": self.case,
-            "mu": self.mu,
-            "found": self.found,
-            "true_price": self.true_price,
-            "detour_price": self.detour_price,
-            "mean_excess": self.mean_excess,
-            "std_error": self.std_error,
-            "ci99": list(self.ci99) if self.ci99 else None,
-            "replicas": self.replicas,
-            "candidates": [c.to_json_obj() for c in self.candidates],
-        }
 
 
 def _deviation_moments(
@@ -1008,15 +854,6 @@ class ScalingRow:
     liquidity: float
     fee_liquidity_product: float
 
-    def to_json_obj(self) -> dict:
-        return {
-            "multiplier": self.multiplier,
-            "level": self.level,
-            "gamma": self.gamma,
-            "liquidity": self.liquidity,
-            "fee_liquidity_product": self.fee_liquidity_product,
-        }
-
 
 @dataclass(frozen=True, slots=True)
 class ScalingStudyResult:
@@ -1024,14 +861,6 @@ class ScalingStudyResult:
     price: float
     trade_size: float
     max_relative_spread: float
-
-    def to_json_obj(self) -> dict:
-        return {
-            "rows": [r.to_json_obj() for r in self.rows],
-            "price": self.price,
-            "trade_size": self.trade_size,
-            "max_relative_spread": self.max_relative_spread,
-        }
 
 
 def liquidity_scaling_study(
@@ -1159,17 +988,12 @@ class NoiseLPSolution:
 
         return lookup
 
-    def to_json_obj(self) -> dict:
+    def _json_shape(self) -> dict:
+        """The fields, with the problem's grids, reference and spec in place of the problem."""
+        p = self.problem
         return {
-            "input_grid": list(self.problem.input_grid),
-            "output_grid": list(self.problem.output_grid),
-            "reference_x": self.problem.reference_x,
-            "privacy": self.problem.spec.to_json_obj(),
-            "distributions": [d.to_json_obj() for d in self.distributions],
-            "per_input_fees": list(self.per_input_fees),
-            "average_fee": self.average_fee,
-            "outputs_used": list(self.outputs_used),
-            "status": self.status,
+            **fields_of(self, "problem"), "input_grid": p.input_grid,
+            "output_grid": p.output_grid, "reference_x": p.reference_x, "privacy": p.spec,
         }
 
 
@@ -1189,7 +1013,7 @@ def _fee_cost_matrix(problem: LPNoiseProblem) -> np.ndarray:
 _RATIO_EPS_CAP = 50.0
 
 
-def optimize_noise_lp(problem: LPNoiseProblem, method: str = "highs") -> NoiseLPSolution:
+def optimize_noise_lp(problem: LPNoiseProblem) -> NoiseLPSolution:
     """Solve the cheapest-noise linear program.
 
     Variables are the m*n output probabilities (inputs major, outputs minor).
@@ -1250,7 +1074,7 @@ def optimize_noise_lp(problem: LPNoiseProblem, method: str = "highs") -> NoiseLP
     objective = (cost / m).ravel()
     res = linprog(
         objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-        bounds=(0.0, None), method=method,
+        bounds=(0.0, None), method="highs",
     )
     if not res.success:
         raise OptimizationError(f"noise design LP failed: {res.message}")
@@ -1290,7 +1114,7 @@ class NoiseSolutionCheck:
     pldp: PLDPReport
     ok: bool
 
-    def to_json_obj(self) -> dict:
+    def _json_shape(self) -> dict:
         return {
             "max_zero_mean_violation": self.max_zero_mean_violation,
             "max_ratio": self.pldp.max_ratio,

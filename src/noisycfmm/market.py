@@ -21,12 +21,12 @@ import contextlib
 import csv
 import enum
 import json
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
+from .codec import fields_of, to_json
 from .curve import TradingCurve
 from .errors import HiddenAccountError, SpecViolationError
 from .fee import noise_fee
@@ -80,13 +80,10 @@ class FeePolicy:
             return self.value
         return self.value * quoted_gamma
 
-    def to_json_obj(self) -> dict:
-        obj: dict = {"policy": self.kind.value}
-        if self.kind is FeePolicyKind.FIXED:
-            obj["value"] = self.value
-        elif self.kind is FeePolicyKind.SCALED:
-            obj["multiplier"] = self.value
-        return obj
+    def _json_shape(self) -> dict:
+        """The policy, plus its value under the name the policy gives it, if any."""
+        name = {FeePolicyKind.FIXED: "value", FeePolicyKind.SCALED: "multiplier"}.get(self.kind)
+        return {"policy": self.kind} if name is None else {"policy": self.kind, name: self.value}
 
 
 NOISE_FEE_POLICY = FeePolicy.noise_fee()
@@ -102,20 +99,9 @@ class TradeRecord:
     pre_x: float
     post_x: float
 
-    def to_json_obj(self) -> dict:
-        """Standard-JSON form; a non-private leg's infinite epsilon is spelled
-        "inf", as configs spell it."""
-        eps = self.spec.epsilon
-        return {
-            "delta": self.delta,
-            "tau": [self.spec.lower, self.spec.upper],
-            "epsilon": "inf" if math.isinf(eps) else eps,
-            "y_out": self.y_out,
-            "gamma": self.gamma,
-            "eta": self.eta,
-            "pre_x": self.pre_x,
-            "post_x": self.post_x,
-        }
+    def _json_shape(self) -> dict:
+        """The fields, with the spec's "tau" and "epsilon" in place of the spec."""
+        return {**fields_of(self, "spec"), **to_json(self.spec)}
 
     def to_row(self, seq: int) -> list:
         """The record as one row under TRADE_LOG_COLUMNS."""
@@ -276,7 +262,7 @@ def trade_log_to_jsonl(records: Sequence[TradeRecord], out: TextIO | str) -> Non
     """Write the trade log as standard JSON lines, one object per trade."""
     with text_handle(out, "w") as handle:
         for seq, record in enumerate(records):
-            obj = {"seq": seq, **record.to_json_obj()}
+            obj = {"seq": seq, **to_json(record)}
             handle.write(json.dumps(obj, sort_keys=True, allow_nan=False) + "\n")
 
 

@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DistributionShapeError,
     InfeasibleBiasError,
     MisalignedSupportError,
@@ -75,10 +76,8 @@ class PrivacySpec:
         half = 0.5 * self.width
         return PrivacySpec(delta - half, delta + half, self.epsilon)
 
-    def to_json_obj(self) -> dict:
-        """Standard-JSON form; an infinite epsilon is spelled "inf", as configs spell it."""
-        eps = "inf" if math.isinf(self.epsilon) else self.epsilon
-        return {"tau": [self.lower, self.upper], "epsilon": eps}
+    def _json_shape(self) -> dict:
+        return {"tau": [self.lower, self.upper], "epsilon": self.epsilon}
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,8 +138,8 @@ class NoiseDistribution:
                 return atom.eta
         return self.atoms[-1].eta
 
-    def to_json_obj(self) -> list[dict]:
-        return [{"eta": a.eta, "p": a.p} for a in self.atoms]
+    def _json_shape(self) -> tuple[NoiseAtom, ...]:
+        return self.atoms
 
     @classmethod
     def from_json_obj(cls, obj: Sequence[dict]) -> "NoiseDistribution":
@@ -254,7 +253,7 @@ def verify_pldp(
     ``ratio_slack`` relative headroom for float rounding.
     """
     if grid_size < 1:
-        raise ValueError(f"grid_size must be >= 1, got {grid_size}")
+        raise ConfigError(f"grid_size must be >= 1, got {grid_size}")
     if spec.lower == spec.upper:
         grid = np.array([spec.lower])
     else:

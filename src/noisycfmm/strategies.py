@@ -22,7 +22,8 @@ from typing import Callable, TextIO
 
 import numpy as np
 
-from .errors import HiddenAccountError
+from .codec import to_json
+from .errors import ConfigError, HiddenAccountError
 from .market import (
     NOISE_FEE_POLICY,
     TRADE_LOG_COLUMNS,
@@ -58,16 +59,6 @@ class StrategyTrace:
     @property
     def fees_paid(self) -> float:
         return sum(r.gamma for r in self.steps)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "steps": [r.to_json_obj() for r in self.steps],
-            "external_flows": [
-                {"x_amount": f.x_amount, "y_cash": f.y_cash} for f in self.external_flows
-            ],
-            "total_profit": self.total_profit,
-            "terminal_spot": self.terminal_spot,
-        }
 
 
 class _Runner:
@@ -195,7 +186,7 @@ def case1_deviation(
     true price it beats it.
     """
     if not true_price > state.spot:
-        raise ValueError(
+        raise ConfigError(
             f"needs true price above the current spot, got {true_price} <= {state.spot}"
         )
     runner = _Runner(state, true_price, rng, fee_policy, dist_factory)
@@ -225,11 +216,11 @@ def case2_deviation(
     cannot support surfaces as HiddenAccountError.
     """
     if not true_price < state.spot:
-        raise ValueError(
+        raise ConfigError(
             f"needs true price below the current spot, got {true_price} >= {state.spot}"
         )
     if not detour_price > state.spot:
-        raise ValueError(
+        raise ConfigError(
             f"needs detour price above the current spot, got {detour_price} <= {state.spot}"
         )
     runner = _Runner(state, true_price, rng, fee_policy, dist_factory)
@@ -293,5 +284,5 @@ def trace_to_csv(trace: StrategyTrace, out: TextIO | str) -> None:
 def trace_to_json(trace: StrategyTrace, out: TextIO | str) -> None:
     """The trace as one standard JSON document."""
     with text_handle(out, "w") as handle:
-        json.dump(trace.to_json_obj(), handle, sort_keys=True, indent=2, allow_nan=False)
+        json.dump(to_json(trace), handle, sort_keys=True, indent=2, allow_nan=False)
         handle.write("\n")

@@ -71,9 +71,8 @@ CASES = {
     "case1-biased": experiment(strategy=CASE1, noise=NoiseConfig("biased_binary", 0.3)),
     "adaptive-biased": experiment(strategy=ADAPTIVE, noise=NoiseConfig("biased_binary", -0.1)),
     "chasing-exact": experiment(privacy=PrivacySpec(0.0, 2.0, math.inf)),
-    # range() runs no rounds for a negative count, and neither does the engine
-    "chasing-no-rounds": experiment(strategy=StrategyConfig("noise_chasing", max_rounds=-1)),
-    "adaptive-no-rounds": experiment(strategy=StrategyConfig("adaptive_random", bound=-1)),
+    "chasing-no-rounds": experiment(strategy=StrategyConfig("noise_chasing", max_rounds=0)),
+    "adaptive-no-rounds": experiment(strategy=StrategyConfig("adaptive_random", bound=0)),
     # recentred on the first correction the interval rounds to a point, so
     # the zero atom is drawn and ends the chase before more fixed fees
     "chasing-zero-draw": experiment(
@@ -188,7 +187,6 @@ ERRORS = {
     ),
     "case1-true-price-below-spot": (experiment(strategy=CASE1, true_price=0.5), ValueError),
     "chasing-domain-exit": (experiment(curve=CSUM), DomainError),
-    "negative-seed": (experiment(strategy=StrategyConfig("truthful"), seed=-1), ValueError),
     "epsilon-below-floor": (experiment(privacy=PrivacySpec(0.0, 2.0, 1e-7)), SpecViolationError),
     "case1-outside-interval": (
         experiment(strategy=StrategyConfig("case1", trade_size=2.1), true_price=3.0),

@@ -1,9 +1,14 @@
 """Command line interface: flags, exit codes, output formats, summaries."""
 
+import contextlib
+import copy
+import io
 import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from noisycfmm import cli
 
@@ -139,6 +144,11 @@ class TestAttackDemo:
         assert code == 2
         assert "seed" in err
 
+    def test_negative_seed_is_a_config_error(self, capsys):
+        code, out, err = run(capsys, self.BASE[:-1] + ["-1"])
+        assert (code, out) == (2, "")
+        assert "--seed must be at least 0, got -1" in err
+
     def test_degenerate_notes_no_privacy(self, capsys):
         argv = [a if a != "0,2" else "1,1" for a in self.BASE]
         code, payload, summary, _ = run_json(capsys, argv)
@@ -253,6 +263,15 @@ class TestSimulate:
         code, _, err = run(capsys, ["simulate", "--config", "/nonexistent.json"])
         assert code == 2
         assert "cannot read" in err
+
+    def test_internal_fault_is_not_a_usage_error(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(cli, "estimate_excess_profit", broken)
+        path = write_config(tmp_path, simulate_config())
+        with pytest.raises(ValueError, match="internal fault"):
+            cli.main(["simulate", "--config", path])
 
 
 class TestSimulateWitnessScan:
@@ -387,3 +406,89 @@ class TestScalingStudy:
         code, _, err = run(capsys, ["scaling-study", "--config", path])
         assert code == 2
         assert "multipliers" in err
+
+
+# -- every config ends in standard JSON with exit 0/1, or an error with exit 2 --
+
+PRIVACY = {"tau": [0.0, 2.0], "epsilon": 2.0}
+README_CONFIGS = {  # the README's simulate, optimize-noise and scaling-study configs
+    "simulate": {
+        "curve": {"family": "constant_product", "level": 1e4},
+        "initial_x": 100.0,
+        "true_price": 1.5,
+        "privacy": PRIVACY,
+        "strategy": {"kind": "noise_chasing", "max_rounds": 8},
+        "fee_policy": {"policy": "noise_fee"},
+        "noise": {"kind": "binary"},
+        "replicas": 10000,
+        "seed": 42,
+        "expect": "ci_contains_or_below_zero",
+    },
+    "optimize-noise": {
+        "curve": {"family": "constant_product", "level": 1e4},
+        "reference_x": 100.0,
+        "privacy": PRIVACY,
+        "n_inputs": 21,
+        "n_outputs": 41,
+        "expect": {"max_average_fee": 0.017, "max_fee_at": [1.0, 0.017]},
+    },
+    "scaling-study": {
+        "base_level": 1e4,
+        "multipliers": [1, 4, 16],
+        "price": 1.0,
+        "trade_size": 1.0,
+        "privacy": PRIVACY,
+        "expect_max_spread": 0.02,
+    },
+}
+
+
+def field_paths(obj, prefix=()):
+    """The path of every field of obj, those of nested objects included."""
+    for key, value in obj.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from field_paths(value, prefix + (key,))
+
+
+FIELDS = [(command, path) for command, obj in README_CONFIGS.items() for path in field_paths(obj)]
+DROP = object()
+SUBSTITUTES = st.one_of(
+    st.just(DROP),
+    st.none(),
+    st.booleans(),
+    st.text(max_size=6),
+    st.lists(st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=3)), max_size=3),
+    st.integers(-10**6, -1),
+    st.floats(-1e6, -1e-300),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from(FIELDS), value=SUBSTITUTES)
+@example(field=("optimize-noise", ("expect", "max_fee_at")), value=[None, 0.017])
+@example(field=("optimize-noise", ("expect", "max_fee_at")), value=[True, 0.017])
+@example(field=("simulate", ("strategy", "max_rounds")), value=-3)
+@example(field=("simulate", ("seed",)), value=-1)
+def test_every_config_ends_in_json_or_an_error(tmp_path_factory, field, value):
+    command, path = field
+    obj = copy.deepcopy(README_CONFIGS[command])
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    config = tmp_path_factory.mktemp("fuzz") / "config.json"
+    config.write_text(json.dumps(obj))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command, "--config", str(config), "--output", "json"])  # never raises
+    if code == 2:
+        assert out.getvalue() == ""
+        assert "error: " in err.getvalue()
+    else:
+        assert code in (0, 1)
+        doc, _, _ = out.getvalue().rpartition("}\n")
+        json.loads(doc + "}\n", parse_constant=reject_constant)

@@ -24,6 +24,7 @@ from noisycfmm import (
     TradingCurve,
     estimate_excess_profit,
     reproduce_deviation_theorem,
+    to_json,
 )
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_mc.json").read_text())
@@ -77,4 +78,4 @@ def test_witness_scan_is_bit_identical(case, sign):
     base = experiment(strategy=StrategyConfig("case1", trade_size=1.0), replicas=2000)
     scan = reproduce_deviation_theorem(case, sign * 0.2 * NOISE_SPREAD, base)
     assert scan.found  # the confirmation pass ran
-    assert scan.to_json_obj() == GOLDEN["scans"][case]
+    assert to_json(scan) == GOLDEN["scans"][case]

@@ -1,16 +1,22 @@
 """Experiment harness: configs, RNG streams, estimators, scans, LP design."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisycfmm import (
+    EXPECTATIONS,
     ConfigError,
     ExcessProfitResult,
     ExperimentConfig,
+    FeePolicy,
     LPNoiseProblem,
+    NoiseConfig,
     OptimizationError,
     PrivacySpec,
     StrategyConfig,
@@ -27,6 +33,7 @@ from noisycfmm import (
     replica_rng,
     reproduce_deviation_theorem,
     run_strategy_once,
+    to_json,
     validate_lp_solution,
 )
 from noisycfmm.market import MarketState
@@ -52,11 +59,51 @@ def config(**overrides) -> ExperimentConfig:
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
+FINITE = st.floats(-1e6, 1e6)
+POSITIVE = st.floats(1e-3, 1e6)
+CURVES = st.one_of(
+    st.builds(TradingCurve.constant_product, POSITIVE, x_max=st.floats(1.0, 1e12)),
+    st.builds(TradingCurve.lmsr, st.floats(0.01, 1.99)),
+    st.builds(TradingCurve.constant_sum, POSITIVE, POSITIVE, x_min=st.floats(1e-9, 1e-3)),
+)
+SPECS = st.builds(
+    lambda lower, width, epsilon: PrivacySpec(lower, lower + width, epsilon),
+    FINITE, st.floats(0.0, 1e3), st.one_of(POSITIVE, st.just(math.inf)),
+)
+STRATEGIES = st.one_of(
+    st.just(StrategyConfig("truthful")),
+    st.builds(StrategyConfig, st.just("noise_chasing"), max_rounds=st.integers(0, 10**4)),
+    st.builds(StrategyConfig, st.just("case1"), trade_size=FINITE),
+    st.builds(StrategyConfig, st.just("case2"), trade_size=FINITE, detour_price=FINITE),
+    st.builds(
+        StrategyConfig, st.just("adaptive_random"),
+        policies=st.integers(1, 10**4), bound=st.integers(0, 10**4),
+    ),
+)
+FEE_POLICIES = st.one_of(
+    st.just(FeePolicy.noise_fee()), st.just(FeePolicy.zero()),
+    st.builds(FeePolicy.fixed, FINITE), st.builds(FeePolicy.scaled, FINITE),
+)
+NOISES = st.one_of(st.just(NoiseConfig()), st.builds(NoiseConfig, st.just("biased_binary"), FINITE))
+CONFIGS = st.builds(
+    ExperimentConfig, curve=CURVES, initial_x=FINITE, true_price=FINITE, privacy=SPECS,
+    strategy=STRATEGIES, fee_policy=FEE_POLICIES, noise=NOISES,
+    replicas=st.integers(1, 10**7), seed=st.none() | st.integers(0, 2**64),
+    hidden_x=FINITE, hidden_y=FINITE, expect=st.none() | st.sampled_from(EXPECTATIONS),
+)
+
+
 class TestConfigParsing:
     def test_round_trip(self):
         cfg = config()
-        again = ExperimentConfig.from_json_obj(cfg.to_json_obj())
+        again = ExperimentConfig.from_json_obj(to_json(cfg))
         assert again == cfg
+
+    @settings(max_examples=200, deadline=None)
+    @given(CONFIGS)
+    def test_standard_json_round_trip(self, cfg):
+        text = json.dumps(to_json(cfg), allow_nan=False)
+        assert ExperimentConfig.from_json_obj(json.loads(text)) == cfg
 
     def test_unknown_field_named_in_error(self):
         obj = base_config_obj()
@@ -74,6 +121,12 @@ class TestConfigParsing:
         obj = base_config_obj()
         obj["initial_x"] = True
         with pytest.raises(ConfigError, match="initial_x"):
+            ExperimentConfig.from_json_obj(obj)
+
+    def test_integer_beyond_float_range_is_a_config_error(self):
+        obj = base_config_obj()
+        obj["initial_x"] = 10**400
+        with pytest.raises(ConfigError, match="config.initial_x must be a number in the float range"):
             ExperimentConfig.from_json_obj(obj)
 
     def test_bad_expectation(self):
@@ -117,6 +170,18 @@ class TestConfigParsing:
             config(replicas=0)
         with pytest.raises(ConfigError, match="'policies' must be at least 1, got -1"):
             StrategyConfig("adaptive_random", policies=-1)
+        with pytest.raises(ConfigError, match="'max_rounds' must be at least 0, got -1"):
+            StrategyConfig("noise_chasing", max_rounds=-1)
+        with pytest.raises(ConfigError, match="'bound' must be at least 0, got -1"):
+            StrategyConfig("adaptive_random", bound=-1)
+        StrategyConfig("noise_chasing", max_rounds=0)  # no rounds is a run: truthful
+        StrategyConfig("adaptive_random", bound=0)
+
+    def test_seed_must_not_be_negative(self):
+        with pytest.raises(ConfigError, match="'seed' must be at least 0, got -1"):
+            config(seed=-1)
+        with pytest.raises(ConfigError, match="config.seed must be an integer"):
+            ExperimentConfig.from_json_obj({**base_config_obj(), "seed": 1.5})
 
     def test_seed_required_for_randomized_runs(self):
         with pytest.raises(ConfigError, match="seed"):
@@ -281,7 +346,7 @@ class TestScalingStudy:
 
     def test_json_shape(self):
         result = liquidity_scaling_study(1e4, (1.0, 2.0), 1.0, 1.0, REF_SPEC)
-        obj = result.to_json_obj()
+        obj = to_json(result)
         assert len(obj["rows"]) == 2
         assert obj["rows"][0]["multiplier"] == 1.0
 

@@ -20,6 +20,7 @@ from noisycfmm import (
     execute_trade,
     noise_fee,
     support_check,
+    to_json,
     trade_log_from_csv,
     trade_log_to_csv,
     trade_log_to_jsonl,
@@ -118,9 +119,9 @@ class TestFeePolicies:
         assert FeePolicy.scaled(2.0).charge(0.4) == 0.8
 
     def test_json_form(self):
-        assert FeePolicy.noise_fee().to_json_obj() == {"policy": "noise_fee"}
-        assert FeePolicy.fixed(0.1).to_json_obj() == {"policy": "fixed", "value": 0.1}
-        assert FeePolicy.scaled(2.0).to_json_obj() == {"policy": "scaled", "multiplier": 2.0}
+        assert to_json(FeePolicy.noise_fee()) == {"policy": "noise_fee"}
+        assert to_json(FeePolicy.fixed(0.1)) == {"policy": "fixed", "value": 0.1}
+        assert to_json(FeePolicy.scaled(2.0)) == {"policy": "scaled", "multiplier": 2.0}
 
     def test_ledger_accumulates_charged_amount(self):
         state = fresh_state()

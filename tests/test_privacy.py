@@ -17,6 +17,7 @@ from noisycfmm import (
     biased_binary,
     biased_factory,
     binary_mechanism,
+    to_json,
     verify_pldp,
 )
 
@@ -64,7 +65,7 @@ class TestPrivacySpec:
         assert moved.midpoint == 10.0
 
     def test_json_round_trip(self):
-        obj = REF_SPEC.to_json_obj()
+        obj = to_json(REF_SPEC)
         assert obj == {"tau": [0.0, 2.0], "epsilon": 2.0}
 
 
@@ -191,7 +192,7 @@ class TestDistributionValidation:
 
     def test_json_round_trip(self):
         d = binary_mechanism(1.3, REF_SPEC)
-        again = NoiseDistribution.from_json_obj(d.to_json_obj())
+        again = NoiseDistribution.from_json_obj(to_json(d))
         assert again.support() == d.support()
         assert [a.p for a in again.atoms] == [a.p for a in d.atoms]
 
