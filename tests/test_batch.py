@@ -52,6 +52,13 @@ def experiment(**overrides) -> ExperimentConfig:
     return dataclasses.replace(base, **overrides)
 
 
+def unchecked(config: ExperimentConfig, **fields) -> ExperimentConfig:
+    """config with fields set past the __post_init__ validation."""
+    for name, value in fields.items():
+        object.__setattr__(config, name, value)
+    return config
+
+
 def lmsr(**overrides) -> ExperimentConfig:
     market = dict(curve=LMSR, initial_x=1.0, true_price=0.8, privacy=PrivacySpec(0.0, 0.2, 2.0))
     return experiment(**{**market, **overrides})
@@ -187,6 +194,11 @@ ERRORS = {
     ),
     "case1-true-price-below-spot": (experiment(strategy=CASE1, true_price=0.5), ValueError),
     "chasing-domain-exit": (experiment(curve=CSUM), DomainError),
+    # ExperimentConfig refuses a negative seed; one set past that check
+    # still fails the same way in both engines
+    "negative-seed": (
+        unchecked(experiment(strategy=StrategyConfig("truthful")), seed=-1), ValueError
+    ),
     "epsilon-below-floor": (experiment(privacy=PrivacySpec(0.0, 2.0, 1e-7)), SpecViolationError),
     "case1-outside-interval": (
         experiment(strategy=StrategyConfig("case1", trade_size=2.1), true_price=3.0),
