@@ -58,12 +58,14 @@ from .strategies import (
 # Two-sided 99% normal quantile; CIs here use the normal approximation.
 Z99 = 2.5758293035489004
 
-EXPECTATIONS = (
-    "ci_contains_zero",
-    "ci_above_zero",
-    "ci_below_zero",
-    "ci_contains_or_below_zero",
-)
+# Each CI expectation a config may state, and its test on the CI's ends.
+_EXPECTATION_TESTS: dict[str, Callable[[float, float], bool]] = {
+    "ci_contains_zero": lambda lo, hi: lo <= 0.0 <= hi,
+    "ci_above_zero": lambda lo, hi: lo > 0.0,
+    "ci_below_zero": lambda lo, hi: hi < 0.0,
+    "ci_contains_or_below_zero": lambda lo, hi: lo <= 0.0,
+}
+EXPECTATIONS = tuple(_EXPECTATION_TESTS)
 
 
 def replica_rng(seed: int, index: int) -> np.random.Generator:
@@ -651,26 +653,19 @@ def check_expectation(result: ExcessProfitResult, expect: str | None) -> bool | 
     """Evaluate a configured CI expectation; None means nothing was expected."""
     if expect is None:
         return None
-    lo, hi = result.ci99
-    if expect == "ci_contains_zero":
-        return lo <= 0.0 <= hi
-    if expect == "ci_above_zero":
-        return lo > 0.0
-    if expect == "ci_below_zero":
-        return hi < 0.0
-    if expect == "ci_contains_or_below_zero":
-        return lo <= 0.0
-    raise ConfigError(f"unknown expectation {expect!r}")
+    if expect not in _EXPECTATION_TESTS:
+        raise ConfigError(f"unknown expectation {expect!r}")
+    return _EXPECTATION_TESTS[expect](*result.ci99)
 
 
 # -- witness scan for the two deviation cases ----------------------------------
 
 
-def factor2_grid(lo: float = 1e-6, hi: float = 1e6) -> tuple[float, ...]:
-    """Price grid in factor-of-two steps over [lo, hi]."""
+def factor2_grid() -> tuple[float, ...]:
+    """The witness scan's price grid: factor-of-two steps over [1e-6, 1e6]."""
     out = []
-    v = lo
-    while v <= hi * (1.0 + 1e-12):
+    v = 1e-6
+    while v <= 1e6 * (1.0 + 1e-12):
         out.append(v)
         v *= 2.0
     return tuple(out)
@@ -753,84 +748,50 @@ def reproduce_deviation_theorem(
         raise ConfigError(f"negative_mean scan needs mu <= 0, got {mu}")
     config.require_seed()  # fail before scanning, not at confirmation
     curve = config.curve
-    trade_size = config.strategy.trade_size if config.strategy else 1.0
+    trade_size = config.strategy.trade_size
     dist = biased_binary(trade_size, config.privacy, mu)
     spot = config.initial_state().spot
     grid = factor2_grid()
     margin = 2.0  # require the predicted CI to clear zero by this factor
 
-    def charged(pre_x: float) -> float:
-        return config.fee_policy.charge(noise_fee(curve, pre_x, trade_size, dist).gamma)
+    def screen(p_hat: float, detour: float | None) -> WitnessCandidate:
+        """Exact moments of one candidate, or the reason it cannot run."""
+        outside = WitnessCandidate(p_hat, detour, None, False, "out of domain")
+        pre_x = config.initial_x
+        if detour is not None:
+            try:
+                pre_x = curve.x_of_price(detour)
+            except DomainError:
+                return outside
+            probe = MarketState(curve, pre_x, config.hidden_x, config.hidden_y)
+            if not support_check(probe, trade_size, dist):
+                return replace(outside, note="hidden account cannot support")
+        try:
+            fee = config.fee_policy.charge(noise_fee(curve, pre_x, trade_size, dist).gamma)
+            expected, sd = _deviation_moments(curve, pre_x, trade_size, dist, fee, p_hat)
+            if detour is None:
+                curve.x_of_price(p_hat)  # the correction leg must stay on the curve too
+        except DomainError:
+            return outside
+        ok = expected > margin * Z99 * sd / math.sqrt(config.replicas)
+        return WitnessCandidate(p_hat, detour, expected, True, "screened" if ok else "margin")
 
-    candidates: list[WitnessCandidate] = []
-
-    def scan() -> tuple[float, float | None] | None:
-        if case == "positive_mean":
-            for p_hat in grid:
-                if not p_hat > spot:
-                    continue
-                try:
-                    fee_here = charged(config.initial_x)
-                    expected, sd = _deviation_moments(
-                        curve, config.initial_x, trade_size, dist, fee_here, p_hat
-                    )
-                    # the correction leg must stay on the curve too
-                    curve.x_of_price(p_hat)
-                except DomainError:
-                    candidates.append(WitnessCandidate(p_hat, None, None, False, "out of domain"))
-                    continue
-                need = margin * Z99 * sd / math.sqrt(config.replicas)
-                ok = expected > need
-                candidates.append(
-                    WitnessCandidate(p_hat, None, expected, True, "screened" if ok else "margin")
-                )
-                if ok:
-                    return p_hat, None
-            return None
-        # negative_mean: pick the largest admissible true price, scan detours up
+    if case == "positive_mean":
+        trials = [(p_hat, None) for p_hat in grid if p_hat > spot]
+    else:  # the largest admissible true price, detours scanned upward
         bound = min(spot, math.inf if mu == 0.0 else 1.0 / abs(mu))
         p_hats = [g for g in grid if g < bound]
-        if not p_hats:
-            return None
-        p_hat = max(p_hats)
-        for detour in grid:
-            if not detour > spot:
-                continue
-            try:
-                x_detour = curve.x_of_price(detour)
-            except DomainError:
-                candidates.append(WitnessCandidate(p_hat, detour, None, False, "out of domain"))
-                continue
-            probe = MarketState(curve, x_detour, config.hidden_x, config.hidden_y)
-            if not support_check(probe, trade_size, dist):
-                candidates.append(
-                    WitnessCandidate(p_hat, detour, None, False, "hidden account cannot support")
-                )
-                continue
-            try:
-                fee_here = charged(x_detour)
-                expected, sd = _deviation_moments(
-                    curve, x_detour, trade_size, dist, fee_here, p_hat
-                )
-            except DomainError:
-                candidates.append(WitnessCandidate(p_hat, detour, None, False, "out of domain"))
-                continue
-            need = margin * Z99 * sd / math.sqrt(config.replicas)
-            ok = expected > need
-            candidates.append(
-                WitnessCandidate(p_hat, detour, expected, True, "screened" if ok else "margin")
-            )
-            if ok:
-                return p_hat, detour
-        return None
-
-    hit = scan()
-    if hit is None:
+        trials = [(p_hats[-1], detour) for detour in grid if detour > spot] if p_hats else []
+    candidates: list[WitnessCandidate] = []
+    for p_hat, detour in trials:
+        candidates.append(screen(p_hat, detour))
+        if candidates[-1].note == "screened":
+            break
+    else:
         return WitnessScanResult(
             case, mu, False, None, None, None, None, None, config.replicas, tuple(candidates)
         )
-    p_hat, detour = hit
-    if detour is None:
+    if detour is None:  # the loop stopped at the screened candidate
         strategy = StrategyConfig("case1", trade_size=trade_size)
     else:
         strategy = StrategyConfig("case2", trade_size=trade_size, detour_price=detour)
@@ -928,14 +889,13 @@ class LPNoiseProblem:
         if n_inputs < 1 or n_outputs < 1:
             raise ConfigError("grids need at least one point each")
         if spec.degenerate:
-            inputs = (spec.lower,)
-            outputs = (spec.lower,)
-            return cls(curve, reference_x, spec, inputs, outputs)
-        inputs = tuple(np.linspace(spec.lower, spec.upper, n_inputs).tolist())
-        big = 0.5 * spec.width / math.tanh(0.5 * spec.epsilon)
-        outputs = tuple(
-            np.linspace(spec.midpoint - big, spec.midpoint + big, n_outputs).tolist()
-        )
+            inputs = outputs = (spec.lower,)
+        else:
+            inputs = tuple(np.linspace(spec.lower, spec.upper, n_inputs).tolist())
+            big = 0.5 * spec.width / math.tanh(0.5 * spec.epsilon)
+            outputs = tuple(
+                np.linspace(spec.midpoint - big, spec.midpoint + big, n_outputs).tolist()
+            )
         return cls(curve, reference_x, spec, inputs, outputs)
 
     def validate(self) -> None:
@@ -968,23 +928,25 @@ class NoiseLPSolution:
     outputs_used: tuple[float, ...]
     status: str
 
+    def _nearest(self, delta: float) -> int:
+        """Index of the input grid point nearest delta (the first of a tie)."""
+        grid = self.problem.input_grid
+        return min(range(len(grid)), key=lambda k: abs(grid[k] - delta))
+
     def fee_at(self, delta: float) -> float:
         """Fee of the designed noise for the input grid point nearest delta."""
-        grid = self.problem.input_grid
-        i = min(range(len(grid)), key=lambda k: abs(grid[k] - delta))
-        return self.per_input_fees[i]
+        return self.per_input_fees[self._nearest(delta)]
 
     def mechanism(self) -> Callable[[float], NoiseDistribution]:
         """Adapter for verify_pldp: maps a grid input to its designed noise."""
         grid = self.problem.input_grid
-        dists = self.distributions
         scale = max(1.0, max(abs(g) for g in grid))
 
         def lookup(v: float) -> NoiseDistribution:
-            i = min(range(len(grid)), key=lambda k: abs(grid[k] - v))
+            i = self._nearest(v)
             if abs(grid[i] - v) > 1e-9 * scale:
                 raise ValueError(f"input {v} is not on the design grid")
-            return dists[i]
+            return self.distributions[i]
 
         return lookup
 
@@ -1028,48 +990,21 @@ def optimize_noise_lp(problem: LPNoiseProblem) -> NoiseLPSolution:
     cost = _fee_cost_matrix(problem)
 
     # equalities: each row sums to one, each row's mean output is its input
-    eq_rows: list[np.ndarray] = []
-    eq_cols: list[np.ndarray] = []
-    eq_data: list[np.ndarray] = []
-    var = np.arange(m * n).reshape(m, n)
-    for i in range(m):
-        eq_rows.append(np.full(n, i))
-        eq_cols.append(var[i])
-        eq_data.append(np.ones(n))
-    for i in range(m):
-        eq_rows.append(np.full(n, m + i))
-        eq_cols.append(var[i])
-        eq_data.append(outs - vins[i])
-    a_eq = sparse.coo_matrix(
-        (np.concatenate(eq_data), (np.concatenate(eq_rows), np.concatenate(eq_cols))),
-        shape=(2 * m, m * n),
-    ).tocsc()
+    a_eq = sparse.vstack([
+        sparse.kron(sparse.identity(m), np.ones((1, n))),
+        sparse.block_diag((outs - vins[:, None])[:, None, :]),
+    ], format="csc")
     b_eq = np.concatenate([np.ones(m), np.zeros(m)])
 
     # inequalities: p(o|v) <= e^eps * p(o|v') for every ordered input pair
-    use_ratio = m > 1 and problem.spec.epsilon <= _RATIO_EPS_CAP
-    a_ub = None
-    b_ub = None
-    if use_ratio:
-        e_eps = math.exp(problem.spec.epsilon)
-        rows_i: list[np.ndarray] = []
-        cols_i: list[np.ndarray] = []
-        data_i: list[np.ndarray] = []
-        r = 0
-        for i in range(m):
-            for i2 in range(m):
-                if i == i2:
-                    continue
-                idx = np.arange(r, r + n)
-                rows_i.extend([idx, idx])
-                cols_i.extend([var[i], var[i2]])
-                data_i.extend([np.ones(n), np.full(n, -e_eps)])
-                r += n
-        a_ub = sparse.coo_matrix(
-            (np.concatenate(data_i), (np.concatenate(rows_i), np.concatenate(cols_i))),
-            shape=(r, m * n),
-        ).tocsc()
-        b_ub = np.zeros(r)
+    a_ub = b_ub = None
+    if m > 1 and problem.spec.epsilon <= _RATIO_EPS_CAP:
+        i, i2 = np.nonzero(~np.eye(m, dtype=bool))  # the pairs (i, i2), i major
+        pairs = np.zeros((i.size, m))
+        pairs[np.arange(i.size), i] = 1.0
+        pairs[np.arange(i.size), i2] = -math.exp(problem.spec.epsilon)
+        a_ub = sparse.kron(pairs, sparse.identity(n), format="csc")
+        b_ub = np.zeros(a_ub.shape[0])
 
     objective = (cost / m).ravel()
     res = linprog(

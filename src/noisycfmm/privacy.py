@@ -34,6 +34,9 @@ EPSILON_FLOOR = 1e-6
 # Probabilities must sum to one within this before a distribution is accepted.
 PROBABILITY_TOL = 1e-12
 
+# verify_pldp identifies outputs of different inputs that agree within this.
+MATCH_TOL = 1e-9
+
 
 @dataclass(frozen=True, slots=True)
 class PrivacySpec:
@@ -237,7 +240,6 @@ def verify_pldp(
     spec: PrivacySpec,
     grid_size: int = 101,
     *,
-    match_tol: float = 1e-9,
     ratio_slack: float = 1e-9,
 ) -> PLDPReport:
     """Check the likelihood-ratio guarantee of a noise mechanism on a grid.
@@ -246,11 +248,13 @@ def verify_pldp(
     verifier compares the induced distributions of the adversary-visible
     post-noise position v + eta across all grid-point pairs in the masking
     interval. Outputs from different inputs are identified when they agree
-    within ``match_tol``; two outputs of a single input falling into one
+    within MATCH_TOL; two outputs of a single input falling into one
     bucket make the alignment ambiguous and raise MisalignedSupportError.
     Ratio conventions: 0/0 counts as 1, positive/0 as infinity. The guarantee
     is satisfied when the worst ratio is at most exp(epsilon), with
-    ``ratio_slack`` relative headroom for float rounding.
+    ``ratio_slack`` relative headroom for float rounding. An exp(epsilon)
+    beyond float range is an infinite bound, which an infinite ratio still
+    breaks unless epsilon itself is infinite.
     """
     if grid_size < 1:
         raise ConfigError(f"grid_size must be >= 1, got {grid_size}")
@@ -273,20 +277,23 @@ def verify_pldp(
     col: np.ndarray | None = None
     filled: set[int] = set()
     for out, i, p in entries:
-        if col is None or out - anchor > match_tol:
+        if col is None or out - anchor > MATCH_TOL:
             anchor = out
             col = np.zeros(n)
             columns.append(col)
             filled = set()
         if i in filled:
             raise MisalignedSupportError(
-                f"input {grid[i]} has two outputs within {match_tol} of {anchor}; "
+                f"input {grid[i]} has two outputs within {MATCH_TOL} of {anchor}; "
                 "alignment across inputs is ambiguous"
             )
         filled.add(i)
         col[i] = p
 
-    bound = math.exp(spec.epsilon) if not math.isinf(spec.epsilon) else math.inf
+    try:
+        bound = math.exp(spec.epsilon)
+    except OverflowError:
+        bound = math.inf
     max_ratio = 1.0
     for col in columns:
         top = float(col.max())
@@ -296,7 +303,8 @@ def verify_pldp(
         ratio = math.inf if bottom <= 0.0 else top / bottom
         if ratio > max_ratio:
             max_ratio = ratio
-    satisfied = max_ratio <= bound * (1.0 + ratio_slack)
+    finite = math.isfinite(max_ratio)
+    satisfied = max_ratio <= bound * (1.0 + ratio_slack) if finite else math.isinf(spec.epsilon)
     return PLDPReport(
         max_ratio=max_ratio,
         satisfied=satisfied,

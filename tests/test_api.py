@@ -1,11 +1,14 @@
 """Package surface: modules share only public names, and __all__ resolves."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import noisycfmm
+from noisycfmm import harness
 
 PACKAGE = Path(noisycfmm.__file__).parent
+TRACING = Path(__file__).parent.parent / "perfbench" / "tracing.py"
 
 
 def private_imports(source: str) -> list[str]:
@@ -44,3 +47,19 @@ def test_every_exported_name_resolves():
     missing = [name for name in noisycfmm.__all__ if not hasattr(noisycfmm, name)]
     assert missing == []
     assert len(set(noisycfmm.__all__)) == len(noisycfmm.__all__)
+
+
+def test_benchmark_tracer_wraps_the_lp_solver():
+    """The traced benchmark run patches harness.linprog by name; a rename breaks it."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    original = harness.linprog
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert harness.linprog is not original
+        assert harness.linprog.__wrapped__ is original
+    finally:
+        tracer.uninstall()
+    assert harness.linprog is original

@@ -184,6 +184,26 @@ class TestVerifyPldp:
         assert payload["bound"] == payload["max_ratio"] == "inf"
         assert payload["privacy"]["epsilon"] == "inf"
 
+    @pytest.mark.parametrize("command", ["verify-pldp", "attack-demo"])
+    def test_overflowing_epsilon_fails_in_standard_json(self, capsys, command):
+        flags = {
+            "verify-pldp": ["verify-pldp", "--tau", "0,2"],
+            "attack-demo": [
+                "attack-demo", "--curve", "cp", "--level", "1e4", "--x", "100", "--delta", "1",
+                "--tau", "0,2", "--seed", "3",
+            ],
+        }[command]
+        for epsilon in ("709", "710", "1000"):
+            code, out, err = run(capsys, flags + ["--epsilon", epsilon, "--output", "json"])
+            assert (code, err) == (1, "")
+            doc, _, summary = out.rpartition("}\n")
+            payload = json.loads(doc + "}\n", parse_constant=reject_constant)
+            report = payload if command == "verify-pldp" else payload["pldp"]
+            assert report["max_ratio"] == "inf"
+            assert report["satisfied"] is False
+            assert report["bound"] == ("inf" if epsilon != "709" else math.exp(709.0))
+            assert summary.strip().endswith("max ratio inf <= e^eps: FAIL")
+
 
 class TestSimulate:
     def test_truthful_contains_zero(self, capsys, tmp_path):
@@ -485,6 +505,74 @@ def test_every_config_ends_in_json_or_an_error(tmp_path_factory, field, value):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main([command, "--config", str(config), "--output", "json"])  # never raises
+    if code == 2:
+        assert out.getvalue() == ""
+        assert "error: " in err.getvalue()
+    else:
+        assert code in (0, 1)
+        doc, _, _ = out.getvalue().rpartition("}\n")
+        json.loads(doc + "}\n", parse_constant=reject_constant)
+
+
+# -- every flag combination ends in standard JSON with exit 0/1, or exit 2 ------
+
+FLAG_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -1.0, 1e-7, 1.0, 2.0, 100.0, 1000.0, 1e308, -1e308]),
+)
+EPSILONS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1e-7, 2.0, 709.0, 710.0, 1000.0, 1e308]),
+    st.floats(min_value=-10.0, max_value=2000.0),
+)
+
+
+# A working pool of each family, as flags; the fuzz replaces up to two values.
+FLAG_POOLS = {
+    "cp": {"level": 1e4, "x": 100.0, "delta": 1.0, "lo": 0.0, "hi": 2.0},
+    "lmsr": {"level": 1.0, "x": 1.0, "delta": 0.05, "lo": 0.0, "hi": 0.1},
+    "csum": {"level": 300.0, "slope": 1.5, "x": 100.0, "delta": 1.0, "lo": 0.0, "hi": 2.0},
+}
+FAMILIES = {"cp": "cp", "constant_product": "cp", "lmsr": "lmsr", "csum": "csum",
+            "constant_sum": "csum"}
+
+
+@st.composite
+def flag_argv(draw):
+    """quote-fee, attack-demo or verify-pldp on a drawn pool, trade and privacy spec.
+
+    Values are attached with '=', as argparse would take '-inf' for a flag.
+    """
+    command = draw(st.sampled_from(["quote-fee", "attack-demo", "verify-pldp"]))
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    flags = dict(FLAG_POOLS[FAMILIES[family]])
+    for name in draw(st.sets(st.sampled_from(sorted(flags) + ["slope"]), max_size=2)):
+        flags[name] = draw(FLAG_NUMBERS)
+    privacy = [f"--tau={flags['lo']!r},{flags['hi']!r}", f"--epsilon={draw(EPSILONS)!r}"]
+    if command == "verify-pldp":
+        return [command, *privacy, f"--grid={draw(st.integers(-2, 201))}"]
+    argv = [command, f"--curve={family}"]
+    argv += [f"--{name}={flags[name]!r}" for name in ("level", "slope", "x", "delta") if name in flags]
+    argv += privacy
+    if command == "attack-demo":
+        argv.append(f"--seed={draw(st.integers(-1, 2**32))}")
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=flag_argv())
+@example(argv=["verify-pldp", "--tau", "0,2", "--epsilon", "1000", "--grid", "101"])
+@example(argv=[
+    "attack-demo", "--curve", "cp", "--level", "1e4", "--x", "100", "--delta", "1",
+    "--tau", "0,2", "--epsilon", "1000", "--seed", "3",
+])
+@example(argv=[
+    "quote-fee", "--curve", "cp", "--level", "1e4", "--x", "100", "--delta", "1",
+    "--tau", "0,2", "--epsilon", "1000",
+])
+def test_every_flag_set_ends_in_json_or_an_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv + ["--output", "json"])  # never raises
     if code == 2:
         assert out.getvalue() == ""
         assert "error: " in err.getvalue()

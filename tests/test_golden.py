@@ -7,6 +7,9 @@ stream, so any change to the replica loop, the trade counter the adaptive
 policies read, or the confirmation path must reproduce them bit for bit.
 The acceptance configs run here at small replica counts; the scans use a
 larger bias than test_05 so that both reach the Monte Carlo confirmation.
+The candidate lists pin the screen of scans that confirm nothing: the
+zero-mean controls, a curve whose x_min cuts the scan off, and a hidden
+account too small to fund the detour's noise.
 """
 
 import dataclasses
@@ -79,3 +82,23 @@ def test_witness_scan_is_bit_identical(case, sign):
     scan = reproduce_deviation_theorem(case, sign * 0.2 * NOISE_SPREAD, base)
     assert scan.found  # the confirmation pass ran
     assert to_json(scan) == GOLDEN["scans"][case]
+
+
+SCAN_BASE = experiment(strategy=StrategyConfig("case1", trade_size=1.0), replicas=2000)
+NARROW = dataclasses.replace(SCAN_BASE, curve=TradingCurve.constant_product(1e4, x_min=90.0))
+CANDIDATE_SCANS = {
+    "control_positive_mean": ("positive_mean", 0.0, SCAN_BASE),
+    "control_negative_mean": ("negative_mean", 0.0, SCAN_BASE),
+    "x_min_positive_mean": ("positive_mean", 0.1 * NOISE_SPREAD, NARROW),
+    "x_min_negative_mean": ("negative_mean", -0.1 * NOISE_SPREAD, NARROW),
+    "starved_negative_mean": (
+        "negative_mean", -0.2 * NOISE_SPREAD,
+        dataclasses.replace(SCAN_BASE, hidden_x=0.5, hidden_y=0.5),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CANDIDATE_SCANS))
+def test_witness_candidates_are_bit_identical(name):
+    case, mu, config = CANDIDATE_SCANS[name]
+    assert to_json(reproduce_deviation_theorem(case, mu, config)) == GOLDEN["candidate_lists"][name]

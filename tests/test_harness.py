@@ -263,7 +263,9 @@ class TestExpectations:
         assert check_expectation(straddling, "ci_contains_zero")
         assert not check_expectation(above, "ci_contains_zero")
         assert check_expectation(above, "ci_above_zero")
+        assert not check_expectation(straddling, "ci_above_zero")
         assert check_expectation(below, "ci_below_zero")
+        assert not check_expectation(straddling, "ci_below_zero")
         assert check_expectation(below, "ci_contains_or_below_zero")
         assert check_expectation(straddling, "ci_contains_or_below_zero")
         assert not check_expectation(above, "ci_contains_or_below_zero")

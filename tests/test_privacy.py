@@ -248,3 +248,21 @@ class TestVerifyPLDP:
         spec = PrivacySpec(0.0, 2.0, math.inf)
         report = verify_pldp(lambda v: binary_mechanism(v, spec), spec, 11)
         assert report.satisfied
+
+    @pytest.mark.parametrize("epsilon", [709.0, 710.0, 1000.0, 1e308])
+    def test_overflowing_bound_is_infinite(self, epsilon):
+        # tanh(eps/2) rounds to 1, so an endpoint's low atom has probability 0
+        spec = PrivacySpec(0.0, 2.0, epsilon)
+        report = verify_pldp(lambda v: binary_mechanism(v, spec), spec, 11)
+        assert report.bound == (math.exp(709.0) if epsilon == 709.0 else math.inf)
+        assert math.isinf(report.max_ratio)
+        assert not report.satisfied
+
+    def test_infinite_ratio_passes_only_infinite_epsilon(self):
+        def drifting(v):
+            return NoiseDistribution.from_pairs([(-1.0 - v * 1e-5, 0.5), (1.0, 0.5)])
+
+        for epsilon, satisfied in ((1000.0, False), (math.inf, True)):
+            report = verify_pldp(drifting, PrivacySpec(0.0, 2.0, epsilon), 21)
+            assert math.isinf(report.max_ratio)
+            assert report.satisfied is satisfied
