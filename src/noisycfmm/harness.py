@@ -15,6 +15,12 @@ the same order, and transcendental curve queries through the same scalar
 math calls, so every sample is bit-identical to that loop's. A block in which
 some replica would raise in the scalar engine is rerun there, replica by
 replica, so the caller gets the exception that loop raised.
+
+replica_rng and policy_rng define the streams, one numpy Generator at a
+time. The batched engine computes the same streams as arrays over all
+replicas of a block (_stream_keys, _philox): uniform c of replica i is lane
+c % 4 of its Philox block c // 4 + 1, bit for bit what
+replica_rng(seed, i).random() returns as its c-th draw.
 """
 
 from __future__ import annotations
@@ -78,6 +84,101 @@ def policy_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(1, index))))
 
 
+# -- the same streams as arrays -------------------------------------------------
+#
+# Both steps of replica_rng are fixed integer arithmetic: SeedSequence hashes
+# the entropy words into a pool of four uint32 and hashes the pool into the
+# Philox key; Philox4x64-10 maps (key, counter) to four uint64 lanes
+# (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11). The
+# functions below run them on arrays of stream indices, word for word as
+# numpy does.
+
+_LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # SeedSequence's entropy hash
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # and its generate_state hash
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LOW32, _PHILOX_M >> _SHIFT32
+
+
+def _hash4(words: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's hashmix of four words in turn, starting at hash constant const.
+
+    words broadcasts to (4, n) uint32. Returns the four hashes and the
+    constant the next hashmix starts from.
+    """
+    consts = [const]
+    for _ in range(4):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    c = np.array(consts, dtype=np.uint32)[:, None]
+    h = (words ^ c[:4]) * c[1:]
+    return h ^ h >> np.uint32(16), consts[-1]
+
+
+def _absorb(pool: np.ndarray, const: int, word: np.ndarray) -> tuple[np.ndarray, int]:
+    """Mix one more entropy word (one per column) into each of the four pool words."""
+    h, const = _hash4(word, const, _MULT_A)
+    mixed = _MIX_L * pool - _MIX_R * h
+    return mixed ^ mixed >> np.uint32(16), const
+
+
+def _stream_keys(seed: int, k: int, index: np.ndarray) -> np.ndarray:
+    """Philox keys of SeedSequence(seed, spawn_key=(k, i)) for each i in index, shape (2, n).
+
+    The run entropy and k are the same for every stream, so numpy's own
+    SeedSequence(seed, spawn_key=(k,)) gives the pool after them, and raises
+    numpy's error for a seed it refuses. Only the one or two words of each
+    index (two from 2**32 on) are hashed here.
+    """
+    prefix = np.random.SeedSequence(seed, spawn_key=(k,))
+    # The hash constant advances once per hashmix: 4 fill the pool, 12
+    # cross-mix it, and 4 more for each entropy word past the pool's 4 (the
+    # seed's words beyond 4, as it is padded to 4, then k).
+    seed_words = -(-int(seed).bit_length() // 32)
+    const = _INIT_A * pow(_MULT_A, 16 + 4 * (max(seed_words, 4) - 3), 2**32) & 0xFFFFFFFF
+    index = np.asarray(index, dtype=np.uint64)
+    pool = np.repeat(prefix.pool[:, None], index.size, axis=1)
+    pool, const = _absorb(pool, const, (index & _LOW32).astype(np.uint32))
+    wide = np.flatnonzero(index >> _SHIFT32)
+    if wide.size:
+        high = (index[wide] >> _SHIFT32).astype(np.uint32)
+        pool[:, wide], _ = _absorb(pool[:, wide], const, high)
+    state = _hash4(pool, _INIT_B, _MULT_B)[0].astype(np.uint64)
+    return state[0::2] | state[1::2] << _SHIFT32  # generate_state(2, uint64)
+
+
+def _philox(key: np.ndarray, counter: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 block at counter (counter, 0, 0, 0) of each key column; shape (4, n).
+
+    numpy's Philox starts from counter 0 and increments before each block,
+    so its b-th block of four outputs is the one at counter b. The 128-bit
+    products are assembled from 32-bit halves.
+    """
+    x = np.zeros((2, key.shape[1]), dtype=np.uint64)  # counter words 0 and 2
+    x[0] = counter
+    y = np.zeros_like(x)  # counter words 1 and 3
+    for r in range(10):
+        if r:
+            key = key + _PHILOX_W
+        x_lo, x_hi = x & _LOW32, x >> _SHIFT32
+        t = _PHILOX_M_HI * x_lo + (_PHILOX_M_LO * x_lo >> _SHIFT32)
+        u = _PHILOX_M_LO * x_hi + (t & _LOW32)
+        hi = _PHILOX_M_HI * x_hi + (t >> _SHIFT32) + (u >> _SHIFT32)
+        x, y = hi[::-1] ^ y ^ key, (_PHILOX_M * x)[::-1]
+    return np.stack([x[0], y[0], x[1], y[1]])
+
+
+def _unit(words: np.ndarray) -> np.ndarray:
+    """Generator.random() of each 64-bit output: its top 53 bits over 2**53."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+def _lemire_rejects(word: np.ndarray, span: int) -> np.ndarray:
+    """Where numpy's 32-bit Lemire draw from [0, span) refuses word and draws again."""
+    return (word * np.uint64(span) & _LOW32) < (2**32 - span) % span
+
+
 # -- strict config parsing ----------------------------------------------------
 
 _CURVE_FAMILIES = {
@@ -131,6 +232,22 @@ _STRATEGY_FIELDS = {
 STRATEGY_KINDS = tuple(_STRATEGY_FIELDS)
 
 
+# The least and the largest value of each count. Replicas and policies size
+# arrays (8 bytes a replica, 48 a policy); rounds cost time, as a chase
+# whose noise never draws zero runs all of them.
+_COUNT_LIMITS = {
+    "replicas": (1, 10**8), "policies": (1, 10**6), "max_rounds": (0, 10**6), "bound": (0, 10**6),
+}
+
+
+def _check_count(where: str, name: str, value: int) -> None:
+    least, most = _COUNT_LIMITS[name]
+    if value < least:
+        raise ConfigError(f"{where} field '{name}' must be at least {least}, got {value}")
+    if value > most:
+        raise ConfigError(f"{where} field '{name}' must be at most {most}, got {value}")
+
+
 @dataclass(frozen=True, slots=True)
 class NoiseConfig:
     kind: str = "binary"  # "binary" | "biased_binary"
@@ -159,11 +276,8 @@ class StrategyConfig:
     bound: int = 8
 
     def __post_init__(self) -> None:
-        for name, least in (("max_rounds", 0), ("policies", 1), ("bound", 0)):
-            if getattr(self, name) < least:
-                raise ConfigError(
-                    f"strategy field '{name}' must be at least {least}, got {getattr(self, name)}"
-                )
+        for name in ("max_rounds", "policies", "bound"):
+            _check_count("strategy", name, getattr(self, name))
 
     @classmethod
     def from_json_obj(cls, obj: dict, where: str = "strategy") -> "StrategyConfig":
@@ -191,8 +305,7 @@ class ExperimentConfig:
     expect: str | None = None
 
     def __post_init__(self) -> None:
-        if self.replicas < 1:
-            raise ConfigError(f"config field 'replicas' must be at least 1, got {self.replicas}")
+        _check_count("config", "replicas", self.replicas)
         if self.seed is not None and self.seed < 0:
             raise ConfigError(f"config field 'seed' must be at least 0, got {self.seed}")
 
@@ -257,17 +370,51 @@ def _summarize(samples: np.ndarray) -> tuple[float, float, tuple[float, float]]:
     return mean, se, (mean - Z99 * se, mean + Z99 * se)
 
 
+# A random policy draws, in this order, uniforms for its aggression, offset,
+# width factor and epsilon factor, then its private period from integers().
+_POLICY_UNIFORMS = ((0.2, 1.2), (-0.4, 0.4), (0.5, 2.0), (0.5, 2.0))
+_POLICY_PERIODS = (1, 4)
+
+
+def _scale_policy(draws: Sequence, base_spec: PrivacySpec) -> tuple:
+    """Aggression, offset, width and epsilon from a policy's four uniforms."""
+    aggression, offset, width, epsilon = draws
+    return (
+        aggression, offset * max(base_spec.width, 1.0), base_spec.width * width,
+        base_spec.epsilon * epsilon,
+    )
+
+
 def _policy_params(
     seed: int, index: int, base_spec: PrivacySpec
 ) -> tuple[float, float, float, float, int]:
     """Aggression, offset, width, epsilon and private period of random policy ``index``."""
     rng = policy_rng(seed, index)
-    aggression = rng.uniform(0.2, 1.2)
-    offset = rng.uniform(-0.4, 0.4) * max(base_spec.width, 1.0)
-    width = base_spec.width * rng.uniform(0.5, 2.0)
-    epsilon = base_spec.epsilon * rng.uniform(0.5, 2.0)
-    private_period = int(rng.integers(1, 4))
-    return aggression, offset, width, epsilon, private_period
+    draws = [rng.uniform(low, high) for low, high in _POLICY_UNIFORMS]
+    return (*_scale_policy(draws, base_spec), int(rng.integers(*_POLICY_PERIODS)))
+
+
+def _policy_table(seed: int, n_policies: int, base_spec: PrivacySpec) -> np.ndarray:
+    """_policy_params of policies 0..n_policies-1 and tanh(epsilon/2), one row each.
+
+    The uniforms are lanes 0-3 of Philox block 1 of policy_rng(seed, j), as
+    Generator.uniform computes low + (high - low) * u. integers() is numpy's
+    32-bit Lemire draw on the low word of lane 0 of block 2; a policy whose
+    word it would refuse and redraw comes from _policy_params. The tanh is
+    math.tanh, as binary_mechanism takes it (numpy's may differ in the last
+    bit).
+    """
+    key = _stream_keys(seed, 1, np.arange(n_policies, dtype=np.uint64))
+    uniforms = _unit(_philox(key, np.ones(n_policies, dtype=np.uint64)))
+    draws = [low + (high - low) * u for (low, high), u in zip(_POLICY_UNIFORMS, uniforms)]
+    word = _philox(key, np.full(n_policies, 2, dtype=np.uint64))[0] & _LOW32
+    low, high = _POLICY_PERIODS
+    period = low + (word * np.uint64(high - low) >> _SHIFT32)
+    table = np.column_stack([*_scale_policy(draws, base_spec), period, np.empty(n_policies)])
+    for j in np.flatnonzero(_lemire_rejects(word, high - low)).tolist():
+        table[j, :5] = _policy_params(seed, j, base_spec)
+    table[:, 5] = [math.tanh(0.5 * epsilon) for epsilon in table[:, 3].tolist()]
+    return table
 
 
 def make_random_policy(
@@ -333,11 +480,10 @@ def run_strategy_once(
 
 # -- the batched replica engine --------------------------------------------------
 
-# Replicas run together in blocks of at most _BLOCK, and each replica's
-# uniforms are drawn _CHUNK at a time, so memory stays bounded whatever the
-# replica count and the number of rounds.
+# Replicas run together in blocks of at most _BLOCK, and each replica holds
+# one Philox block of uniforms at a time, so memory stays bounded whatever
+# the replica count and the number of rounds.
 _BLOCK = 4096
-_CHUNK = 64
 
 
 class _Replay(Exception):
@@ -385,13 +531,12 @@ class _Batch:
     The arrays hold what the scalar engine keeps per replica: MarketState's
     visible reserve and hidden account, and the running sums of y_out, fee
     and external cash that _Runner.finish totals. Replica i takes its
-    uniforms from replica_rng(seed, i), one per noisy trade, as
-    NoiseDistribution.sample does.
+    uniforms from the stream replica_rng(seed, i) defines, one per noisy
+    trade, as NoiseDistribution.sample does.
     """
 
     def __init__(
-        self, config: ExperimentConfig, state0: MarketState, seed: int,
-        start: int, stop: int, max_draws: int,
+        self, config: ExperimentConfig, state0: MarketState, seed: int, start: int, stop: int,
     ) -> None:
         n = stop - start
         self.curve = config.curve
@@ -404,20 +549,23 @@ class _Batch:
         self.y_out = np.zeros(n)
         self.fees = np.zeros(n)
         self.cash = np.zeros(n)
-        self.gens = [replica_rng(seed, i) for i in range(start, stop)]
-        self.chunk = min(max_draws, _CHUNK)
-        self.uniforms = np.empty((n, self.chunk))
-        self.used = np.full(n, self.chunk)  # columns of each row already consumed
+        self.key = _stream_keys(seed, 0, np.arange(start, stop, dtype=np.uint64))
+        self.lanes = np.empty((n, 4))  # each row's current Philox block, as uniforms
+        self.used = np.zeros(n, dtype=np.uint64)  # uniforms each row has drawn
 
     def _draw(self, rows: np.ndarray) -> np.ndarray:
-        """The next uniform of each replica in rows."""
-        spent = rows[self.used[rows] == self.chunk]
-        for r in spent.tolist():
-            self.uniforms[r] = self.gens[r].random(self.chunk)
-        self.used[spent] = 0
-        cols = self.used[rows]
-        self.used[rows] = cols + 1
-        return self.uniforms[rows, cols]
+        """The next uniform of each replica in rows.
+
+        Uniform c of a row is lane c % 4 of its block c // 4 + 1; a block is
+        computed when a row has used up the one before.
+        """
+        used = self.used[rows]
+        lane = used % 4
+        fresh = rows[lane == 0]
+        if fresh.size:
+            self.lanes[fresh] = _unit(_philox(self.key[:, fresh], self.used[fresh] // 4 + 1)).T
+        self.used[rows] = used + 1
+        return self.lanes[rows, lane]
 
     def trade(
         self, rows: np.ndarray, delta: np.ndarray, lower: np.ndarray, upper: np.ndarray,
@@ -527,7 +675,7 @@ def _run_block(
 ) -> np.ndarray:
     """Excess profits of replicas start..stop-1, as run_strategy_once computes them.
 
-    ``policies`` holds _policy_params rows for adaptive_random. Raises
+    ``policies`` is the _policy_table for adaptive_random. Raises
     _Replay, or the error of a scalar curve query, where some replica would
     raise in the scalar engine.
     """
@@ -536,8 +684,8 @@ def _run_block(
     target = curve.x_of_price(config.true_price)
     rows = np.arange(stop - start)
     t = math.tanh(0.5 * spec.epsilon)
+    batch = _Batch(config, state0, seed, start, stop)
     if kind == "noise_chasing" and not spec.degenerate:
-        batch = _Batch(config, state0, seed, start, stop, strategy.max_rounds)
         half = 0.5 * spec.width  # PrivacySpec.recentered
         live = rows
         for _ in range(strategy.max_rounds):
@@ -552,7 +700,6 @@ def _run_block(
             raise _Replay
         if kind == "case2" and not (config.true_price < spot and strategy.detour_price > spot):
             raise _Replay
-        batch = _Batch(config, state0, seed, start, stop, 1)
         if kind == "case2":
             batch.trade_to(rows, curve.x_of_price(strategy.detour_price))
         size = np.full(rows.size, strategy.trade_size, dtype=float)
@@ -566,7 +713,6 @@ def _run_block(
         aggression, offset, width, epsilon, period, tanh_half = policies[
             (start + rows) // per_policy
         ].T
-        batch = _Batch(config, state0, seed, start, stop, strategy.bound)
         live = rows
         # every live replica has made k trades, the count the private cadence reads
         for k in range(strategy.bound):
@@ -585,9 +731,7 @@ def _run_block(
                 np.where(private, epsilon[live], math.inf), tanh_half[live],
             )
             live = live[ok]
-    elif kind in ("truthful", "noise_chasing"):  # chasing with nothing to mask is truthful
-        batch = _Batch(config, state0, seed, start, stop, 0)
-    else:  # run_strategy_once names the unknown kind
+    elif kind not in ("truthful", "noise_chasing"):  # run_strategy_once names the unknown kind
         raise _Replay
     if kind != "adaptive_random":
         batch.trade_to(rows, target)
@@ -613,8 +757,7 @@ def estimate_excess_profit(
     if kind == "adaptive_random":
         n_policies = config.strategy.policies
         per_policy = max(1, config.replicas // n_policies)
-        params = [_policy_params(seed, j, config.privacy) for j in range(n_policies)]
-        policies = np.array([(*p, math.tanh(0.5 * p[3])) for p in params])
+        policies = _policy_table(seed, n_policies, config.privacy)
     else:
         n_policies, per_policy, policies = 1, config.replicas, None
     samples = np.empty(n_policies * per_policy)

@@ -5,7 +5,6 @@ import importlib.util
 from pathlib import Path
 
 import noisycfmm
-from noisycfmm import harness
 
 PACKAGE = Path(noisycfmm.__file__).parent
 TRACING = Path(__file__).parent.parent / "perfbench" / "tracing.py"
@@ -50,16 +49,24 @@ def test_every_exported_name_resolves():
 
 
 def test_benchmark_tracer_wraps_the_lp_solver():
-    """The traced benchmark run patches harness.linprog by name; a rename breaks it."""
+    """The traced benchmark run patches each function it lists by module and
+    name (harness.linprog, harness.replica_rng, ...) and each curve method;
+    a moved or renamed one breaks the run."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    original = harness.linprog
+    modules = {m: importlib.import_module(f"noisycfmm.{m}") for m in tracing.MODULES}
+    listed = [(modules[m], name) for m, name, _ in tracing.FUNCTIONS]
+    listed += [(noisycfmm.TradingCurve, name) for name in tracing.CURVE_METHODS]
+    assert ("harness", "linprog", True) in tracing.FUNCTIONS
+    assert [f"{owner.__name__}.{name}" for owner, name in listed if not hasattr(owner, name)] == []
+    originals = [getattr(owner, name) for owner, name in listed]
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        assert harness.linprog is not original
-        assert harness.linprog.__wrapped__ is original
+        for (owner, name), original in zip(listed, originals):
+            wrapper = getattr(owner, name)
+            assert wrapper is not original and wrapper.__wrapped__ is original, name
     finally:
         tracer.uninstall()
-    assert harness.linprog is original
+    assert [getattr(owner, name) for owner, name in listed] == originals

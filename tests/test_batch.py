@@ -99,7 +99,12 @@ CASES = {
     ),
     "csum-truthful": experiment(curve=CSUM, strategy=StrategyConfig("truthful")),
     "csum-adaptive": experiment(curve=CSUM, strategy=ADAPTIVE),
-    # more noisy rounds than one chunk of uniforms holds
+    # one round short of, at, and one past a 4-lane Philox block
+    **{
+        f"chasing-{n}-rounds": experiment(strategy=StrategyConfig("noise_chasing", max_rounds=n))
+        for n in (3, 4, 5)
+    },
+    # noisy rounds across many Philox blocks
     "chasing-long": experiment(strategy=StrategyConfig("noise_chasing", max_rounds=150), replicas=5),
     "adaptive-long": experiment(
         strategy=StrategyConfig("adaptive_random", policies=2, bound=150), replicas=6
@@ -128,10 +133,12 @@ def test_matches_the_scalar_engine(name, monkeypatch):
     assert_bit_identical(estimate_excess_profit(CASES[name], keep_samples=True), reference(name))
 
 
-@pytest.mark.parametrize("name", ["chasing-starved", "adaptive-uneven-split", "case2", "adaptive-long"])
+@pytest.mark.parametrize("name", [
+    "chasing-starved", "adaptive-uneven-split", "case2", "adaptive-long",
+    "chasing-3-rounds", "chasing-4-rounds", "chasing-5-rounds",
+])
 def test_small_blocks_and_chunks_change_nothing(name, monkeypatch):
     monkeypatch.setattr(harness, "_BLOCK", 7)
-    monkeypatch.setattr(harness, "_CHUNK", 3)
     assert_bit_identical(estimate_excess_profit(CASES[name], keep_samples=True), reference(name))
 
 

@@ -279,6 +279,18 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert "'policies' must be at least 1, got 0" in err
 
+    @pytest.mark.parametrize("field, overrides", [
+        ("replicas", {"replicas": 10**20}),
+        ("policies", {"strategy": {"kind": "adaptive_random", "policies": 10**20}}),
+        ("bound", {"strategy": {"kind": "adaptive_random", "bound": 10**20}}),
+        ("max_rounds", {"strategy": {"kind": "noise_chasing", "max_rounds": 10**20}}),
+    ])
+    def test_count_above_its_ceiling_is_a_config_error(self, capsys, tmp_path, field, overrides):
+        path = write_config(tmp_path, simulate_config(**overrides))
+        code, out, err = run(capsys, ["simulate", "--config", path, "--output", "json"])
+        assert (code, out) == (2, "")
+        assert f"'{field}' must be at most" in err
+
     def test_config_file_must_exist(self, capsys):
         code, _, err = run(capsys, ["simulate", "--config", "/nonexistent.json"])
         assert code == 2

@@ -177,6 +177,15 @@ class TestConfigParsing:
         StrategyConfig("noise_chasing", max_rounds=0)  # no rounds is a run: truthful
         StrategyConfig("adaptive_random", bound=0)
 
+    def test_counts_have_a_ceiling(self):
+        with pytest.raises(ConfigError, match=f"'replicas' must be at most 100000000, got {10**20}"):
+            config(replicas=10**20)
+        for name in ("policies", "max_rounds", "bound"):
+            with pytest.raises(ConfigError, match=f"'{name}' must be at most"):
+                StrategyConfig("adaptive_random", **{name: 10**20})
+        config(replicas=10**8)  # the ceilings themselves are legal
+        StrategyConfig("adaptive_random", policies=10**6, max_rounds=10**6, bound=10**6)
+
     def test_seed_must_not_be_negative(self):
         with pytest.raises(ConfigError, match="'seed' must be at least 0, got -1"):
             config(seed=-1)
