@@ -4,10 +4,11 @@
 
 Each commit is exported with `git archive` into its own temporary directory.
 In each, the script runs `python3 perfbench/run.py --workload W --seed 42
---seconds 30` for every workload in BENCHMARK.json, alternating between the
-two commits, then the acceptance Monte Carlo test (test_04) of each, timed
-by pytest's JUnit report. The record holds every result line as run.py
-printed it, the machine, and the command that wrote it.
+--seconds S` for every workload in BENCHMARK.json, with its run_seconds as
+S, alternating between the two commits, then the acceptance Monte Carlo
+test (test_04) of each, timed by pytest's JUnit report. The record holds
+every result line as run.py printed it, the machine, and the command that
+wrote it.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TEST_04 = "tests/test_acceptance.py::test_04_priced_noise_is_truthful"
+SEED = 42
 
 
 def export(rev: str, into: Path) -> str:
@@ -49,7 +51,7 @@ def run_workload(tree: Path, workload: str, seed: int, seconds: float) -> tuple[
     return json.loads(proc.stdout.strip().splitlines()[-1]), facts
 
 
-def test_04_seconds(tree: Path) -> float:
+def time_test_04(tree: Path) -> float:
     report = tree / "junit.xml"
     subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", TEST_04,
@@ -74,10 +76,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
     parser.add_argument("--out", required=True)
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--seconds", type=float, default=30.0)
     args = parser.parse_args(argv)
-    workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in bench["workloads"]]
     sides = ("parent", "change")
     record: dict = {
         "command": " ".join(["python3", "tools/bench_pair.py", *(argv or sys.argv[1:])]),
@@ -91,11 +92,11 @@ def main(argv: list[str] | None = None) -> int:
         for k, workload in enumerate(workloads):
             for side in sides if k % 2 == 0 else sides[::-1]:
                 print(f"{side}: {workload}", file=sys.stderr, flush=True)
-                result, facts = run_workload(trees[side], workload, args.seed, args.seconds)
+                result, facts = run_workload(trees[side], workload, SEED, bench["run_seconds"])
                 record["runs"][side][workload] = result
                 record["machine"]["facts"] = facts
         for side in sides:
-            record["test_04_s"][side] = test_04_seconds(trees[side])
+            record["test_04_s"][side] = time_test_04(trees[side])
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
     return 0
 
