@@ -137,7 +137,6 @@ def _stream_keys(seed: int, k: int, index: np.ndarray) -> np.ndarray:
     # seed's words beyond 4, as it is padded to 4, then k).
     seed_words = -(-int(seed).bit_length() // 32)
     const = _INIT_A * pow(_MULT_A, 16 + 4 * (max(seed_words, 4) - 3), 2**32) & 0xFFFFFFFF
-    index = np.asarray(index, dtype=np.uint64)
     pool = np.repeat(prefix.pool[:, None], index.size, axis=1)
     pool, const = _absorb(pool, const, (index & _LOW32).astype(np.uint32))
     wide = np.flatnonzero(index >> _SHIFT32)
