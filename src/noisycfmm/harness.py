@@ -589,7 +589,7 @@ class _Batch:
         mid = 0.5 * (upper + lower)
         big = half / t
         center = mid - delta
-        d = (delta - mid) / half
+        d = np.where(delta == upper, 1.0, np.where(delta == lower, -1.0, (delta - mid) / half))
         lo, hi = center - big, center + big
         p_lo, p_hi = 0.5 * (1.0 - d * t), 0.5 * (1.0 + d * t)
         bad |= noisy & ((epsilon < EPSILON_FLOOR) | (half == 0.0) | _bad_shape(lo, hi, p_lo, p_hi))

@@ -177,7 +177,14 @@ def binary_mechanism(delta: float, spec: PrivacySpec) -> NoiseDistribution:
     t = math.tanh(0.5 * spec.epsilon)  # = (e^eps - 1)/(e^eps + 1), overflow-free
     big = half / t
     center = spec.midpoint - delta
-    d = (delta - spec.midpoint) / half
+    # d is exactly -/+1 at the endpoints, where delta - midpoint can lose
+    # bits to cancellation on a narrow interval far from zero
+    if delta == spec.upper:
+        d = 1.0
+    elif delta == spec.lower:
+        d = -1.0
+    else:
+        d = (delta - spec.midpoint) / half
     return NoiseDistribution(
         (
             NoiseAtom(center - big, 0.5 * (1.0 - d * t)),

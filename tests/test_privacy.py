@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noisycfmm import (
@@ -204,6 +204,8 @@ class TestVerifyPLDP:
         assert report.max_ratio == pytest.approx(math.exp(2.0), abs=RATIO_TOL)
 
     @given(pair=spec_strategy(min_eps=0.1, max_eps=6.0))
+    # a narrow interval far from zero: delta - midpoint cancels at the endpoints
+    @example(pair=(PrivacySpec(32.0, 32.001, 6.0), 32.0))
     @settings(max_examples=30, deadline=None)
     def test_tight_across_specs(self, pair):
         spec, _ = pair
