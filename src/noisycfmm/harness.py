@@ -30,8 +30,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .codec import choice, fields_of, integer, number, optional, pair, parse_fields, parse_kind
 from .curve import Family, TradingCurve
@@ -780,9 +778,7 @@ def estimate_excess_profit(
             samples[i] = trace.total_profit - benchmark
     per_policy_means = None
     if kind == "adaptive_random":
-        per_policy_means = tuple(
-            float(np.mean(row)) for row in samples.reshape(n_policies, per_policy)
-        )
+        per_policy_means = tuple(samples.reshape(n_policies, per_policy).mean(axis=1).tolist())
     mean, se, ci = _summarize(samples)
     return ExcessProfitResult(
         kind, config.fee_policy.kind.value, mean, se, ci, samples.size, benchmark,
@@ -1112,6 +1108,18 @@ def _fee_cost_matrix(problem: LPNoiseProblem) -> np.ndarray:
     return cost
 
 
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first call.
+
+    Only the noise LP needs scipy, so importing noisycfmm does not load it.
+    optimize_noise_lp looks this name up when it runs, so a wrapper set on the
+    module attribute sees every solve.
+    """
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
+
+
 # Likelihood-ratio constraints above this epsilon are numerically vacuous
 # (ratio > 5e21) and only poison the LP scaling, so they are dropped.
 _RATIO_EPS_CAP = 50.0
@@ -1125,6 +1133,8 @@ def optimize_noise_lp(problem: LPNoiseProblem) -> NoiseLPSolution:
     solution and rows renormalized; the ratio constraints force any used
     output to be used by every input, so this cannot orphan anyone.
     """
+    from scipy import sparse
+
     problem.validate()
     vins = np.array(problem.input_grid)
     outs = np.array(problem.output_grid)

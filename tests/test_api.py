@@ -2,6 +2,11 @@
 
 import ast
 import importlib.util
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import noisycfmm
@@ -70,3 +75,44 @@ def test_benchmark_tracer_wraps_the_lp_solver():
     finally:
         tracer.uninstall()
     assert [getattr(owner, name) for owner, name in listed] == originals
+
+
+# Cold start: the README's quote-fee, verify-pldp and attack-demo runs load no
+# scipy module; only the noise LP (optimize-noise) does, on its first solve.
+COLD_START = textwrap.dedent("""
+    import contextlib, io, json, sys, tempfile
+    import noisycfmm, noisycfmm.cli as cli
+
+    runs = [
+        ["quote-fee", "--curve", "cp", "--level", "1e4", "--x", "100", "--delta", "1",
+         "--tau", "0,2", "--epsilon", "2"],
+        ["verify-pldp", "--tau", "0,2", "--epsilon", "2", "--grid", "101"],
+        ["attack-demo", "--curve", "cp", "--level", "1e4", "--x", "100", "--delta", "1",
+         "--tau", "0,2", "--epsilon", "2", "--seed", "3"],
+    ]
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [cli.main(argv) for argv in runs]
+    scipy_before = sorted(m for m in sys.modules if m.startswith("scipy"))
+    lp = {"curve": {"family": "constant_product", "level": 1e4}, "reference_x": 100.0,
+          "privacy": {"tau": [0.0, 2.0], "epsilon": 2.0}, "n_inputs": 21, "n_outputs": 41,
+          "expect": {"max_average_fee": 0.017, "max_fee_at": [1.0, 0.017]}}
+    with tempfile.NamedTemporaryFile("w", suffix=".json") as f:
+        json.dump(lp, f)
+        f.flush()
+        with contextlib.redirect_stdout(io.StringIO()):
+            lp_code = cli.main(["optimize-noise", "--config", f.name, "--output", "json"])
+    print(json.dumps({"codes": codes, "scipy_before": scipy_before, "lp_code": lp_code,
+                      "solver_loaded": "scipy.optimize" in sys.modules}))
+""")
+
+
+def test_cli_loads_scipy_only_for_the_noise_lp():
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=120,
+    )
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0, 0, 0]
+    assert result["scipy_before"] == []
+    assert result["lp_code"] == 0
+    assert result["solver_loaded"]

@@ -36,6 +36,7 @@ from noisycfmm import (
     to_json,
     validate_lp_solution,
 )
+from noisycfmm import harness
 from noisycfmm.market import MarketState
 
 REF_SPEC = PrivacySpec(0.0, 2.0, 2.0)
@@ -248,6 +249,17 @@ class TestEstimator:
         assert result.replicas == 200  # 10 policies x 20 replicas each
         assert len(result.per_policy_means) == 10
 
+    # per_policy on both sides of numpy's pairwise-summation block (8 and 128)
+    @pytest.mark.parametrize("per_policy", [1, 7, 8, 9, 127, 128, 129, 1000])
+    def test_per_policy_means_are_the_row_means(self, per_policy):
+        cfg = config(
+            strategy=StrategyConfig("adaptive_random", policies=3, bound=4),
+            replicas=3 * per_policy,
+        )
+        result = estimate_excess_profit(cfg, keep_samples=True)
+        rows = np.reshape(result.samples, (3, per_policy))
+        assert result.per_policy_means == tuple(float(np.mean(row)) for row in rows)
+
     def test_keep_samples(self):
         result = estimate_excess_profit(config(replicas=50), keep_samples=True)
         assert len(result.samples) == 50
@@ -407,6 +419,20 @@ class TestNoiseLP:
         assert check.ok
         assert check.max_zero_mean_violation <= 1e-8
         assert check.pldp.satisfied
+
+    def test_solver_is_looked_up_at_call_time(self, monkeypatch):
+        # the benchmark tracer times and counts solves by wrapping harness.linprog
+        expected = optimize_noise_lp(self.small_problem())
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        original = harness.linprog
+        monkeypatch.setattr(harness, "linprog", counting)
+        assert optimize_noise_lp(self.small_problem()) == expected
+        assert len(calls) == 1
 
     def test_mechanism_rejects_offgrid_query(self):
         solution = optimize_noise_lp(self.small_problem())

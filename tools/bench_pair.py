@@ -7,8 +7,9 @@ In each, the script runs `python3 perfbench/run.py --workload W --seed 42
 --seconds S` for every workload in BENCHMARK.json, with its run_seconds as
 S, alternating between the two commits, then the acceptance Monte Carlo
 test (test_04) of each, timed by pytest's JUnit report. The record holds
-every result line as run.py printed it, the machine, and the command that
-wrote it.
+every result line as run.py printed it, next to the machine facts run.py
+logged for that run (versions and load average), the machine, and the
+command that wrote it.
 """
 
 from __future__ import annotations
@@ -93,8 +94,7 @@ def main(argv: list[str] | None = None) -> int:
             for side in sides if k % 2 == 0 else sides[::-1]:
                 print(f"{side}: {workload}", file=sys.stderr, flush=True)
                 result, facts = run_workload(trees[side], workload, SEED, bench["run_seconds"])
-                record["runs"][side][workload] = result
-                record["machine"]["facts"] = facts
+                record["runs"][side][workload] = {"result": result, "facts": facts}
         for side in sides:
             record["test_04_s"][side] = time_test_04(trees[side])
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
