@@ -423,13 +423,12 @@ class TestNoiseLP:
     def test_solver_is_looked_up_at_call_time(self, monkeypatch):
         # the benchmark tracer times and counts solves by wrapping harness.linprog
         expected = optimize_noise_lp(self.small_problem())
-        calls = []
+        original, calls = harness.linprog, []
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        original = harness.linprog
         monkeypatch.setattr(harness, "linprog", counting)
         assert optimize_noise_lp(self.small_problem()) == expected
         assert len(calls) == 1
