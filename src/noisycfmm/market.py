@@ -13,20 +13,18 @@ The eavesdropper model: an adversary who sees spot prices before and after
 a trade recovers the reserve change exactly by inverting the price curve.
 Without noise that change is the trade itself; with noise it is trade plus
 noise, which is the whole point.
+
+Records and states stay in memory; the CLI is the one place that writes output.
 """
 
 from __future__ import annotations
 
-import contextlib
-import csv
 import enum
-import json
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Callable
 
 import numpy as np
 
-from .codec import fields_of, to_json
 from .curve import TradingCurve
 from .errors import HiddenAccountError, SpecViolationError
 from .fee import noise_fee
@@ -99,17 +97,6 @@ class TradeRecord:
     pre_x: float
     post_x: float
 
-    def _json_shape(self) -> dict:
-        """The fields, with the spec's "tau" and "epsilon" in place of the spec."""
-        return {**fields_of(self, "spec"), **to_json(self.spec)}
-
-    def to_row(self, seq: int) -> list:
-        """The record as one row under TRADE_LOG_COLUMNS."""
-        return [
-            seq, self.delta, self.spec.lower, self.spec.upper, self.spec.epsilon,
-            self.y_out, self.gamma, self.eta, self.pre_x, self.post_x,
-        ]
-
 
 @dataclass(frozen=True, slots=True)
 class MarketState:
@@ -121,10 +108,6 @@ class MarketState:
     hidden_y: float
     fee_ledger: float = 0.0
     trades: int = 0
-
-    @property
-    def y(self) -> float:
-        return self.curve.y_of_x(self.x)
 
     @property
     def spot(self) -> float:
@@ -216,60 +199,3 @@ def execute_trade(
 def eavesdrop_infer(pre_price: float, post_price: float, curve: TradingCurve) -> float:
     """Reserve change recovered from two spot-price observations."""
     return curve.x_of_price(post_price) - curve.x_of_price(pre_price)
-
-
-@dataclass(frozen=True, slots=True)
-class ExternalMarket:
-    """Infinitely deep outside venue quoting a single true price for X."""
-
-    true_price: float
-
-    def settle(self, x_amount: float) -> float:
-        """Y received for selling ``x_amount`` of X (pay, when negative)."""
-        return self.true_price * x_amount
-
-
-TRADE_LOG_COLUMNS = (
-    "seq", "delta", "l", "u", "epsilon", "y_out", "gamma", "eta", "pre_x", "post_x",
-)
-
-
-@contextlib.contextmanager
-def text_handle(target: TextIO | str, mode: str) -> Iterator[TextIO]:
-    """The handle itself, or the file a path names, opened for the duration."""
-    if isinstance(target, str):
-        with open(target, mode, newline="") as handle:
-            yield handle
-    else:
-        yield target
-
-
-def write_csv(out: TextIO | str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Header plus rows; floats are written as repr so they read back bit-exact."""
-    with text_handle(out, "w") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-
-
-def trade_log_to_csv(records: Sequence[TradeRecord], out: TextIO | str) -> None:
-    """Write the trade log as CSV, one row per trade in execution order."""
-    write_csv(out, TRADE_LOG_COLUMNS, (r.to_row(seq) for seq, r in enumerate(records)))
-
-
-def trade_log_to_jsonl(records: Sequence[TradeRecord], out: TextIO | str) -> None:
-    """Write the trade log as standard JSON lines, one object per trade."""
-    with text_handle(out, "w") as handle:
-        for seq, record in enumerate(records):
-            obj = {"seq": seq, **to_json(record)}
-            handle.write(json.dumps(obj, sort_keys=True, allow_nan=False) + "\n")
-
-
-def trade_log_from_csv(source: TextIO | str) -> list[dict]:
-    """Read back a CSV trade log as typed dicts (floats everywhere but seq)."""
-    with text_handle(source, "r") as handle:
-        return [
-            {k: (int(v) if k == "seq" else float(v)) for k, v in row.items()}
-            for row in csv.DictReader(handle)
-        ]

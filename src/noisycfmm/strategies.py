@@ -9,32 +9,26 @@ kill in expectation: chasing the noise round after round, or wrapping a
 private trade inside corrections, must not beat honesty when the noise is
 zero-mean and priced.
 
-Traces record every market trade and every external settlement, which lets
-tests verify the profit decomposition step by step rather than trusting the
-bottom line.
+Traces record every market trade and every external settlement, in memory,
+which lets tests verify the profit decomposition step by step rather than
+trusting the bottom line.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Callable, TextIO
+from typing import Callable
 
 import numpy as np
 
-from .codec import to_json
 from .errors import ConfigError, HiddenAccountError
 from .market import (
     NOISE_FEE_POLICY,
-    TRADE_LOG_COLUMNS,
     DistFactory,
-    ExternalMarket,
     FeePolicy,
     MarketState,
     TradeRecord,
     execute_trade,
-    text_handle,
-    write_csv,
 )
 from .privacy import PrivacySpec, binary_mechanism
 
@@ -73,7 +67,7 @@ class _Runner:
         dist_factory: DistFactory,
     ) -> None:
         self.state = state
-        self.market = ExternalMarket(true_price)
+        self.true_price = true_price
         self.rng = rng
         self.fee_policy = fee_policy
         self.dist_factory = dist_factory
@@ -92,12 +86,12 @@ class _Runner:
         self.steps.append(record)
         # The trader handed delta X to the market; buy it back (sell, when
         # negative) outside immediately so inventory stays flat in X.
-        y_cash = self.market.settle(-delta)
+        y_cash = self.true_price * -delta
         self.flows.append(ExternalFlow(-delta, y_cash))
         return record
 
     def correction_delta(self) -> float:
-        return self.state.curve.x_of_price(self.market.true_price) - self.state.x
+        return self.state.curve.x_of_price(self.true_price) - self.state.x
 
     def trade_to_true_price(self) -> TradeRecord | None:
         """Non-private trade landing the spot exactly on the true price."""
@@ -268,21 +262,3 @@ def run_adaptive(
         except HiddenAccountError:
             break
     return runner.finish()
-
-
-TRACE_COLUMNS = TRADE_LOG_COLUMNS + ("settle_x", "settle_y")
-
-
-def trace_to_csv(trace: StrategyTrace, out: TextIO | str) -> None:
-    """One row per strategy step: the market trade plus its external hedge."""
-    write_csv(out, TRACE_COLUMNS, (
-        [*r.to_row(seq), flow.x_amount, flow.y_cash]
-        for seq, (r, flow) in enumerate(zip(trace.steps, trace.external_flows))
-    ))
-
-
-def trace_to_json(trace: StrategyTrace, out: TextIO | str) -> None:
-    """The trace as one standard JSON document."""
-    with text_handle(out, "w") as handle:
-        json.dump(to_json(trace), handle, sort_keys=True, indent=2, allow_nan=False)
-        handle.write("\n")

@@ -28,7 +28,6 @@ from noisycfmm import (
     check_expectation,
     cli,
     estimate_excess_profit,
-    fee_liquidity_ratio,
     liquidity_scaling_study,
     noise_fee,
     noise_fee_closed_form,
@@ -222,9 +221,7 @@ def test_05_biased_noise_witnesses():
 def test_06_fee_liquidity_scaling():
     shallow = liquidity_scaling_study(1e4, (1.0, 4.0, 16.0), 1.0, 1.0, REF_SPEC)
     deep = liquidity_scaling_study(1e8, (1.0, 4.0, 16.0), 1.0, 1.0, REF_SPEC)
-    ratio = fee_liquidity_ratio(
-        CP, TradingCurve.constant_product(4e4), 1.0, 1.0, REF_SPEC
-    )
+    ratio = shallow.rows[1].gamma / shallow.rows[0].gamma  # doubled liquidity
     ok = (
         shallow.max_relative_spread <= 0.02
         and deep.max_relative_spread <= 0.001

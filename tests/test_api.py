@@ -47,6 +47,33 @@ def test_scanner_catches_a_private_import():
     assert private_imports("from os import _exit\n") == []
 
 
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the absolute modules a source imports, at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+# The mechanism modules compute the noisy trade, its noise and its fee; the
+# CLI is the one place that renders and writes them.
+MECHANISM_MODULES = ("curve", "privacy", "fee", "market", "strategies", "harness")
+OUTPUT_MODULES = {"csv", "json", "contextlib"}
+
+
+def test_mechanism_modules_write_no_files():
+    assert imported_modules("def f():\n    from json import dumps\n") == {"json"}
+    offenders = {
+        name: sorted(found)
+        for name in MECHANISM_MODULES
+        if (found := imported_modules((PACKAGE / f"{name}.py").read_text()) & OUTPUT_MODULES)
+    }
+    assert offenders == {}
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in noisycfmm.__all__ if not hasattr(noisycfmm, name)]
     assert missing == []

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from noisycfmm import cli
+from noisycfmm import ExperimentConfig, cli, estimate_excess_profit
 
 QUOTE_ARGS = [
     "quote-fee", "--curve", "cp", "--level", "10000", "--x", "100",
@@ -265,6 +265,12 @@ class TestSimulate:
         lines = out.strip().split("\n")
         assert lines[0] == "replica,excess"
         assert len(lines) == 1 + 25 + 1  # header, rows, summary line
+        # floats are written as repr, so every excess reads back bit-exact
+        samples = estimate_excess_profit(
+            ExperimentConfig.from_json_obj(config), keep_samples=True
+        ).samples
+        rows = [line.split(",") for line in lines[1:-1]]
+        assert [(int(i), float(v)) for i, v in rows] == list(enumerate(samples))
 
     def test_zero_replicas_is_a_config_error(self, capsys, tmp_path):
         path = write_config(tmp_path, simulate_config(replicas=0))
@@ -502,6 +508,8 @@ SUBSTITUTES = st.one_of(
 @example(field=("optimize-noise", ("expect", "max_fee_at")), value=[True, 0.017])
 @example(field=("simulate", ("strategy", "max_rounds")), value=-3)
 @example(field=("simulate", ("seed",)), value=-1)
+@example(field=("optimize-noise", ("n_inputs",)), value=10**20)
+@example(field=("optimize-noise", ("n_outputs",)), value=10**20)
 def test_every_config_ends_in_json_or_an_error(tmp_path_factory, field, value):
     command, path = field
     obj = copy.deepcopy(README_CONFIGS[command])
@@ -573,6 +581,7 @@ def flag_argv(draw):
 @settings(max_examples=150, deadline=None)
 @given(argv=flag_argv())
 @example(argv=["verify-pldp", "--tau", "0,2", "--epsilon", "1000", "--grid", "101"])
+@example(argv=["verify-pldp", "--tau", "0,2", "--epsilon", "2", "--grid", str(10**20)])
 @example(argv=[
     "attack-demo", "--curve", "cp", "--level", "1e4", "--x", "100", "--delta", "1",
     "--tau", "0,2", "--epsilon", "1000", "--seed", "3",

@@ -16,7 +16,6 @@ from noisycfmm import (
     TradingCurve,
     biased_binary,
     binary_mechanism,
-    fee_liquidity_ratio,
     noise_fee,
     noise_fee_closed_form,
 )
@@ -182,17 +181,3 @@ class TestGenericEngine:
         d = binary_mechanism(delta, spec)
         got = noise_fee(CP, x, delta, d).gamma
         assert got >= 0.0, f"x={x} delta={delta} eps={eps} fee={got}"
-
-
-class TestFeeLiquidityRatio:
-    def test_double_depth_reference(self):
-        shallow = TradingCurve.constant_product(1e4)
-        deep = TradingCurve.constant_product(4e4)
-        # doubled liquidity roughly halves the fee
-        r = fee_liquidity_ratio(shallow, deep, 1.0, 1.0, REF_SPEC)
-        assert r == pytest.approx(0.5074357580241498, rel=1e-12)
-
-    def test_none_when_liquidity_undefined(self):
-        a = TradingCurve.constant_sum(300.0, slope=1.0)
-        b = TradingCurve.constant_product(1e4)
-        assert fee_liquidity_ratio(a, b, 1.0, 0.01, PrivacySpec(-0.01, 0.02, 2.0)) is None

@@ -1,14 +1,9 @@
-"""Market state machine: trade pipeline, hidden account, fee policies, logs."""
-
-import io
-import json
+"""Market state machine: trade pipeline, hidden account, fee policies, eavesdropper."""
 
 import numpy as np
 import pytest
 
 from noisycfmm import (
-    TRADE_LOG_COLUMNS,
-    ExternalMarket,
     FeePolicy,
     HiddenAccountError,
     MarketState,
@@ -21,9 +16,6 @@ from noisycfmm import (
     noise_fee,
     support_check,
     to_json,
-    trade_log_from_csv,
-    trade_log_to_csv,
-    trade_log_to_jsonl,
 )
 
 CP = TradingCurve.constant_product(1e4)
@@ -31,11 +23,6 @@ REF_SPEC = PrivacySpec(0.0, 2.0, 2.0)
 
 # Reserve bookkeeping is pure addition; any drift is a bug.
 BOOK_TOL = 1e-12
-
-
-def reject_constant(name: str):
-    """json.loads hook: Infinity, -Infinity and NaN are not standard JSON."""
-    raise ValueError(f"non-standard JSON constant {name}")
 
 
 def fresh_state(hidden_x=1e6, hidden_y=1e6) -> MarketState:
@@ -171,60 +158,3 @@ class TestEavesdropper:
         inferred = eavesdrop_infer(state.spot, new.spot, CP)
         assert inferred == pytest.approx(rec.delta + rec.eta, abs=1e-10)
         assert abs(inferred - rec.delta) > 0.1  # the true size is hidden
-
-
-class TestExternalMarket:
-    def test_settle_both_directions(self):
-        venue = ExternalMarket(1.5)
-        assert venue.settle(10.0) == 15.0
-        assert venue.settle(-4.0) == -6.0
-
-
-class TestTradeLogSerialization:
-    def _log(self):
-        state = fresh_state()
-        rng = np.random.default_rng(11)
-        log = []
-        for delta in (1.0, 0.4, 1.6):
-            state, record = execute_trade(state, delta, REF_SPEC.recentered(delta), rng)
-            log.append(record)
-        # a non-private leg, whose infinite epsilon must stay standard JSON
-        state, record = execute_trade(state, 0.5, PrivacySpec(0.5, 0.5, np.inf))
-        log.append(record)
-        return log
-
-    def test_csv_round_trip(self, tmp_path):
-        log = self._log()
-        path = str(tmp_path / "log.csv")
-        trade_log_to_csv(log, path)
-        rows = trade_log_from_csv(path)
-        assert [r["seq"] for r in rows] == [0, 1, 2, 3]
-        for got, want in zip(rows, log):
-            # repr round trip keeps every float bit-exact
-            assert got["delta"] == want.delta
-            assert got["eta"] == want.eta
-            assert got["gamma"] == want.gamma
-            assert got["post_x"] == want.post_x
-            assert got["epsilon"] == want.spec.epsilon
-
-    def test_csv_header(self):
-        buf = io.StringIO()
-        trade_log_to_csv(self._log(), buf)
-        header = buf.getvalue().split("\n", 1)[0]
-        assert header == ",".join(TRADE_LOG_COLUMNS)
-
-    def test_jsonl_is_parseable_and_ordered(self):
-        buf = io.StringIO()
-        trade_log_to_jsonl(self._log(), buf)
-        lines = buf.getvalue().strip().split("\n")
-        assert len(lines) == 4
-        parsed = [json.loads(line, parse_constant=reject_constant) for line in lines]
-        assert [p["delta"] for p in parsed] == [1.0, 0.4, 1.6, 0.5]
-        assert [p["seq"] for p in parsed] == [0, 1, 2, 3]
-        assert parsed[3]["epsilon"] == "inf"
-
-    def test_csv_is_deterministic(self):
-        a, b = io.StringIO(), io.StringIO()
-        trade_log_to_csv(self._log(), a)
-        trade_log_to_csv(self._log(), b)
-        assert a.getvalue() == b.getvalue()

@@ -1,14 +1,11 @@
-"""Strategy traces: truthful benchmark, deviations, adaptive runner, exports."""
+"""Strategy traces: truthful benchmark, deviations, adaptive runner."""
 
-import io
-import json
 import math
 
 import numpy as np
 import pytest
 
 from noisycfmm import (
-    TRADE_LOG_COLUMNS,
     FeePolicy,
     MarketState,
     PrivacySpec,
@@ -18,9 +15,6 @@ from noisycfmm import (
     case2_deviation,
     noise_chasing_strategy,
     run_adaptive,
-    trace_to_csv,
-    trace_to_json,
-    trade_log_to_csv,
     truthful_strategy,
 )
 
@@ -193,47 +187,3 @@ class TestAdaptiveRunner:
         bought_on_market = sum(r.delta for r in trace.steps)
         hedged_outside = sum(f.x_amount for f in trace.external_flows)
         assert bought_on_market + hedged_outside == pytest.approx(0.0, abs=1e-12)
-
-
-class TestTraceExport:
-    def _trace(self):
-        return case1_deviation(fresh_state(), 1.5, 1.0, REF_SPEC, np.random.default_rng(6))
-
-    def test_csv_rows_match_steps(self):
-        buf = io.StringIO()
-        trace = self._trace()
-        trace_to_csv(trace, buf)
-        lines = buf.getvalue().strip().split("\n")
-        assert len(lines) == len(trace.steps) + 1
-        assert lines[0].startswith("seq,delta,")
-
-    def test_json_round_trip(self):
-        buf = io.StringIO()
-        trace = self._trace()
-        trace_to_json(trace, buf)
-        obj = json.loads(buf.getvalue())
-        assert obj["total_profit"] == trace.total_profit
-        assert len(obj["steps"]) == len(trace.steps)
-        assert obj["steps"][0]["epsilon"] == 2.0
-
-    def test_json_is_standard(self):
-        def reject(name):
-            raise ValueError(f"non-standard JSON constant {name}")
-
-        buf = io.StringIO()
-        trace_to_json(self._trace(), buf)
-        obj = json.loads(buf.getvalue(), parse_constant=reject)
-        # the closing correction is non-private: epsilon spelled as configs spell it
-        assert obj["steps"][-1]["epsilon"] == "inf"
-
-    def test_csv_extends_the_trade_log_columns(self):
-        trace = self._trace()
-        traced, logged = io.StringIO(), io.StringIO()
-        trace_to_csv(trace, traced)
-        trade_log_to_csv(trace.steps, logged)
-        n = len(TRADE_LOG_COLUMNS)
-        assert n == 10
-        traced_rows = [line.split(",") for line in traced.getvalue().splitlines()]
-        logged_rows = [line.split(",") for line in logged.getvalue().splitlines()]
-        assert [row[:n] for row in traced_rows] == logged_rows
-        assert traced_rows[0][n:] == ["settle_x", "settle_y"]

@@ -3,13 +3,16 @@
     python3 tools/bench_pair.py --parent REV --change REV --out BENCH_<n>.json
 
 Each commit is exported with `git archive` into its own temporary directory.
-In each, the script runs `python3 perfbench/run.py --workload W --seed 42
---seconds S` for every workload in BENCHMARK.json, with its run_seconds as
-S, alternating between the two commits, then the acceptance Monte Carlo
-test (test_04) of each, timed by pytest's JUnit report. The record holds
-every result line as run.py printed it, next to the machine facts run.py
-logged for that run (versions and load average), the machine, and the
-command that wrote it.
+For every workload in BENCHMARK.json the script runs PAIRS pairs of
+`python3 perfbench/run.py --workload W --seed 42 --seconds S`, with the
+workload's run_seconds as S, one run of each commit per pair; the commit
+that goes first alternates from pair to pair. Then it times PAIRS pairs of
+the acceptance Monte Carlo test (test_04) the same way, by pytest's JUnit
+report. The record keeps every result line as run.py printed it, next to
+the machine facts run.py logged for that run (versions and load average),
+and for each commit the median and quartiles (inclusive method) of every
+end-to-end metric and of test_04's time, plus the machine and the command
+that wrote it.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -27,6 +31,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TEST_04 = "tests/test_acceptance.py::test_04_priced_noise_is_truthful"
 SEED = 42
+PAIRS = 10  # runs per side and workload
+SIDES = ("parent", "change")
 
 
 def export(rev: str, into: Path) -> str:
@@ -72,6 +78,26 @@ def cpu_model() -> str:
     return platform.processor()
 
 
+def pair_order(k: int) -> tuple[str, ...]:
+    """The sides in the order pair k runs them; the first alternates."""
+    return SIDES if k % 2 == 0 else SIDES[::-1]
+
+
+def spread(values: list[float]) -> dict:
+    """Median and quartiles of one metric over a side's runs."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(runs: list[dict], metrics: list[str]) -> dict:
+    """Median and quartiles of each end-to-end metric over the runs of one side."""
+    return {
+        name: {**spread([r["result"]["metrics"][name]["value"] for r in runs]),
+               "unit": runs[0]["result"]["metrics"][name]["unit"]}
+        for name in metrics
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True)
@@ -80,23 +106,36 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in bench["workloads"]]
-    sides = ("parent", "change")
+    metrics = [m["name"] for m in bench["end_to_end"]]
     record: dict = {
         "command": " ".join(["python3", "tools/bench_pair.py", *(argv or sys.argv[1:])]),
         "machine": {"cpu": cpu_model(), "platform": platform.platform()},
-        "commits": {}, "runs": {side: {} for side in sides}, "test_04_s": {},
+        "commits": {}, "pairs": PAIRS,
+        "runs": {side: {w: [] for w in workloads} for side in SIDES},
+        "test_04_s": {side: [] for side in SIDES},
     }
     with tempfile.TemporaryDirectory() as tmp:
-        trees = {side: Path(tmp) / side for side in sides}
-        for side in sides:
+        trees = {side: Path(tmp) / side for side in SIDES}
+        for side in SIDES:
             record["commits"][side] = export(getattr(args, side), trees[side])
-        for k, workload in enumerate(workloads):
-            for side in sides if k % 2 == 0 else sides[::-1]:
-                print(f"{side}: {workload}", file=sys.stderr, flush=True)
-                result, facts = run_workload(trees[side], workload, SEED, bench["run_seconds"])
-                record["runs"][side][workload] = {"result": result, "facts": facts}
-        for side in sides:
-            record["test_04_s"][side] = time_test_04(trees[side])
+        for workload in workloads:
+            for k in range(PAIRS):
+                for side in pair_order(k):
+                    print(f"{side}: {workload} {k + 1}/{PAIRS}", file=sys.stderr, flush=True)
+                    result, facts = run_workload(
+                        trees[side], workload, SEED, bench["run_seconds"]
+                    )
+                    record["runs"][side][workload].append({"result": result, "facts": facts})
+        for k in range(PAIRS):
+            for side in pair_order(k):
+                record["test_04_s"][side].append(time_test_04(trees[side]))
+    record["summary"] = {
+        side: {
+            **{w: summarize(record["runs"][side][w], metrics) for w in workloads},
+            "test_04_s": spread(record["test_04_s"][side]),
+        }
+        for side in SIDES
+    }
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
     return 0
 
