@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
 
 from noisycfmm import (
     ExcessProfitResult,
+    LPNoiseProblem,
+    NoiseLPSolution,
     TradingCurve,
     make_random_policy,
     replica_rng,
     run_strategy_once,
     truthful_strategy,
 )
-from noisycfmm.harness import _summarize
+from noisycfmm.harness import _RATIO_EPS_CAP, _design, _fee_cost_matrix, _summarize
 
 
 def integral_price_quadrature(
@@ -91,3 +97,36 @@ def scalar_excess_profit(config, *, keep_samples: bool = False):
         kind, config.fee_policy.kind.value, mean, se, ci, samples.size, benchmark,
         per_policy_means, tuple(samples.tolist()) if keep_samples else None,
     )
+
+
+def pairwise_noise_lp(problem: LPNoiseProblem) -> NoiseLPSolution:
+    """optimize_noise_lp with one ratio row per ordered input pair and output.
+
+    The reference for the envelope form: p(o|v) <= e^eps * p(o|v') for every
+    v != v', m(m-1)*n rows over the m*n probabilities alone, in (v, v', o)
+    order. The designs are built from the solution as optimize_noise_lp
+    builds them, without its validation.
+    """
+    vins = np.array(problem.input_grid)
+    outs = np.array(problem.output_grid)
+    m, n = len(vins), len(outs)
+    cost = _fee_cost_matrix(problem)
+    a_eq = sparse.vstack([
+        sparse.kron(sparse.identity(m), np.ones((1, n))),
+        sparse.block_diag((outs - vins[:, None])[:, None, :]),
+    ], format="csc")
+    b_eq = np.concatenate([np.ones(m), np.zeros(m)])
+    a_ub = b_ub = None
+    if m > 1 and problem.spec.epsilon <= _RATIO_EPS_CAP:
+        i, i2 = np.nonzero(~np.eye(m, dtype=bool))
+        pairs = np.zeros((i.size, m))
+        pairs[np.arange(i.size), i] = 1.0
+        pairs[np.arange(i.size), i2] = -math.exp(problem.spec.epsilon)
+        a_ub = sparse.kron(pairs, sparse.identity(n), format="csc")
+        b_ub = np.zeros(a_ub.shape[0])
+    res = linprog(
+        (cost / m).ravel(), A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+        bounds=(0.0, None), method="highs",
+    )
+    assert res.success, res.message
+    return _design(problem, cost, res.x, str(res.message))

@@ -14,7 +14,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from noisycfmm import (
     ExperimentConfig,

@@ -6,11 +6,12 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from noisycfmm import ExperimentConfig, cli, estimate_excess_profit
+from noisycfmm import ExperimentConfig, cli, estimate_excess_profit, harness
 
 QUOTE_ARGS = [
     "quote-fee", "--curve", "cp", "--level", "10000", "--x", "100",
@@ -401,6 +402,25 @@ class TestOptimizeNoise:
         code, _, err = run(capsys, ["optimize-noise", "--config", path])
         assert code == 2
         assert "reference_y" in err
+
+    def test_design_failing_its_check_exits_two(self, capsys, tmp_path, monkeypatch):
+        # the solver's design puts 1e-4 of input 0's mass one output too high
+        original = harness.linprog
+
+        def off_center(*args, **kwargs):
+            res = original(*args, **kwargs)
+            x = res.x.copy()
+            used = np.flatnonzero(x[:9] > 1e-3)
+            x[used[0]] -= 1e-4
+            x[used[-1]] += 1e-4
+            res.x = x
+            return res
+
+        monkeypatch.setattr(harness, "linprog", off_center)
+        code, out, err = run(capsys, ["optimize-noise", "--config", self.small_config(tmp_path)])
+        assert code == 2
+        assert out == ""
+        assert "zero-mean violation" in err
 
 
 class TestScalingStudy:

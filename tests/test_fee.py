@@ -1,7 +1,5 @@
 """Noise fee pricing: generic engine, closed form, independent oracles."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings

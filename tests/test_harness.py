@@ -21,7 +21,6 @@ from noisycfmm import (
     PrivacySpec,
     StrategyConfig,
     TradingCurve,
-    Z99,
     binary_mechanism,
     check_expectation,
     estimate_excess_profit,
@@ -38,6 +37,7 @@ from noisycfmm import (
 )
 from noisycfmm import harness
 from noisycfmm.market import MarketState
+from oracles import pairwise_noise_lp
 
 REF_SPEC = PrivacySpec(0.0, 2.0, 2.0)
 HALF_WIDTH_SPREAD = 1.0 / math.tanh(1.0)  # worst |eta| under REF_SPEC
@@ -432,6 +432,48 @@ class TestNoiseLP:
         monkeypatch.setattr(harness, "linprog", counting)
         assert optimize_noise_lp(self.small_problem()) == expected
         assert len(calls) == 1
+
+    def test_ratio_rows_are_one_envelope_per_output(self, monkeypatch):
+        # 2*m*n rows over the m*n probabilities and n envelopes, not m(m-1)*n
+        expected = optimize_noise_lp(self.small_problem())
+        original, shapes = harness.linprog, []
+
+        def checking(*args, **kwargs):
+            shapes.append(kwargs["A_ub"].shape)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "linprog", checking)
+        assert optimize_noise_lp(self.small_problem()) == expected
+        assert shapes == [(2 * 5 * 9, 5 * 9 + 9)]
+
+    @pytest.mark.parametrize("eps", [0.5, 2.0, 8.0])
+    @pytest.mark.parametrize("m,n", [(5, 9), (11, 21)])
+    @pytest.mark.parametrize("level,tau", [(1e4, (0.0, 2.0)), (1e3, (-1.0, 0.5))])
+    def test_matches_the_pairwise_form(self, level, tau, m, n, eps):
+        problem = LPNoiseProblem.build(
+            TradingCurve.constant_product(level), 100.0, PrivacySpec(*tau, eps),
+            n_inputs=m, n_outputs=n,
+        )
+        solution, reference = optimize_noise_lp(problem), pairwise_noise_lp(problem)
+        assert solution.outputs_used == reference.outputs_used
+        assert solution.per_input_fees == pytest.approx(reference.per_input_fees, rel=1e-9, abs=0)
+
+    def test_design_failing_its_check_raises(self, monkeypatch):
+        # move 1e-4 of input 0's mass from its lowest to its highest output
+        original, n = harness.linprog, 9
+
+        def off_center(*args, **kwargs):
+            res = original(*args, **kwargs)
+            x = res.x.copy()
+            used = np.flatnonzero(x[:n] > 1e-3)
+            x[used[0]] -= 1e-4
+            x[used[-1]] += 1e-4
+            res.x = x
+            return res
+
+        monkeypatch.setattr(harness, "linprog", off_center)
+        with pytest.raises(OptimizationError, match="fails its check: zero-mean violation"):
+            optimize_noise_lp(self.small_problem())
 
     def test_mechanism_rejects_offgrid_query(self):
         solution = optimize_noise_lp(self.small_problem())
