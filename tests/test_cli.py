@@ -404,7 +404,7 @@ class TestOptimizeNoise:
         assert "reference_y" in err
 
     def test_design_failing_its_check_exits_two(self, capsys, tmp_path, monkeypatch):
-        # the solver's design puts 1e-4 of input 0's mass one output too high
+        # move 1e-4 of input 0's mass from its lowest to its highest output
         original = harness.linprog
 
         def off_center(*args, **kwargs):

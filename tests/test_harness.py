@@ -434,7 +434,7 @@ class TestNoiseLP:
         assert len(calls) == 1
 
     def test_ratio_rows_are_one_envelope_per_output(self, monkeypatch):
-        # 2*m*n rows over the m*n probabilities and n envelopes, not m(m-1)*n
+        # 2*m*n rows over the m*n probabilities and the n envelopes
         expected = optimize_noise_lp(self.small_problem())
         original, shapes = harness.linprog, []
 
