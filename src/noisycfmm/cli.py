@@ -5,7 +5,9 @@ Exit codes: 0 success, 1 a configured expectation was falsified by the run,
 and propagate). Randomized commands refuse to run without an explicit seed;
 nothing ever falls back to wall-clock seeding. JSON output is canonical
 (sorted keys, two-space indent) so identical config and seed give
-byte-identical bytes.
+byte-identical bytes. attack-demo, simulate and optimize-noise import
+harness, and with it numpy, when they run; the other subcommands never load
+numpy.
 """
 
 from __future__ import annotations
@@ -23,26 +25,11 @@ from .codec import (
     choice, fields_of, integer, number, number_list, optional, pair, parse_fields, parse_kind,
     to_json,
 )
-from .curve import TradingCurve
+from .curve import TradingCurve, parse_curve
 from .errors import ConfigError, NoisyCfmmError
-from .fee import noise_fee, noise_fee_closed_form
-from .harness import (
-    ExperimentConfig,
-    LPNoiseProblem,
-    ScalingRow,
-    WitnessCandidate,
-    check_expectation,
-    estimate_excess_profit,
-    liquidity_scaling_study,
-    optimize_noise_lp,
-    parse_curve,
-    parse_privacy,
-    replica_rng,
-    reproduce_deviation_theorem,
-    validate_lp_solution,
-)
+from .fee import ScalingRow, liquidity_scaling_study, noise_fee, noise_fee_closed_form
 from .market import MarketState, eavesdrop_infer, execute_trade
-from .privacy import PrivacySpec, binary_mechanism, verify_pldp
+from .privacy import PrivacySpec, binary_mechanism, parse_privacy, verify_pldp
 
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
@@ -212,6 +199,8 @@ def quote_fee_cmd(args: argparse.Namespace) -> int:
 
 
 def attack_demo_cmd(args: argparse.Namespace) -> int:
+    from .harness import replica_rng  # numpy: replica streams are its Philox generator
+
     curve = _curve_from_args(args)
     spec = _spec_from_args(args)
     if args.seed is None:
@@ -260,6 +249,11 @@ def attack_demo_cmd(args: argparse.Namespace) -> int:
 
 
 def simulate_cmd(args: argparse.Namespace) -> int:
+    from .harness import (
+        ExperimentConfig, WitnessCandidate, check_expectation, estimate_excess_profit,
+        reproduce_deviation_theorem,
+    )
+
     raw = _load_config_file(args.config)
     experiment_obj = raw.pop("experiment", {})
     experiment = parse_kind(
@@ -313,6 +307,8 @@ def simulate_cmd(args: argparse.Namespace) -> int:
 
 
 def optimize_cmd(args: argparse.Namespace) -> int:
+    from .harness import LPNoiseProblem, optimize_noise_lp, validate_lp_solution
+
     fields = parse_fields(
         _load_config_file(args.config), _LP_FIELDS, ("curve", "reference_x", "privacy"), "config"
     )

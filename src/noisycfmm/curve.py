@@ -21,7 +21,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .codec import fields_of
+from .codec import fields_of, number, parse_kind
 from .errors import DomainError, NoSolutionError
 
 # Default represented reserve interval; the curve's own geometry may narrow it.
@@ -252,6 +252,25 @@ class TradingCurve:
             return None
         # LMSR: dP/dx = -p*(1+p), independent of the level.
         return -1.0 / (price * (1.0 + price))
+
+
+_CURVE_FAMILIES = {
+    "constant_product": Family.CONSTANT_PRODUCT,
+    "cp": Family.CONSTANT_PRODUCT,
+    "lmsr": Family.LMSR,
+    "constant_sum": Family.CONSTANT_SUM,
+    "csum": Family.CONSTANT_SUM,
+}
+_CURVE_FIELDS = {"level": number, "x_min": number, "x_max": number}
+_CURVE_KINDS = {
+    name: {**_CURVE_FIELDS, "slope": number} if family is Family.CONSTANT_SUM else _CURVE_FIELDS
+    for name, family in _CURVE_FAMILIES.items()
+}
+
+
+def parse_curve(obj: dict, where: str = "curve") -> TradingCurve:
+    fields = parse_kind(obj, "family", _CURVE_KINDS, ("level", "slope"), where)
+    return TradingCurve(_CURVE_FAMILIES[fields.pop("family")], **fields)
 
 
 def _z_minus_log1p(z: float) -> float:

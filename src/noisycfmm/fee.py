@@ -15,7 +15,9 @@ expansion of
 so the engine below never numerically integrates and never subtracts nearly
 equal reserve values; quadrature appears only in tests as an independent
 oracle. For the constant-product family and two-atom zero-mean noise there is
-also a one-line closed form used to cross-check the generic engine.
+also a one-line closed form used to cross-check the generic engine. The
+liquidity scaling study prices one trade on constant-product pools of scaled
+depth, to show the fee falling inversely with liquidity.
 """
 
 from __future__ import annotations
@@ -23,10 +25,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .curve import TradingCurve
 from .errors import DistributionShapeError, DomainError, NonZeroMeanError
-from .privacy import NoiseDistribution
+from .privacy import NoiseDistribution, PrivacySpec, binary_mechanism
 
 # |mean| below this (relative to atom scale) counts as zero-mean.
 ZERO_MEAN_TOL = 1e-12
@@ -108,3 +111,58 @@ def noise_fee_closed_form(
     if not math.isfinite(gamma):
         raise DomainError(f"noise fee {gamma} is not finite")
     return FeeQuote(gamma, state_x, delta, dist, FeeMethod.CLOSED_FORM)
+
+
+# -- fee versus liquidity -------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class ScalingRow:
+    multiplier: float
+    level: float
+    gamma: float
+    liquidity: float
+    fee_liquidity_product: float
+
+
+@dataclass(frozen=True, slots=True)
+class ScalingStudyResult:
+    rows: tuple[ScalingRow, ...]
+    price: float
+    trade_size: float
+    max_relative_spread: float
+
+
+def liquidity_scaling_study(
+    base_level: float,
+    multipliers: Sequence[float],
+    price: float,
+    trade_size: float,
+    spec: PrivacySpec,
+) -> ScalingStudyResult:
+    """Fee times |liquidity| across constant-product curves of scaled depth.
+
+    The same trade with the same masking spec is priced on each curve at the
+    reserve point with the given spot price. The product column is the
+    inverse-liquidity law: it stays (approximately) constant while the fee
+    itself shrinks as depth grows. max_relative_spread is the worst relative
+    deviation of the product column from its mean, which sums the column
+    left to right.
+    """
+    dist = binary_mechanism(trade_size, spec)
+    rows = []
+    total = 0.0  # a loop, not sum(), which compensates from Python 3.12 on
+    for m in multipliers:
+        curve = TradingCurve.constant_product(m * base_level)
+        x = curve.x_of_price(price)
+        gamma = noise_fee(curve, x, trade_size, dist).gamma
+        liq = curve.liquidity(price)
+        assert liq is not None  # constant product always has finite price slope
+        rows.append(ScalingRow(m, m * base_level, gamma, liq, gamma * abs(liq)))
+        total += rows[-1].fee_liquidity_product
+    center = total / len(rows)
+    spread = (
+        max(abs(r.fee_liquidity_product - center) for r in rows) / abs(center)
+        if center else math.inf
+    )
+    return ScalingStudyResult(tuple(rows), price, trade_size, spread)

@@ -31,10 +31,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .codec import choice, fields_of, integer, number, optional, pair, parse_fields, parse_kind
-from .curve import Family, TradingCurve
+from .codec import choice, fields_of, integer, number, optional, parse_fields, parse_kind
+from .curve import Family, TradingCurve, parse_curve
 from .errors import ConfigError, DomainError, NoisyCfmmError, OptimizationError
-from .fee import noise_fee
+from .fee import (  # the scaling study lives in fee; harness still hands it out
+    ScalingRow,
+    ScalingStudyResult,
+    liquidity_scaling_study,
+    noise_fee,
+)
 from .market import FeePolicy, FeePolicyKind, MarketState, support_check
 from .privacy import (
     EPSILON_FLOOR,
@@ -46,6 +51,7 @@ from .privacy import (
     biased_binary,
     biased_factory,
     binary_mechanism,
+    parse_privacy,
     verify_pldp,
 )
 from .strategies import (
@@ -177,34 +183,6 @@ def _lemire_rejects(word: np.ndarray, span: int) -> np.ndarray:
 
 
 # -- strict config parsing ----------------------------------------------------
-
-_CURVE_FAMILIES = {
-    "constant_product": Family.CONSTANT_PRODUCT,
-    "cp": Family.CONSTANT_PRODUCT,
-    "lmsr": Family.LMSR,
-    "constant_sum": Family.CONSTANT_SUM,
-    "csum": Family.CONSTANT_SUM,
-}
-_CURVE_FIELDS = {"level": number, "x_min": number, "x_max": number}
-_CURVE_KINDS = {
-    name: {**_CURVE_FIELDS, "slope": number} if family is Family.CONSTANT_SUM else _CURVE_FIELDS
-    for name, family in _CURVE_FAMILIES.items()
-}
-
-
-def parse_curve(obj: dict, where: str = "curve") -> TradingCurve:
-    fields = parse_kind(obj, "family", _CURVE_KINDS, ("level", "slope"), where)
-    return TradingCurve(_CURVE_FAMILIES[fields.pop("family")], **fields)
-
-
-def _epsilon(value, path: str) -> float:
-    return math.inf if value == "inf" else number(value, path)
-
-
-def parse_privacy(obj: dict, where: str = "privacy") -> PrivacySpec:
-    fields = parse_fields(obj, {"tau": pair, "epsilon": _epsilon}, ("tau", "epsilon"), where)
-    return PrivacySpec(*fields["tau"], fields["epsilon"])
-
 
 _FEE_POLICIES = {
     "noise_fee": {}, "zero": {}, "fixed": {"value": number}, "scaled": {"multiplier": number},
@@ -946,56 +924,6 @@ def reproduce_deviation_theorem(
         case, mu, confirmed.ci99[0] > 0.0, p_hat, detour, confirmed.mean,
         confirmed.std_error, confirmed.ci99, config.replicas, tuple(candidates),
     )
-
-
-# -- fee versus liquidity -------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class ScalingRow:
-    multiplier: float
-    level: float
-    gamma: float
-    liquidity: float
-    fee_liquidity_product: float
-
-
-@dataclass(frozen=True, slots=True)
-class ScalingStudyResult:
-    rows: tuple[ScalingRow, ...]
-    price: float
-    trade_size: float
-    max_relative_spread: float
-
-
-def liquidity_scaling_study(
-    base_level: float,
-    multipliers: Sequence[float],
-    price: float,
-    trade_size: float,
-    spec: PrivacySpec,
-) -> ScalingStudyResult:
-    """Fee times |liquidity| across constant-product curves of scaled depth.
-
-    The same trade with the same masking spec is priced on each curve at the
-    reserve point with the given spot price. The product column is the
-    inverse-liquidity law: it stays (approximately) constant while the fee
-    itself shrinks as depth grows. max_relative_spread is the worst relative
-    deviation of the product column from its mean.
-    """
-    dist = binary_mechanism(trade_size, spec)
-    rows = []
-    for m in multipliers:
-        curve = TradingCurve.constant_product(m * base_level)
-        x = curve.x_of_price(price)
-        gamma = noise_fee(curve, x, trade_size, dist).gamma
-        liq = curve.liquidity(price)
-        assert liq is not None  # constant product always has finite price slope
-        rows.append(ScalingRow(m, m * base_level, gamma, liq, gamma * abs(liq)))
-    products = np.array([r.fee_liquidity_product for r in rows])
-    center = float(np.mean(products))
-    spread = float(np.max(np.abs(products - center)) / abs(center)) if center else math.inf
-    return ScalingStudyResult(tuple(rows), price, trade_size, spread)
 
 
 # -- cheapest-noise linear program ----------------------------------------------

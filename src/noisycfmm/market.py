@@ -21,14 +21,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .curve import TradingCurve
 from .errors import HiddenAccountError, SpecViolationError
 from .fee import noise_fee
 from .privacy import NoiseDistribution, PrivacySpec, binary_mechanism
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DistFactory = Callable[[float, PrivacySpec], NoiseDistribution]
 

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-import numpy as np
-
+from .codec import number, pair, parse_fields
 from .errors import (
     ConfigError,
     DistributionShapeError,
@@ -26,6 +25,9 @@ from .errors import (
     MisalignedSupportError,
     SpecViolationError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Below this epsilon the two-point atom width blows past any float budget;
 # requests are rejected rather than silently degraded.
@@ -38,10 +40,11 @@ PROBABILITY_TOL = 1e-12
 MATCH_TOL = 1e-9
 
 # verify_pldp's largest grid. Each grid point adds one (output, input,
-# probability) entry per atom, about 190 bytes with its floats, and each
-# distinct output a column of grid_size floats. For the two-point mechanism
-# at 10**6 points: 2*10**6 entries and two 8 MB columns, 0.4 GB peak and 5 s
-# on a 2-core Xeon.
+# probability) entry per atom, about 190 bytes with its floats, and puts the
+# entry's input and probability on its output's bucket lists. Memory grows
+# with the entries alone, however many distinct outputs there are. For the
+# two-point mechanism at 10**6 points: 2*10**6 entries in two buckets, 0.45 GB
+# peak RSS and 6 s on a 2-core Xeon.
 MAX_GRID_SIZE = 10**6
 
 
@@ -61,6 +64,10 @@ class PrivacySpec:
         if self.lower > self.upper:
             raise SpecViolationError(
                 f"masking interval needs lower <= upper, got [{self.lower}, {self.upper}]"
+            )
+        if not math.isfinite(self.upper - self.lower):
+            raise SpecViolationError(
+                f"masking interval width overflows, got [{self.lower}, {self.upper}]"
             )
         if not self.epsilon > 0.0:  # also rejects NaN
             raise SpecViolationError(f"epsilon must be positive, got {self.epsilon}")
@@ -88,6 +95,15 @@ class PrivacySpec:
 
     def _json_shape(self) -> dict:
         return {"tau": [self.lower, self.upper], "epsilon": self.epsilon}
+
+
+def _epsilon(value, path: str) -> float:
+    return math.inf if value == "inf" else number(value, path)
+
+
+def parse_privacy(obj: dict, where: str = "privacy") -> PrivacySpec:
+    fields = parse_fields(obj, {"tau": pair, "epsilon": _epsilon}, ("tau", "epsilon"), where)
+    return PrivacySpec(*fields["tau"], fields["epsilon"])
 
 
 @dataclass(frozen=True, slots=True)
@@ -274,48 +290,45 @@ def verify_pldp(
         raise ConfigError(f"grid_size must be >= 1, got {grid_size}")
     if grid_size > MAX_GRID_SIZE:
         raise ConfigError(f"grid_size must be <= {MAX_GRID_SIZE}, got {grid_size}")
-    if spec.lower == spec.upper:
-        grid = np.array([spec.lower])
-    else:
-        grid = np.linspace(spec.lower, spec.upper, grid_size)
+    grid = [float(spec.lower)] if spec.lower == spec.upper else _linspace(
+        spec.lower, spec.upper, grid_size
+    )
 
-    # entry list: (observable output, input index, probability)
+    # entry list: (observable output, input index, probability), sorted
     entries: list[tuple[float, int, float]] = []
     for i, v in enumerate(grid):
-        dist = mechanism(float(v))
-        for atom in dist.atoms:
-            entries.append((float(v) + atom.eta, i, atom.p))
-    entries.sort(key=lambda e: e[0])
+        for atom in mechanism(v).atoms:
+            entries.append((v + atom.eta, i, atom.p))
+    entries.sort()
+
+    # a bucket holds the inputs and probabilities of the entries from the
+    # output that opens it to the last output within MATCH_TOL of that one
+    buckets: list[tuple[float, list[int], list[float]]] = []
+    anchor = math.nan
+    inputs: list[int] = []
+    probs: list[float] = []
+    for out, i, p in entries:
+        if not buckets or out - anchor > MATCH_TOL:
+            anchor, inputs, probs = out, [i], [p]
+            buckets.append((anchor, inputs, probs))
+        else:
+            inputs.append(i)
+            probs.append(p)
 
     n = len(grid)
-    columns: list[np.ndarray] = []
-    anchor = math.nan
-    col: np.ndarray | None = None
-    filled: set[int] = set()
-    for out, i, p in entries:
-        if col is None or out - anchor > MATCH_TOL:
-            anchor = out
-            col = np.zeros(n)
-            columns.append(col)
-            filled = set()
-        if i in filled:
-            raise MisalignedSupportError(
-                f"input {grid[i]} has two outputs within {MATCH_TOL} of {anchor}; "
-                "alignment across inputs is ambiguous"
-            )
-        filled.add(i)
-        col[i] = p
-
     try:
         bound = math.exp(spec.epsilon)
     except OverflowError:
         bound = math.inf
     max_ratio = 1.0
-    for col in columns:
-        top = float(col.max())
+    for anchor, inputs, probs in buckets:
+        if len(set(inputs)) < len(inputs):
+            _raise_misaligned(grid, anchor, inputs)
+        top, bottom = max(probs), min(probs)
+        if len(probs) < n:  # the inputs this output misses give it probability 0
+            top, bottom = max(top, 0.0), min(bottom, 0.0)
         if top <= 0.0:
             continue  # all-zero bucket: every pairwise ratio is 0/0 = 1
-        bottom = float(col.min())
         ratio = math.inf if bottom <= 0.0 else top / bottom
         if ratio > max_ratio:
             max_ratio = ratio
@@ -325,6 +338,38 @@ def verify_pldp(
         max_ratio=max_ratio,
         satisfied=satisfied,
         bound=bound,
-        grid_size=len(grid),
-        n_outputs=len(columns),
+        grid_size=n,
+        n_outputs=len(buckets),
     )
+
+
+def _linspace(lower: float, upper: float, n: int) -> list[float]:
+    """numpy.linspace(lower, upper, n) in Python floats, bit for bit.
+
+    numpy adds lower to k * step, with step = (upper - lower)/(n - 1), and
+    sets the last point to upper; when step underflows to zero it scales
+    k/(n - 1) by the width instead.
+    """
+    if n == 1:
+        return [lower + 0.0]  # numpy's 0 * width + lower: -0.0 becomes 0.0
+    div = n - 1
+    width = upper - lower
+    step = width / div
+    if step == 0.0:
+        grid = [lower + k / div * width for k in range(div)]
+    else:
+        grid = [lower + k * step for k in range(div)]
+    grid.append(float(upper))
+    return grid
+
+
+def _raise_misaligned(grid: list[float], anchor: float, inputs: list[int]) -> None:
+    """Name the first input of a bucket that already has an output there."""
+    seen: set[int] = set()
+    for i in inputs:
+        if i in seen:
+            raise MisalignedSupportError(
+                f"input {grid[i]} has two outputs within {MATCH_TOL} of {anchor}; "
+                "alignment across inputs is ambiguous"
+            )
+        seen.add(i)

@@ -16,10 +16,9 @@ trusting the bottom line.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .errors import ConfigError, HiddenAccountError
 from .market import (
@@ -31,6 +30,9 @@ from .market import (
     execute_trade,
 )
 from .privacy import PrivacySpec, binary_mechanism
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_MAX_ROUNDS = 64
 
@@ -98,7 +100,7 @@ class _Runner:
         delta = self.correction_delta()
         if delta == 0.0:
             return None
-        return self.trade(delta, PrivacySpec(delta, delta, np.inf))
+        return self.trade(delta, PrivacySpec(delta, delta, math.inf))
 
     def finish(self) -> StrategyTrace:
         profit = (
@@ -220,7 +222,7 @@ def case2_deviation(
     runner = _Runner(state, true_price, rng, fee_policy, dist_factory)
     detour = state.curve.x_of_price(detour_price) - state.x
     if detour != 0.0:
-        runner.trade(detour, PrivacySpec(detour, detour, np.inf))
+        runner.trade(detour, PrivacySpec(detour, detour, math.inf))
     runner.trade(trade_size, spec)
     runner.trade_to_true_price()
     return runner.finish()

@@ -9,9 +9,12 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from noisycfmm import (
+    ConfigError,
     ExcessProfitResult,
     LPNoiseProblem,
+    MisalignedSupportError,
     NoiseLPSolution,
+    PLDPReport,
     TradingCurve,
     make_random_policy,
     replica_rng,
@@ -19,6 +22,7 @@ from noisycfmm import (
     truthful_strategy,
 )
 from noisycfmm.harness import _RATIO_EPS_CAP, _design, _fee_cost_matrix, _summarize
+from noisycfmm.privacy import MATCH_TOL, MAX_GRID_SIZE
 
 
 def integral_price_quadrature(
@@ -130,3 +134,63 @@ def pairwise_noise_lp(problem: LPNoiseProblem) -> NoiseLPSolution:
     )
     assert res.success, res.message
     return _design(problem, cost, res.x, str(res.message))
+
+
+def column_verify_pldp(mechanism, spec, grid_size=101, *, ratio_slack=1e-9) -> PLDPReport:
+    """verify_pldp with a numpy grid and one grid_size column per distinct output.
+
+    The reference for the list form: column o holds p(o|v) for every input v,
+    0 where v has no output within MATCH_TOL of o, and its max and min give
+    the output's worst ratio. Memory grows as outputs x grid_size.
+    """
+    if grid_size < 1:
+        raise ConfigError(f"grid_size must be >= 1, got {grid_size}")
+    if grid_size > MAX_GRID_SIZE:
+        raise ConfigError(f"grid_size must be <= {MAX_GRID_SIZE}, got {grid_size}")
+    if spec.lower == spec.upper:
+        grid = np.array([spec.lower])
+    else:
+        grid = np.linspace(spec.lower, spec.upper, grid_size)
+
+    entries: list[tuple[float, int, float]] = []
+    for i, v in enumerate(grid):
+        dist = mechanism(float(v))
+        for atom in dist.atoms:
+            entries.append((float(v) + atom.eta, i, atom.p))
+    entries.sort(key=lambda e: e[0])
+
+    n = len(grid)
+    columns: list[np.ndarray] = []
+    anchor = math.nan
+    col: np.ndarray | None = None
+    filled: set[int] = set()
+    for out, i, p in entries:
+        if col is None or out - anchor > MATCH_TOL:
+            anchor = out
+            col = np.zeros(n)
+            columns.append(col)
+            filled = set()
+        if i in filled:
+            raise MisalignedSupportError(
+                f"input {grid[i]} has two outputs within {MATCH_TOL} of {anchor}; "
+                "alignment across inputs is ambiguous"
+            )
+        filled.add(i)
+        col[i] = p
+
+    try:
+        bound = math.exp(spec.epsilon)
+    except OverflowError:
+        bound = math.inf
+    max_ratio = 1.0
+    for col in columns:
+        top = float(col.max())
+        if top <= 0.0:
+            continue
+        bottom = float(col.min())
+        ratio = math.inf if bottom <= 0.0 else top / bottom
+        if ratio > max_ratio:
+            max_ratio = ratio
+    finite = math.isfinite(max_ratio)
+    satisfied = max_ratio <= bound * (1.0 + ratio_slack) if finite else math.isinf(spec.epsilon)
+    return PLDPReport(max_ratio, satisfied, bound, len(grid), len(columns))

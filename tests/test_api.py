@@ -9,6 +9,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import noisycfmm
 
 PACKAGE = Path(noisycfmm.__file__).parent
@@ -104,31 +106,43 @@ def test_benchmark_tracer_wraps_the_lp_solver():
     assert [getattr(owner, name) for owner, name in listed] == originals
 
 
-# Cold start: the README's quote-fee, verify-pldp and attack-demo runs load no
-# scipy module; only the noise LP (optimize-noise) does, on its first solve.
+# Cold start: quote-fee, verify-pldp and scaling-study load neither numpy nor
+# harness; attack-demo loads numpy (replica_rng is numpy's Philox) but no
+# scipy module; only the noise LP (optimize-noise) loads scipy, on its first
+# solve.
 COLD_START = textwrap.dedent("""
     import contextlib, io, json, sys, tempfile
     import noisycfmm, noisycfmm.cli as cli
 
-    runs = [
-        ["quote-fee", "--curve", "cp", "--level", "1e4", "--x", "100", "--delta", "1",
-         "--tau", "0,2", "--epsilon", "2"],
-        ["verify-pldp", "--tau", "0,2", "--epsilon", "2", "--grid", "101"],
-        ["attack-demo", "--curve", "cp", "--level", "1e4", "--x", "100", "--delta", "1",
-         "--tau", "0,2", "--epsilon", "2", "--seed", "3"],
+    def loaded():
+        return {"numpy": "numpy" in sys.modules, "harness": "noisycfmm.harness" in sys.modules,
+                "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}
+
+    def run(argv, config=None):
+        with tempfile.NamedTemporaryFile("w", suffix=".json") as f:
+            json.dump(config, f)
+            f.flush()
+            with contextlib.redirect_stdout(io.StringIO()):
+                return cli.main(argv + (["--config", f.name] if config else []))
+
+    scale = {"base_level": 1e4, "multipliers": [1, 4, 16], "price": 1.0, "trade_size": 1.0,
+             "privacy": {"tau": [0.0, 2.0], "epsilon": 2.0}, "expect_max_spread": 0.02}
+    lean = [
+        run(["quote-fee", "--curve", "cp", "--level", "1e4", "--x", "100", "--delta", "1",
+             "--tau", "0,2", "--epsilon", "2"]),
+        run(["verify-pldp", "--tau", "0,2", "--epsilon", "2", "--grid", "101"]),
+        run(["scaling-study"], scale),
     ]
-    with contextlib.redirect_stdout(io.StringIO()):
-        codes = [cli.main(argv) for argv in runs]
-    scipy_before = sorted(m for m in sys.modules if m.startswith("scipy"))
+    after_lean = loaded()
+    attack = run(["attack-demo", "--curve", "cp", "--level", "1e4", "--x", "100",
+                  "--delta", "1", "--tau", "0,2", "--epsilon", "2", "--seed", "3"])
+    after_attack = loaded()
     lp = {"curve": {"family": "constant_product", "level": 1e4}, "reference_x": 100.0,
           "privacy": {"tau": [0.0, 2.0], "epsilon": 2.0}, "n_inputs": 21, "n_outputs": 41,
           "expect": {"max_average_fee": 0.017, "max_fee_at": [1.0, 0.017]}}
-    with tempfile.NamedTemporaryFile("w", suffix=".json") as f:
-        json.dump(lp, f)
-        f.flush()
-        with contextlib.redirect_stdout(io.StringIO()):
-            lp_code = cli.main(["optimize-noise", "--config", f.name, "--output", "json"])
-    print(json.dumps({"codes": codes, "scipy_before": scipy_before, "lp_code": lp_code,
+    lp_code = run(["optimize-noise", "--output", "json"], lp)
+    print(json.dumps({"lean": lean, "after_lean": after_lean, "attack": attack,
+                      "after_attack": after_attack, "lp_code": lp_code,
                       "solver_loaded": "scipy.optimize" in sys.modules}))
 """)
 
@@ -139,7 +153,21 @@ def test_cli_loads_scipy_only_for_the_noise_lp():
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=120,
     )
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0, 0, 0]
-    assert result["scipy_before"] == []
+    assert result["lean"] == [0, 0, 0]
+    assert result["after_lean"] == {"numpy": False, "harness": False, "scipy": []}
+    assert result["attack"] == 0
+    assert result["after_attack"] == {"numpy": True, "harness": True, "scipy": []}
     assert result["lp_code"] == 0
     assert result["solver_loaded"]
+
+
+def test_harness_names_are_looked_up_on_every_access(monkeypatch):
+    from noisycfmm import harness
+
+    assert noisycfmm.replica_rng is harness.replica_rng
+    replacement = lambda seed, index: None  # noqa: E731
+    monkeypatch.setattr(harness, "replica_rng", replacement)
+    assert noisycfmm.replica_rng is replacement
+    assert "replica_rng" not in vars(noisycfmm)
+    with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+        noisycfmm.not_a_name

@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -205,6 +206,13 @@ class TestVerifyPldp:
             assert report["bound"] == ("inf" if epsilon != "709" else math.exp(709.0))
             assert summary.strip().endswith("max ratio inf <= e^eps: FAIL")
 
+    def test_overflowing_width_is_a_spec_error(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would raise here
+            code, out, err = run(capsys, ["verify-pldp", "--tau=-1e308,1e308", "--epsilon", "2"])
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: masking interval width overflows, got [-1e+308, 1e+308]"]
+
 
 class TestSimulate:
     def test_truthful_contains_zero(self, capsys, tmp_path):
@@ -307,7 +315,7 @@ class TestSimulate:
         def broken(*args, **kwargs):
             raise ValueError("internal fault")
 
-        monkeypatch.setattr(cli, "estimate_excess_profit", broken)
+        monkeypatch.setattr(harness, "estimate_excess_profit", broken)
         path = write_config(tmp_path, simulate_config())
         with pytest.raises(ValueError, match="internal fault"):
             cli.main(["simulate", "--config", path])

@@ -367,6 +367,19 @@ class TestScalingStudy:
         assert deep.max_relative_spread == pytest.approx(0.00012497843069389825, rel=1e-9)
         assert deep.max_relative_spread < shallow.max_relative_spread / 50
 
+    @pytest.mark.parametrize("rows", [1, 3, 7, 8, 12])
+    def test_spread_against_numpy_mean(self, rows):
+        # numpy sums 8 or more values in eight partial sums, the study left
+        # to right: equal below 8 rows, within float rounding from 8 on
+        result = liquidity_scaling_study(1e4, range(1, rows + 1), 1.0, 1.0, REF_SPEC)
+        products = np.array([r.fee_liquidity_product for r in result.rows])
+        center = np.mean(products)
+        spread = float(np.max(np.abs(products - center)) / abs(center))
+        if rows < 8:
+            assert result.max_relative_spread == spread
+        else:
+            assert result.max_relative_spread == pytest.approx(spread, rel=1e-12, abs=0.0)
+
     def test_json_shape(self):
         result = liquidity_scaling_study(1e4, (1.0, 2.0), 1.0, 1.0, REF_SPEC)
         obj = to_json(result)

@@ -1,17 +1,21 @@
 """Masking mechanism: atom placement, zero mean, likelihood-ratio guarantee."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import column_verify_pldp
 
 from noisycfmm import (
     EPSILON_FLOOR,
     InfeasibleBiasError,
     MisalignedSupportError,
+    NoiseAtom,
     NoiseDistribution,
+    NoisyCfmmError,
     PrivacySpec,
     SpecViolationError,
     biased_binary,
@@ -52,6 +56,8 @@ class TestPrivacySpec:
             PrivacySpec(0.0, 1.0, -2.0)
         with pytest.raises(ValueError):
             PrivacySpec(math.nan, 1.0, 1.0)
+        with pytest.raises(SpecViolationError, match="width overflows"):
+            PrivacySpec(-1e308, 1e308, 2.0)
 
     def test_degenerate_forms(self):
         assert PrivacySpec(1.0, 1.0, 2.0).degenerate
@@ -268,3 +274,104 @@ class TestVerifyPLDP:
             report = verify_pldp(drifting, PrivacySpec(0.0, 2.0, epsilon), 21)
             assert math.isinf(report.max_ratio)
             assert report.satisfied is satisfied
+
+    def test_outputs_that_never_line_up_stay_small(self):
+        # every input's outputs open buckets of their own: 2 * 10**4 of them
+        def shifting(v):
+            return NoiseDistribution.from_pairs([(-1.0 - v * 1e-5, 0.5), (1.0 + v, 0.5)])
+
+        tracemalloc.start()
+        try:
+            report = verify_pldp(shifting, REF_SPEC, 10**4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert math.isinf(report.max_ratio)
+        assert report.n_outputs == 2 * 10**4
+        assert peak < 20 * 2**20
+
+
+def zero_atom_mechanism(spec):
+    """The two-point mechanism plus atoms of probability 0: one whose output
+    every input shares, and one that only the upper half of inputs has."""
+
+    def mechanism(v):
+        atoms = binary_mechanism(v, spec).atoms + (NoiseAtom(spec.upper + 1.0 - v, 0.0),)
+        if v > spec.midpoint:
+            atoms += (NoiseAtom(spec.upper + 2.0 - v, 0.0),)
+        return NoiseDistribution(atoms)
+
+    return mechanism
+
+
+def biased_mechanism(spec, share):
+    """biased_binary at a mean every input can reach: share of the atoms' headroom."""
+
+    def mechanism(v):
+        lo, hi = binary_mechanism(v, spec).support()
+        return biased_binary(v, spec, share * (0.5 * (hi - lo) - spec.width / 2.0))
+
+    return mechanism
+
+
+MECHANISMS = {
+    "binary": lambda spec, share: lambda v: binary_mechanism(v, spec),
+    "biased_binary": biased_mechanism,
+    "never_lined_up": lambda spec, share: lambda v: NoiseDistribution.from_pairs(
+        [(-1.0 - v * share * 1e-5, 0.5), (1.0, 0.5)]
+    ),
+    "zero_atoms": lambda spec, share: zero_atom_mechanism(spec),
+    "ambiguous": lambda spec, share: lambda v: NoiseDistribution.from_pairs(
+        [(0.0, 0.5), (share * 1e-12, 0.5)]
+    ),
+}
+
+
+def outcome(verify, mechanism, spec, grid_size):
+    try:
+        return verify(mechanism, spec, grid_size)
+    except NoisyCfmmError as e:
+        return type(e), str(e)
+
+
+@given(
+    pair=spec_strategy(min_eps=0.1, max_eps=8.0),
+    kind=st.sampled_from(sorted(MECHANISMS)),
+    share=st.floats(min_value=-1.0, max_value=1.0),
+    grid_size=st.sampled_from([1, 2, 101]),
+)
+@example(pair=(PrivacySpec(32.0, 32.001, 6.0), 32.0), kind="binary", share=0.0, grid_size=101)
+@example(pair=(PrivacySpec(1.0, 1.0, 2.0), 1.0), kind="zero_atoms", share=0.0, grid_size=101)
+@settings(max_examples=200, deadline=None)
+def test_verify_pldp_matches_the_column_oracle(pair, kind, share, grid_size):
+    spec, _ = pair
+    mechanism = MECHANISMS[kind](spec, share)
+    got = outcome(verify_pldp, mechanism, spec, grid_size)
+    want = outcome(column_verify_pldp, mechanism, spec, grid_size)
+    assert repr(got) == repr(want)
+
+
+@given(
+    ends=st.tuples(
+        st.floats(min_value=-1e300, max_value=1e300),
+        st.floats(min_value=-1e300, max_value=1e300),
+    ).filter(lambda t: t[0] != t[1]),
+    grid_size=st.integers(min_value=1, max_value=2000),
+)
+@example(ends=(-0.0, 3.0), grid_size=1)
+@example(ends=(0.0, 5e-324), grid_size=7)
+@settings(max_examples=200, deadline=None)
+def test_grid_is_numpy_linspace_bit_for_bit(ends, grid_size):
+    lower, upper = sorted(ends)
+    seen = []
+
+    def recording(v):
+        seen.append(v)
+        return NoiseDistribution.zero()
+
+    try:
+        verify_pldp(recording, PrivacySpec(lower, upper, 2.0), grid_size)
+    except MisalignedSupportError:
+        pass  # grid points within MATCH_TOL of each other; the grid is already seen
+    want = np.linspace(lower, upper, grid_size).tolist()
+    assert [v.hex() for v in seen] == [v.hex() for v in want]
