@@ -119,7 +119,6 @@ __all__ = [
     "execute_trade",
     "factor2_grid",
     "liquidity_scaling_study",
-    "make_random_policy",
     "noise_chasing_strategy",
     "noise_fee",
     "noise_fee_closed_form",
@@ -128,7 +127,6 @@ __all__ = [
     "replica_rng",
     "reproduce_deviation_theorem",
     "run_adaptive",
-    "run_strategy_once",
     "support_check",
     "to_json",
     "truthful_strategy",

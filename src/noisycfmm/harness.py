@@ -8,13 +8,13 @@ execution order, and reruns are bit-identical.
 
 estimate_excess_profit runs the replicas of an experiment together, as numpy
 arrays with one entry per replica, in blocks. Its reference is the scalar
-engine: run_strategy_once over the strategy functions (truthful_strategy,
-noise_chasing_strategy, case1_deviation, case2_deviation, run_adaptive),
-replica by replica. The batched step evaluates the same float operations in
-the same order, and transcendental curve queries through the same scalar
-math calls, so every sample is bit-identical to that loop's. A block in which
-some replica would raise in the scalar engine is rerun there, replica by
-replica, so the caller gets the exception that loop raised.
+engine: the strategy functions (truthful_strategy, noise_chasing_strategy,
+case1_deviation, case2_deviation, run_adaptive) run replica by replica, which
+the tests keep as an oracle. The batched step evaluates the same float
+operations in the same order, and transcendental curve queries through the
+same scalar math calls, so every sample is bit-identical to that loop's.
+A replica that would raise there raises the error market.execute_trade (or
+the curve's spot_price) gives on its arrays, the lowest such replica first.
 
 replica_rng and policy_rng define the streams, one numpy Generator at a
 time. The batched engine computes the same streams as arrays over all
@@ -33,14 +33,16 @@ import numpy as np
 
 from .codec import choice, fields_of, integer, number, optional, parse_fields, parse_kind
 from .curve import Family, TradingCurve, parse_curve
-from .errors import ConfigError, DomainError, NoisyCfmmError, OptimizationError
+from .errors import (
+    ConfigError, DomainError, HiddenAccountError, NoisyCfmmError, OptimizationError,
+)
 from .fee import (  # the scaling study lives in fee; harness still hands it out
     ScalingRow,
     ScalingStudyResult,
     liquidity_scaling_study,
     noise_fee,
 )
-from .market import FeePolicy, FeePolicyKind, MarketState, support_check
+from .market import FeePolicy, FeePolicyKind, MarketState, execute_trade, support_check
 from .privacy import (
     EPSILON_FLOOR,
     PROBABILITY_TOL,
@@ -54,16 +56,7 @@ from .privacy import (
     parse_privacy,
     verify_pldp,
 )
-from .strategies import (
-    DEFAULT_MAX_ROUNDS,
-    AdaptivePolicy,
-    StrategyTrace,
-    case1_deviation,
-    case2_deviation,
-    noise_chasing_strategy,
-    run_adaptive,
-    truthful_strategy,
-)
+from .strategies import DEFAULT_MAX_ROUNDS, check_case1, check_case2, truthful_strategy
 
 # Two-sided 99% normal quantile; CIs here use the normal approximation.
 Z99 = 2.5758293035489004
@@ -344,11 +337,15 @@ class ExcessProfitResult:
 
 
 def _summarize(samples: np.ndarray) -> tuple[float, float, tuple[float, float]]:
-    mean = float(np.mean(samples))
-    if samples.size < 2:
-        return mean, 0.0, (mean, mean)
-    se = float(np.std(samples, ddof=1)) / math.sqrt(samples.size)
-    return mean, se, (mean - Z99 * se, mean + Z99 * se)
+    """Mean, standard error and 99% CI; one that overflows raises DomainError."""
+    with np.errstate(all="ignore"):  # reported below, not warned about
+        mean = float(np.mean(samples))
+        se = float(np.std(samples, ddof=1)) / math.sqrt(samples.size) if samples.size > 1 else 0.0
+    ci = (mean - Z99 * se, mean + Z99 * se) if samples.size > 1 else (mean, mean)
+    for name, value in zip(("mean", "standard error", "CI end", "CI end"), (mean, se, *ci)):
+        if not math.isfinite(value):
+            raise DomainError(f"excess-profit {name} {value} is not finite")
+    return mean, se, ci
 
 
 # A random policy draws, in this order, uniforms for its aggression, offset,
@@ -398,67 +395,6 @@ def _policy_table(seed: int, n_policies: int, base_spec: PrivacySpec) -> np.ndar
     return table
 
 
-def make_random_policy(
-    seed: int, index: int, base_spec: PrivacySpec, true_price: float
-) -> AdaptivePolicy:
-    """A parameter-randomized but state-deterministic adaptive policy.
-
-    Parameters (aggression toward the true-price reserve, a constant probe
-    offset, masking width, epsilon, and how often to trade privately) are
-    drawn once from the policy substream; the policy itself is then a pure
-    function of the observed state (the private cadence reads
-    ``state.trades``), so replicas stay reproducible and fee policies can be
-    compared on identical noise streams.
-    """
-    aggression, offset, width, epsilon, private_period = _policy_params(seed, index, base_spec)
-
-    def policy(state: MarketState) -> tuple[float, PrivacySpec] | None:
-        target = state.curve.x_of_price(true_price)
-        delta = aggression * (target - state.x) + offset
-        cap = 0.25 * state.x  # keep probes small next to the reserve
-        delta = min(max(delta, -cap), cap)
-        if state.trades % private_period == 0 and width > 0.0:
-            half = 0.5 * width
-            return delta, PrivacySpec(delta - half, delta + half, epsilon)
-        return delta, PrivacySpec(delta, delta, math.inf)
-
-    return policy
-
-
-def run_strategy_once(
-    config: ExperimentConfig, state: MarketState, rng: np.random.Generator | None,
-    policy: AdaptivePolicy | None = None,
-) -> StrategyTrace:
-    kind = config.strategy.kind
-    factory = config.noise.factory()
-    if kind == "truthful":
-        return truthful_strategy(state, config.true_price)
-    if kind == "noise_chasing":
-        return noise_chasing_strategy(
-            state, config.true_price, config.privacy, config.strategy.max_rounds, rng,
-            fee_policy=config.fee_policy, dist_factory=factory,
-        )
-    if kind == "case1":
-        return case1_deviation(
-            state, config.true_price, config.strategy.trade_size, config.privacy, rng,
-            fee_policy=config.fee_policy, dist_factory=factory,
-        )
-    if kind == "case2":
-        return case2_deviation(
-            state, config.true_price, config.strategy.detour_price,
-            config.strategy.trade_size, config.privacy, rng,
-            fee_policy=config.fee_policy, dist_factory=factory,
-        )
-    if kind == "adaptive_random":
-        if policy is None:
-            raise ValueError("adaptive_random needs a policy; use estimate_excess_profit")
-        return run_adaptive(
-            policy, state, config.true_price, config.strategy.bound, rng,
-            fee_policy=config.fee_policy, dist_factory=factory,
-        )
-    raise ConfigError(f"unknown strategy kind {kind!r}")
-
-
 # -- the batched replica engine --------------------------------------------------
 
 # Replicas run together in blocks of at most _BLOCK, and each replica holds
@@ -467,8 +403,8 @@ def run_strategy_once(
 _BLOCK = 4096
 
 
-class _Replay(Exception):
-    """Some replica of the block would raise in the scalar engine."""
+class _Failed(Exception):
+    """args: a replica's index and the error it raises in the scalar engine."""
 
 
 def _y_of_x(curve: TradingCurve, x: np.ndarray) -> np.ndarray:
@@ -486,11 +422,8 @@ def _y_of_x(curve: TradingCurve, x: np.ndarray) -> np.ndarray:
 
 def _reversal_gain(curve: TradingCurve, s: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """TradingCurve.reversal_gain at each (s, eta), both ends inside the domain."""
-    if curve.family is Family.CONSTANT_PRODUCT:
-        den = s * s * (s + eta)
-        if np.any((den == 0.0) & (eta != 0.0)):  # the float division would raise
-            raise _Replay
-        return np.where(eta == 0.0, 0.0, curve.level * eta * eta / den)
+    if curve.family is Family.CONSTANT_PRODUCT:  # not finite where the scalar division raises
+        return np.where(eta == 0.0, 0.0, curve.level * eta * eta / (s * s * (s + eta)))
     if curve.family is Family.CONSTANT_SUM:
         return np.zeros(s.size)
     return np.array([curve.reversal_gain(a, b) for a, b in zip(s.tolist(), eta.tolist())])
@@ -520,10 +453,13 @@ class _Batch:
         self, config: ExperimentConfig, state0: MarketState, seed: int, start: int, stop: int,
     ) -> None:
         n = stop - start
+        self.start = start
         self.curve = config.curve
         self.true_price = config.true_price
         self.fee_policy = config.fee_policy
+        self.factory = config.noise.factory()
         self.mu = config.noise.mu if config.noise.kind == "biased_binary" else None
+        self.rejection_fails = config.strategy.kind in ("case1", "case2")
         self.x = np.full(n, state0.x, dtype=float)
         self.hidden_x = np.full(n, state0.hidden_x, dtype=float)
         self.hidden_y = np.full(n, state0.hidden_y, dtype=float)
@@ -558,8 +494,8 @@ class _Batch:
         tanh_half_eps = tanh(epsilon/2) as binary_mechanism computes it.
         Returns the mask of rows the hidden account supported (the others are
         left as they were) and the noise each supported row executed. Raises
-        _Replay where execute_trade would raise anything but
-        HiddenAccountError.
+        _Failed for the first row on which execute_trade would raise anything
+        but HiddenAccountError (anything at all for case1 and case2).
         """
         curve, t = self.curve, tanh_half_eps
         x = self.x[rows]
@@ -591,44 +527,73 @@ class _Batch:
             (x_lo <= s) & (s <= x_hi) & (x_lo <= s_lo) & (s_lo <= x_hi)
             & (x_lo <= s_hi) & (s_hi <= x_hi)
         )
+        trade = rows, delta, lower, upper, epsilon
         if bad.any():
-            raise _Replay
-        quote = (
-            0.0 + np.where(lo == 0.0, 0.0, p_lo * _reversal_gain(curve, s, lo))
-            + np.where(hi == 0.0, 0.0, p_hi * _reversal_gain(curve, s, hi))
-        )
-        if not np.isfinite(quote).all():
-            raise _Replay
-        # support_check: can the hidden account fund every atom? The atoms
-        # straddle zero (|center| <= half <= big), so only hi can need X and
-        # only lo can need Y.
-        y_s = _y_of_x(curve, s)
-        hidden_x, hidden_y = self.hidden_x[rows], self.hidden_y[rows]
-        ok = ~(
-            ((hi > 0.0) & (hidden_x < hi))
-            | ((lo < 0.0) & (hidden_y < _y_of_x(curve, s_lo) - y_s))
-        )
-        if not ok.all():
-            rows, x, delta, s, y_s, lo, hi, p_lo, noisy, quote, hidden_x, hidden_y = (
-                a[ok] for a in (
-                    rows, x, delta, s, y_s, lo, hi, p_lo, noisy, quote, hidden_x, hidden_y,
-                )
+            raise self._failure(bad, trade)
+        try:  # LMSR goes through the scalar curve queries, which raise as execute_trade's do
+            quote = (
+                0.0 + np.where(lo == 0.0, 0.0, p_lo * _reversal_gain(curve, s, lo))
+                + np.where(hi == 0.0, 0.0, p_hi * _reversal_gain(curve, s, hi))
             )
-        fee = np.where(noisy, self.fee_policy.charge(quote), 0.0)
-        eta = np.zeros(rows.size)
-        draw = np.flatnonzero(noisy)
-        if draw.size:
-            u = self._draw(rows[draw])
-            eta[draw] = np.where(u < p_lo[draw], lo[draw], hi[draw])
-        post = s + eta
-        y_post = _y_of_x(curve, post)
-        self.y_out[rows] += _y_of_x(curve, x) - y_s
+            if not np.isfinite(quote).all():
+                raise self._failure(~np.isfinite(quote), trade)
+            # support_check: can the hidden account fund every atom? The atoms
+            # straddle zero (|center| <= half <= big), so only hi can need X and
+            # only lo can need Y.
+            y_s = _y_of_x(curve, s)
+            hidden_x, hidden_y = self.hidden_x[rows], self.hidden_y[rows]
+            ok = ~(
+                ((hi > 0.0) & (hidden_x < hi))
+                | ((lo < 0.0) & (hidden_y < _y_of_x(curve, s_lo) - y_s))
+            )
+            if not ok.all():
+                if self.rejection_fails:
+                    raise self._failure(~ok, trade)
+                rows, x, delta, s, y_s, lo, hi, p_lo, noisy, quote, hidden_x, hidden_y = (
+                    a[ok] for a in (
+                        rows, x, delta, s, y_s, lo, hi, p_lo, noisy, quote, hidden_x, hidden_y,
+                    )
+                )
+            fee = np.where(noisy, self.fee_policy.charge(quote), 0.0)
+            eta = np.zeros(rows.size)
+            draw = np.flatnonzero(noisy)
+            if draw.size:
+                u = self._draw(rows[draw])
+                eta[draw] = np.where(u < p_lo[draw], lo[draw], hi[draw])
+            post = s + eta
+            y_post = _y_of_x(curve, post)
+            y_pre = _y_of_x(curve, x)
+        except (NoisyCfmmError, ArithmeticError):
+            raise self._failure(np.ones(trade[0].size, dtype=bool), trade) from None
+        self.y_out[rows] += y_pre - y_s
         self.fees[rows] += fee
         self.cash[rows] += self.true_price * -delta
         self.x[rows] = post
         self.hidden_x[rows] = hidden_x - eta
         self.hidden_y[rows] = hidden_y + (y_s - y_post)
         return ok, eta
+
+    def _failure(self, where: np.ndarray, trade: tuple) -> _Failed:
+        """The first of rows[where] whose trade fails its replica, with the error
+        execute_trade raises there; trade is trade()'s (rows, delta, lower,
+        upper, epsilon). Its draw cannot change the error: the queries after it
+        meet only reserves its checks passed, or (LMSR's upper atom) one above.
+        """
+        rows, delta, lower, upper, epsilon = np.broadcast_arrays(*trade)
+        for k in np.flatnonzero(where).tolist():
+            r = rows[k].item()
+            reserves = (a[r].item() for a in (self.x, self.hidden_x, self.hidden_y))
+            state = MarketState(self.curve, *reserves)
+            try:
+                spec = PrivacySpec(*(a[k].item() for a in (lower, upper, epsilon)))
+                execute_trade(
+                    state, delta[k].item(), spec, np.random.default_rng(0),
+                    dist_factory=self.factory, fee_policy=self.fee_policy,
+                )
+            except (NoisyCfmmError, ArithmeticError) as error:
+                if self.rejection_fails or not isinstance(error, HiddenAccountError):
+                    return _Failed(self.start + r, error)
+        raise AssertionError("the batch failed a trade that execute_trade accepts")
 
     def trade_to(self, rows: np.ndarray, target: float) -> None:
         """Non-private trades landing each replica's reserve on ``target``."""
@@ -640,13 +605,13 @@ class _Batch:
 
     def excess(self, benchmark: float) -> np.ndarray:
         """Each replica's total profit, summed as _Runner.finish does, less the benchmark."""
-        # finish() also reads the terminal spot, which can fail where x*x underflows
-        if self.curve.family is Family.CONSTANT_PRODUCT:
-            if np.any(self.x * self.x == 0.0):
-                raise _Replay
-        elif self.curve.family is Family.LMSR:
-            for v in self.x.tolist():
-                self.curve.spot_price(v)
+        # finish() reads the terminal spot: on constant product it fails only where x*x underflows
+        x, cp = self.x, self.curve.family is Family.CONSTANT_PRODUCT
+        for r in (np.flatnonzero(x * x == 0.0) if cp else range(x.size)):
+            try:
+                self.curve.spot_price(x[r].item())
+            except (NoisyCfmmError, ArithmeticError) as error:
+                raise _Failed(self.start + r, error) from None
         return self.y_out - self.fees + self.cash - benchmark
 
 
@@ -654,11 +619,11 @@ def _run_block(
     config: ExperimentConfig, state0: MarketState, seed: int, start: int, stop: int,
     policies: np.ndarray | None, per_policy: int, benchmark: float,
 ) -> np.ndarray:
-    """Excess profits of replicas start..stop-1, as run_strategy_once computes them.
+    """Excess profits of replicas start..stop-1, as the scalar strategies compute them.
 
-    ``policies`` is the _policy_table for adaptive_random. Raises
-    _Replay, or the error of a scalar curve query, where some replica would
-    raise in the scalar engine.
+    ``policies`` is the _policy_table for adaptive_random. Raises _Failed for
+    the first replica the batch finds failing, which need not be the lowest,
+    and an error every replica raises before its first trade as it is.
     """
     strategy, spec, curve = config.strategy, config.privacy, config.curve
     kind = strategy.kind
@@ -676,20 +641,16 @@ def _run_block(
             ok, eta = batch.trade(live, delta, delta - half, delta + half, spec.epsilon, t)
             live = live[ok][eta != 0.0]  # a rejected trade or a zero draw ends the chase
     elif kind in ("case1", "case2"):
-        spot = state0.spot
-        if kind == "case1" and not config.true_price > spot:
-            raise _Replay
-        if kind == "case2" and not (config.true_price < spot and strategy.detour_price > spot):
-            raise _Replay
-        if kind == "case2":
+        if kind == "case1":
+            check_case1(config.true_price, state0.spot)
+        else:
+            check_case2(config.true_price, strategy.detour_price, state0.spot)
             batch.trade_to(rows, curve.x_of_price(strategy.detour_price))
         size = np.full(rows.size, strategy.trade_size, dtype=float)
-        ok, _ = batch.trade(
+        batch.trade(
             rows, size, np.full(rows.size, spec.lower), np.full(rows.size, spec.upper),
             spec.epsilon, t,
         )
-        if not ok.all():  # these strategies let HiddenAccountError propagate
-            raise _Replay
     elif kind == "adaptive_random":
         aggression, offset, width, epsilon, period, tanh_half = policies[
             (start + rows) // per_policy
@@ -712,8 +673,8 @@ def _run_block(
                 np.where(private, epsilon[live], math.inf), tanh_half[live],
             )
             live = live[ok]
-    elif kind not in ("truthful", "noise_chasing"):  # run_strategy_once names the unknown kind
-        raise _Replay
+    elif kind not in ("truthful", "noise_chasing"):
+        raise ConfigError(f"unknown strategy kind {kind!r}")
     if kind != "adaptive_random":
         batch.trade_to(rows, target)
     return batch.excess(benchmark)
@@ -727,8 +688,8 @@ def estimate_excess_profit(
     The benchmark is deterministic and computed once. For adaptive_random the
     replica budget is split evenly over the random policies and the confidence
     interval pools all samples. Replica i runs policy i // per_policy on
-    stream i, whatever the strategy. The replicas run batched; every sample
-    equals what run_strategy_once gives on replica_rng(seed, i).
+    stream i, whatever the strategy. The replicas run batched; every sample, and
+    the first error, is what the scalar strategy gives on replica_rng(seed, i).
     """
     seed = config.require_seed()
     state0 = config.initial_state()
@@ -743,27 +704,24 @@ def estimate_excess_profit(
         n_policies, per_policy, policies = 1, config.replicas, None
     samples = np.empty(n_policies * per_policy)
     for start in range(0, samples.size, _BLOCK):
-        stop = min(start + _BLOCK, samples.size)
-        try:
-            with np.errstate(all="ignore"):
-                samples[start:stop] = _run_block(
-                    config, state0, seed, start, stop, policies, per_policy, benchmark
-                )
-            continue
-        except (_Replay, NoisyCfmmError, ArithmeticError):
-            pass
-        # Some replica would raise in the scalar engine: rerun the block there,
-        # replica by replica, so that the first of them raises as it did.
-        for i in range(start, stop):
-            policy = None if policies is None else make_random_policy(
-                seed, i // per_policy, config.privacy, config.true_price
-            )
-            trace = run_strategy_once(config, state0, replica_rng(seed, i), policy)
-            samples[i] = trace.total_profit - benchmark
+        stop, error = min(start + _BLOCK, samples.size), None
+        # A replica below a failed one may fail in a later round: rerun the
+        # replicas below it until none fails, and raise the last error met.
+        while stop > start:
+            try:
+                with np.errstate(all="ignore"):
+                    samples[start:stop] = _run_block(
+                        config, state0, seed, start, stop, policies, per_policy, benchmark
+                    )
+                break
+            except _Failed as failed:
+                stop, error = failed.args
+        if error is not None:
+            raise error
+    mean, se, ci = _summarize(samples)
     per_policy_means = None
     if kind == "adaptive_random":
         per_policy_means = tuple(samples.reshape(n_policies, per_policy).mean(axis=1).tolist())
-    mean, se, ci = _summarize(samples)
     return ExcessProfitResult(
         kind, config.fee_policy.kind.value, mean, se, ci, samples.size, benchmark,
         per_policy_means,

@@ -164,6 +164,20 @@ def noise_chasing_strategy(
     return runner.finish()
 
 
+def check_case1(true_price: float, spot: float) -> None:
+    """Raise ConfigError unless the true price lies above the spot, as case1 needs."""
+    if not true_price > spot:
+        raise ConfigError(f"needs true price above the current spot, got {true_price} <= {spot}")
+
+
+def check_case2(true_price: float, detour: float, spot: float) -> None:
+    """Raise ConfigError unless true price < spot < detour price, as case2 needs."""
+    if not true_price < spot:
+        raise ConfigError(f"needs true price below the current spot, got {true_price} >= {spot}")
+    if not detour > spot:
+        raise ConfigError(f"needs detour price above the current spot, got {detour} <= {spot}")
+
+
 def case1_deviation(
     state: MarketState,
     true_price: float,
@@ -181,10 +195,7 @@ def case1_deviation(
     the truthful benchmark; with positively biased noise and a large enough
     true price it beats it.
     """
-    if not true_price > state.spot:
-        raise ConfigError(
-            f"needs true price above the current spot, got {true_price} <= {state.spot}"
-        )
+    check_case1(true_price, state.spot)
     runner = _Runner(state, true_price, rng, fee_policy, dist_factory)
     runner.trade(trade_size, spec)
     runner.trade_to_true_price()
@@ -211,14 +222,7 @@ def case2_deviation(
     back on the way down to the true price. A detour the hidden account
     cannot support surfaces as HiddenAccountError.
     """
-    if not true_price < state.spot:
-        raise ConfigError(
-            f"needs true price below the current spot, got {true_price} >= {state.spot}"
-        )
-    if not detour_price > state.spot:
-        raise ConfigError(
-            f"needs detour price above the current spot, got {detour_price} <= {state.spot}"
-        )
+    check_case2(true_price, detour_price, state.spot)
     runner = _Runner(state, true_price, rng, fee_policy, dist_factory)
     detour = state.curve.x_of_price(detour_price) - state.x
     if detour != 0.0:

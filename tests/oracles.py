@@ -9,19 +9,28 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from noisycfmm import (
+    AdaptivePolicy,
     ConfigError,
     ExcessProfitResult,
+    ExperimentConfig,
     LPNoiseProblem,
+    MarketState,
     MisalignedSupportError,
     NoiseLPSolution,
     PLDPReport,
+    PrivacySpec,
+    StrategyTrace,
     TradingCurve,
-    make_random_policy,
+    case1_deviation,
+    case2_deviation,
+    noise_chasing_strategy,
     replica_rng,
-    run_strategy_once,
+    run_adaptive,
     truthful_strategy,
 )
-from noisycfmm.harness import _RATIO_EPS_CAP, _design, _fee_cost_matrix, _summarize
+from noisycfmm.harness import (
+    _RATIO_EPS_CAP, _design, _fee_cost_matrix, _policy_params, _summarize,
+)
 from noisycfmm.privacy import MATCH_TOL, MAX_GRID_SIZE
 
 
@@ -66,6 +75,68 @@ def integral_price_quadrature(
     return recurse(a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), tol, 48)
 
 
+def make_random_policy(
+    seed: int, index: int, base_spec: PrivacySpec, true_price: float
+) -> AdaptivePolicy:
+    """A parameter-randomized but state-deterministic adaptive policy.
+
+    Parameters (aggression toward the true-price reserve, a constant probe
+    offset, masking width, epsilon, and how often to trade privately) are
+    drawn once from the policy substream; the policy itself is then a pure
+    function of the observed state (the private cadence reads
+    ``state.trades``), so replicas stay reproducible and fee policies can be
+    compared on identical noise streams.
+    """
+    aggression, offset, width, epsilon, private_period = _policy_params(seed, index, base_spec)
+
+    def policy(state: MarketState) -> tuple[float, PrivacySpec] | None:
+        target = state.curve.x_of_price(true_price)
+        delta = aggression * (target - state.x) + offset
+        cap = 0.25 * state.x  # keep probes small next to the reserve
+        delta = min(max(delta, -cap), cap)
+        if state.trades % private_period == 0 and width > 0.0:
+            half = 0.5 * width
+            return delta, PrivacySpec(delta - half, delta + half, epsilon)
+        return delta, PrivacySpec(delta, delta, math.inf)
+
+    return policy
+
+
+def run_strategy_once(
+    config: ExperimentConfig, state: MarketState, rng: np.random.Generator | None,
+    policy: AdaptivePolicy | None = None,
+) -> StrategyTrace:
+    """One replica of the experiment through the scalar strategy functions."""
+    kind = config.strategy.kind
+    factory = config.noise.factory()
+    if kind == "truthful":
+        return truthful_strategy(state, config.true_price)
+    if kind == "noise_chasing":
+        return noise_chasing_strategy(
+            state, config.true_price, config.privacy, config.strategy.max_rounds, rng,
+            fee_policy=config.fee_policy, dist_factory=factory,
+        )
+    if kind == "case1":
+        return case1_deviation(
+            state, config.true_price, config.strategy.trade_size, config.privacy, rng,
+            fee_policy=config.fee_policy, dist_factory=factory,
+        )
+    if kind == "case2":
+        return case2_deviation(
+            state, config.true_price, config.strategy.detour_price,
+            config.strategy.trade_size, config.privacy, rng,
+            fee_policy=config.fee_policy, dist_factory=factory,
+        )
+    if kind == "adaptive_random":
+        if policy is None:
+            raise ValueError("adaptive_random needs a policy; use estimate_excess_profit")
+        return run_adaptive(
+            policy, state, config.true_price, config.strategy.bound, rng,
+            fee_policy=config.fee_policy, dist_factory=factory,
+        )
+    raise ConfigError(f"unknown strategy kind {kind!r}")
+
+
 def scalar_excess_profit(config, *, keep_samples: bool = False):
     """estimate_excess_profit as the scalar engine computes it, replica by replica.
 
@@ -91,12 +162,12 @@ def scalar_excess_profit(config, *, keep_samples: bool = False):
     for i in range(samples.size):
         trace = run_strategy_once(config, state0, replica_rng(seed, i), policies[i // per_policy])
         samples[i] = trace.total_profit - benchmark
+    mean, se, ci = _summarize(samples)
     per_policy_means = None
     if kind == "adaptive_random":
         per_policy_means = tuple(
             float(np.mean(row)) for row in samples.reshape(len(policies), per_policy)
         )
-    mean, se, ci = _summarize(samples)
     return ExcessProfitResult(
         kind, config.fee_policy.kind.value, mean, se, ci, samples.size, benchmark,
         per_policy_means, tuple(samples.tolist()) if keep_samples else None,

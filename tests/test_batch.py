@@ -2,10 +2,10 @@
 
 estimate_excess_profit runs all replicas of an experiment as arrays. Its
 reference is the scalar engine in oracles.scalar_excess_profit, which runs
-run_strategy_once replica by replica. Every sample, and so the mean, the
-standard error, the CI and the per-policy means, must be equal as floats;
-a run the scalar engine would stop with an error must stop with the same
-error.
+the strategy functions replica by replica. Every sample, and so the mean,
+the standard error, the CI and the per-policy means, must be equal as
+floats; a run the scalar engine would stop with an error must stop with the
+same error, without the batched run calling a scalar strategy.
 """
 
 import dataclasses
@@ -31,7 +31,7 @@ from noisycfmm import (
     TradingCurve,
     estimate_excess_profit,
 )
-from noisycfmm import harness
+from noisycfmm import harness, strategies
 from oracles import scalar_excess_profit
 
 CP = TradingCurve.constant_product(1e4)
@@ -123,14 +123,43 @@ def assert_bit_identical(got, want) -> None:
     assert np.array(got.samples).tobytes() == np.array(want.samples).tobytes()
 
 
-def no_replay(*args, **kwargs):
-    raise AssertionError("the batched engine fell back to the scalar one")
+SCALAR_STRATEGIES = (
+    "truthful_strategy", "noise_chasing_strategy", "case1_deviation", "case2_deviation",
+    "run_adaptive",
+)
+
+
+def scalar_replica(*args, **kwargs):
+    raise AssertionError("the batched engine ran a replica through a scalar strategy")
+
+
+def batched(config, **kwargs):
+    """estimate_excess_profit with the five scalar strategies raising when called.
+
+    They are replaced in strategies and in harness; in harness the first
+    truthful_strategy call, the one deterministic benchmark, goes through.
+    """
+    benchmark = harness.truthful_strategy
+    calls = 0
+
+    def benchmark_only(*args, **kw):
+        nonlocal calls
+        calls += 1
+        if calls > 1:
+            scalar_replica()
+        return benchmark(*args, **kw)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in SCALAR_STRATEGIES:
+            patch.setattr(strategies, name, scalar_replica)
+            patch.setattr(harness, name, scalar_replica, raising=False)
+        patch.setattr(harness, "truthful_strategy", benchmark_only)
+        return estimate_excess_profit(config, **kwargs)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_matches_the_scalar_engine(name, monkeypatch):
-    monkeypatch.setattr(harness, "run_strategy_once", no_replay)
-    assert_bit_identical(estimate_excess_profit(CASES[name], keep_samples=True), reference(name))
+def test_matches_the_scalar_engine(name):
+    assert_bit_identical(batched(CASES[name], keep_samples=True), reference(name))
 
 
 @pytest.mark.parametrize("name", [
@@ -219,6 +248,15 @@ ERRORS = {
         ),
         DomainError,
     ),
+    # replica 0 leaves the reserve window on its 8th trade, replicas 1 and 2
+    # on their 3rd and 2nd: the error is replica 0's, met later in the batch
+    "adaptive-error-order": (
+        experiment(
+            curve=TradingCurve(Family.CONSTANT_PRODUCT, 1e4, x_max=104.0), true_price=0.95,
+            strategy=ADAPTIVE, replicas=40, seed=1,
+        ),
+        DomainError,
+    ),
 }
 
 
@@ -227,8 +265,8 @@ ERRORS = {
 def test_errors_match_the_scalar_engine(name, block, monkeypatch):
     config, error = ERRORS[name]
     monkeypatch.setattr(harness, "_BLOCK", block)
-    with pytest.raises(error) as batched:
-        estimate_excess_profit(config)
-    with pytest.raises(error) as scalar:
+    with pytest.raises(error) as got:
+        batched(config)
+    with pytest.raises(error) as want:
         scalar_excess_profit(config)
-    assert (type(batched.value), str(batched.value)) == (type(scalar.value), str(scalar.value))
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))

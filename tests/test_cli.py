@@ -306,6 +306,20 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert f"'{field}' must be at most" in err
 
+    @pytest.mark.parametrize("output", ["json", "table"])
+    def test_overflowing_mean_is_a_domain_error(self, capsys, tmp_path, output):
+        # every sample is a finite -8e306; their sum is not
+        config = {
+            **README_CONFIGS["simulate"], "replicas": 50,
+            "fee_policy": {"policy": "fixed", "value": 1e306},
+        }
+        path = write_config(tmp_path, config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would raise here
+            code, out, err = run(capsys, ["simulate", "--config", path, "--output", output])
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: excess-profit mean -inf is not finite"]
+
     def test_config_file_must_exist(self, capsys):
         code, _, err = run(capsys, ["simulate", "--config", "/nonexistent.json"])
         assert code == 2

@@ -26,18 +26,16 @@ from noisycfmm import (
     estimate_excess_profit,
     factor2_grid,
     liquidity_scaling_study,
-    make_random_policy,
     noise_fee,
     optimize_noise_lp,
     replica_rng,
     reproduce_deviation_theorem,
-    run_strategy_once,
     to_json,
     validate_lp_solution,
 )
 from noisycfmm import harness
 from noisycfmm.market import MarketState
-from oracles import pairwise_noise_lp
+from oracles import make_random_policy, pairwise_noise_lp, run_strategy_once
 
 REF_SPEC = PrivacySpec(0.0, 2.0, 2.0)
 HALF_WIDTH_SPREAD = 1.0 / math.tanh(1.0)  # worst |eta| under REF_SPEC

@@ -12,7 +12,7 @@ report. The record keeps every result line as run.py printed it, next to
 the machine facts run.py logged for that run (versions and load average),
 and for each commit the median and quartiles (inclusive method) of every
 end-to-end metric and of test_04's time, plus the machine and the command
-that wrote it.
+that wrote it, and each commit's line count of src/noisycfmm/*.py.
 """
 
 from __future__ import annotations
@@ -44,6 +44,11 @@ def export(rev: str, into: Path) -> str:
                              capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
     return commit
+
+
+def src_lines(tree: Path) -> int:
+    """Lines in the package sources, src/noisycfmm/*.py, of an exported tree (as wc -l)."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "noisycfmm").glob("*.py"))
 
 
 def run_workload(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, str]:
@@ -110,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
     record: dict = {
         "command": " ".join(["python3", "tools/bench_pair.py", *(argv or sys.argv[1:])]),
         "machine": {"cpu": cpu_model(), "platform": platform.platform()},
-        "commits": {}, "pairs": PAIRS,
+        "commits": {}, "src_lines": {}, "pairs": PAIRS,
         "runs": {side: {w: [] for w in workloads} for side in SIDES},
         "test_04_s": {side: [] for side in SIDES},
     }
@@ -118,6 +123,7 @@ def main(argv: list[str] | None = None) -> int:
         trees = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
             record["commits"][side] = export(getattr(args, side), trees[side])
+            record["src_lines"][side] = src_lines(trees[side])
         for workload in workloads:
             for k in range(PAIRS):
                 for side in pair_order(k):
