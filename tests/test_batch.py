@@ -211,7 +211,7 @@ def test_property_matches_the_scalar_engine(
         noise=NoiseConfig() if mu is None else NoiseConfig("biased_binary", mu),
         replicas=24,
     )
-    assert outcome(estimate_excess_profit, config) == outcome(scalar_excess_profit, config)
+    assert outcome(batched, config) == outcome(scalar_excess_profit, config)
 
 
 def outcome(engine, config):
