@@ -605,9 +605,11 @@ class _Batch:
 
     def excess(self, benchmark: float) -> np.ndarray:
         """Each replica's total profit, summed as _Runner.finish does, less the benchmark."""
-        # finish() reads the terminal spot: on constant product it fails only where x*x underflows
-        x, cp = self.x, self.curve.family is Family.CONSTANT_PRODUCT
-        for r in (np.flatnonzero(x * x == 0.0) if cp else range(x.size)):
+        # finish() reads the terminal spot, which fails only where x*x underflows on
+        # constant product, never on constant sum, and on LMSR as the scalar query does
+        family, x = self.curve.family, self.x
+        suspects = np.flatnonzero(x * x == 0.0) if family is Family.CONSTANT_PRODUCT else ()
+        for r in range(x.size) if family is Family.LMSR else suspects:
             try:
                 self.curve.spot_price(x[r].item())
             except (NoisyCfmmError, ArithmeticError) as error:
