@@ -123,7 +123,6 @@ __all__ = [
     "noise_fee",
     "noise_fee_closed_form",
     "optimize_noise_lp",
-    "policy_rng",
     "replica_rng",
     "reproduce_deviation_theorem",
     "run_adaptive",

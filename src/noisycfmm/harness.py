@@ -16,11 +16,13 @@ same scalar math calls, so every sample is bit-identical to that loop's.
 A replica that would raise there raises the error market.execute_trade (or
 the curve's spot_price) gives on its arrays, the lowest such replica first.
 
-replica_rng and policy_rng define the streams, one numpy Generator at a
-time. The batched engine computes the same streams as arrays over all
-replicas of a block (_stream_keys, _philox): uniform c of replica i is lane
-c % 4 of its Philox block c // 4 + 1, bit for bit what
-replica_rng(seed, i).random() returns as its c-th draw.
+replica_rng defines the noise streams, one numpy Generator at a time;
+random policy j draws its parameters from numpy's Generator on
+SeedSequence(seed, spawn_key=(1, j)), as replica i does on spawn key (0, i).
+The batched engine computes the same streams as arrays over all replicas of
+a block (_stream_keys, _philox): uniform c of replica i is lane c % 4 of its
+Philox block c // 4 + 1, bit for bit what replica_rng(seed, i).random()
+returns as its c-th draw.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .fee import (  # the scaling study lives in fee; harness still hands it out
 from .market import FeePolicy, FeePolicyKind, MarketState, execute_trade, support_check
 from .privacy import (
     EPSILON_FLOOR,
-    PROBABILITY_TOL,
     NoiseAtom,
     NoiseDistribution,
     PLDPReport,
@@ -53,7 +54,10 @@ from .privacy import (
     biased_binary,
     biased_factory,
     binary_mechanism,
+    mean_tilt,
     parse_privacy,
+    two_point,
+    two_point_weights,
     verify_pldp,
 )
 from .strategies import DEFAULT_MAX_ROUNDS, check_case1, check_case2, truthful_strategy
@@ -74,11 +78,6 @@ EXPECTATIONS = tuple(_EXPECTATION_TESTS)
 def replica_rng(seed: int, index: int) -> np.random.Generator:
     """Independent substream for one replica, from a splittable counter-based generator."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0, index))))
-
-
-def policy_rng(seed: int, index: int) -> np.random.Generator:
-    """Substream that fixes one random policy's parameters (disjoint from replica streams)."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(1, index))))
 
 
 # -- the same streams as arrays -------------------------------------------------
@@ -173,6 +172,24 @@ def _unit(words: np.ndarray) -> np.ndarray:
 def _lemire_rejects(word: np.ndarray, span: int) -> np.ndarray:
     """Where numpy's 32-bit Lemire draw from [0, span) refuses word and draws again."""
     return (word * np.uint64(span) & _LOW32) < (2**32 - span) % span
+
+
+def _bounded(key: np.ndarray, block: int, span: int) -> np.ndarray:
+    """Generator.integers(0, span) of each key column's stream, from Philox block ``block`` on:
+    numpy's 32-bit Lemire draw, w * span >> 32 of the first word w it does not refuse. The
+    words are the low, then the high half of lanes 0-3 of each block in turn."""
+    value = np.empty(key.shape[1], dtype=np.uint64)
+    rows = np.arange(key.shape[1])
+    k = 0
+    while rows.size:
+        if k % 8 == 0:
+            lanes = _philox(key[:, rows], np.full(rows.size, block + k // 8, dtype=np.uint64))
+        word = lanes[k // 2 % 4] >> np.uint64(32 * (k % 2)) & _LOW32
+        refused = _lemire_rejects(word, span)
+        value[rows[~refused]] = word[~refused] * np.uint64(span) >> _SHIFT32
+        rows, lanes = rows[refused], lanes[:, refused]
+        k += 1
+    return value
 
 
 # -- strict config parsing ----------------------------------------------------
@@ -363,36 +380,22 @@ def _scale_policy(draws: Sequence, base_spec: PrivacySpec) -> tuple:
     )
 
 
-def _policy_params(
-    seed: int, index: int, base_spec: PrivacySpec
-) -> tuple[float, float, float, float, int]:
-    """Aggression, offset, width, epsilon and private period of random policy ``index``."""
-    rng = policy_rng(seed, index)
-    draws = [rng.uniform(low, high) for low, high in _POLICY_UNIFORMS]
-    return (*_scale_policy(draws, base_spec), int(rng.integers(*_POLICY_PERIODS)))
-
-
 def _policy_table(seed: int, n_policies: int, base_spec: PrivacySpec) -> np.ndarray:
-    """_policy_params of policies 0..n_policies-1 and tanh(epsilon/2), one row each.
+    """Random policies 0..n_policies-1, one row each: aggression, offset, width,
+    epsilon, private period and the two_point_weights of the epsilon.
 
-    The uniforms are lanes 0-3 of Philox block 1 of policy_rng(seed, j), as
-    Generator.uniform computes low + (high - low) * u. integers() is numpy's
-    32-bit Lemire draw on the low word of lane 0 of block 2; a policy whose
-    word it would refuse and redraw comes from _policy_params. The tanh is
-    math.tanh, as binary_mechanism takes it (numpy's may differ in the last
-    bit).
-    """
+    Policy j draws them from numpy's Generator on SeedSequence(seed, spawn_key=(1, j)):
+    Generator.uniform's low + (high - low) * u on lanes 0-3 of Philox block 1,
+    then integers(*_POLICY_PERIODS) from block 2 on."""
     key = _stream_keys(seed, 1, np.arange(n_policies, dtype=np.uint64))
     uniforms = _unit(_philox(key, np.ones(n_policies, dtype=np.uint64)))
     draws = [low + (high - low) * u for (low, high), u in zip(_POLICY_UNIFORMS, uniforms)]
-    word = _philox(key, np.full(n_policies, 2, dtype=np.uint64))[0] & _LOW32
+    params = _scale_policy(draws, base_spec)
     low, high = _POLICY_PERIODS
-    period = low + (word * np.uint64(high - low) >> _SHIFT32)
-    table = np.column_stack([*_scale_policy(draws, base_spec), period, np.empty(n_policies)])
-    for j in np.flatnonzero(_lemire_rejects(word, high - low)).tolist():
-        table[j, :5] = _policy_params(seed, j, base_spec)
-    table[:, 5] = [math.tanh(0.5 * epsilon) for epsilon in table[:, 3].tolist()]
-    return table
+    weights = [two_point_weights(epsilon) for epsilon in params[3].tolist()]
+    return np.column_stack(
+        [*params, low + _bounded(key, 2, high - low), np.reshape(weights, (n_policies, 2))]
+    )
 
 
 # -- the batched replica engine --------------------------------------------------
@@ -427,16 +430,6 @@ def _reversal_gain(curve: TradingCurve, s: np.ndarray, eta: np.ndarray) -> np.nd
     if curve.family is Family.CONSTANT_SUM:
         return np.zeros(s.size)
     return np.array([curve.reversal_gain(a, b) for a, b in zip(s.tolist(), eta.tolist())])
-
-
-def _bad_shape(lo: np.ndarray, hi: np.ndarray, p_lo: np.ndarray, p_hi: np.ndarray) -> np.ndarray:
-    """Where a two-atom NoiseDistribution would refuse its atoms."""
-    tol = PROBABILITY_TOL
-    total = 0.0 + p_lo + p_hi
-    return ~(
-        np.isfinite(lo) & np.isfinite(hi)
-        & (-tol <= p_lo) & (p_lo <= 1.0 + tol) & (-tol <= p_hi) & (p_hi <= 1.0 + tol)
-    ) | (np.abs(total - 1.0) > tol * 2)
 
 
 class _Batch:
@@ -486,38 +479,31 @@ class _Batch:
 
     def trade(
         self, rows: np.ndarray, delta: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-        epsilon: np.ndarray | float, tanh_half_eps: np.ndarray | float,
+        epsilon: np.ndarray | float, weights: tuple,
     ) -> tuple[np.ndarray, np.ndarray]:
         """execute_trade plus the external hedge, for each replica in rows.
 
-        The masking spec is [lower, upper] with budget epsilon, and
-        tanh_half_eps = tanh(epsilon/2) as binary_mechanism computes it.
+        The masking spec is [lower, upper] with budget epsilon, and weights
+        is two_point_weights(epsilon), a pair of floats or of arrays.
         Returns the mask of rows the hidden account supported (the others are
         left as they were) and the noise each supported row executed. Raises
         _Failed for the first row on which execute_trade would raise anything
         but HiddenAccountError (anything at all for case1 and case2).
         """
-        curve, t = self.curve, tanh_half_eps
+        curve = self.curve
         x = self.x[rows]
         # the PrivacySpec, execute_trade's and binary_mechanism's checks
         bad = ~(np.isfinite(lower) & np.isfinite(upper) & (lower <= upper) & (epsilon > 0.0))
         bad |= ~((lower <= delta) & (delta <= upper))
         noisy = (lower != upper) & ~np.isinf(epsilon)  # a degenerate spec gets the zero atom
-        half = 0.5 * (upper - lower)
-        mid = 0.5 * (upper + lower)
-        big = half / t
-        center = mid - delta
-        d = np.where(delta == upper, 1.0, np.where(delta == lower, -1.0, (delta - mid) / half))
-        lo, hi = center - big, center + big
-        p_lo, p_hi = 0.5 * (1.0 - d * t), 0.5 * (1.0 + d * t)
-        bad |= noisy & ((epsilon < EPSILON_FLOOR) | (half == 0.0) | _bad_shape(lo, hi, p_lo, p_hi))
+        lo, hi, p_lo, p_hi = two_point(delta, lower, upper, weights)
+        # NoiseDistribution refuses only non-finite atoms here: for a trade in
+        # its interval each probability is in [0, 1] and they sum to 1, up to ulps
+        bad |= noisy & ((epsilon < EPSILON_FLOOR) | ~(np.isfinite(lo) & np.isfinite(hi)))
         if self.mu is not None:  # biased_binary: the same atoms with mean mu
-            span = hi - lo
-            p_hi = (self.mu - lo) / span
-            p_lo = 1.0 - p_hi
-            bad |= noisy & (
-                (span == 0.0) | ~((0.0 <= p_hi) & (p_hi <= 1.0)) | _bad_shape(lo, hi, p_lo, p_hi)
-            )
+            # coincident atoms, where biased_binary divides by zero, leave p_hi non-finite
+            p_lo, p_hi = mean_tilt(lo, hi, self.mu)
+            bad |= noisy & ~((0.0 <= p_hi) & (p_hi <= 1.0))
         lo, hi = np.where(noisy, lo, 0.0), np.where(noisy, hi, 0.0)
         # noise_fee: the post-trade and noised reserves stay on the curve
         s = x + delta
@@ -601,7 +587,7 @@ class _Batch:
         move = delta != 0.0
         rows, delta = rows[move], delta[move]
         if rows.size:
-            self.trade(rows, delta, delta, delta, math.inf, 1.0)
+            self.trade(rows, delta, delta, delta, math.inf, two_point_weights(math.inf))
 
     def excess(self, benchmark: float) -> np.ndarray:
         """Each replica's total profit, summed as _Runner.finish does, less the benchmark."""
@@ -631,7 +617,7 @@ def _run_block(
     kind = strategy.kind
     target = curve.x_of_price(config.true_price)
     rows = np.arange(stop - start)
-    t = math.tanh(0.5 * spec.epsilon)
+    weights = two_point_weights(spec.epsilon)
     batch = _Batch(config, state0, seed, start, stop)
     if kind == "noise_chasing" and not spec.degenerate:
         half = 0.5 * spec.width  # PrivacySpec.recentered
@@ -640,7 +626,7 @@ def _run_block(
             if not live.size:
                 break
             delta = target - batch.x[live]
-            ok, eta = batch.trade(live, delta, delta - half, delta + half, spec.epsilon, t)
+            ok, eta = batch.trade(live, delta, delta - half, delta + half, spec.epsilon, weights)
             live = live[ok][eta != 0.0]  # a rejected trade or a zero draw ends the chase
     elif kind in ("case1", "case2"):
         if kind == "case1":
@@ -651,10 +637,10 @@ def _run_block(
         size = np.full(rows.size, strategy.trade_size, dtype=float)
         batch.trade(
             rows, size, np.full(rows.size, spec.lower), np.full(rows.size, spec.upper),
-            spec.epsilon, t,
+            spec.epsilon, weights,
         )
     elif kind == "adaptive_random":
-        aggression, offset, width, epsilon, period, tanh_half = policies[
+        aggression, offset, width, epsilon, period, t, rest = policies[
             (start + rows) // per_policy
         ].T
         live = rows
@@ -672,7 +658,7 @@ def _run_block(
             ok, _ = batch.trade(
                 live, delta, np.where(private, delta - half, delta),
                 np.where(private, delta + half, delta),
-                np.where(private, epsilon[live], math.inf), tanh_half[live],
+                np.where(private, epsilon[live], math.inf), (t[live], rest[live]),
             )
             live = live[ok]
     elif kind not in ("truthful", "noise_chasing"):
@@ -924,10 +910,9 @@ class LPNoiseProblem:
             inputs = outputs = (spec.lower,)
         else:
             inputs = tuple(np.linspace(spec.lower, spec.upper, n_inputs).tolist())
-            big = 0.5 * spec.width / math.tanh(0.5 * spec.epsilon)
-            outputs = tuple(
-                np.linspace(spec.midpoint - big, spec.midpoint + big, n_outputs).tolist()
-            )
+            # the noise of a zero trade lands on the landmarks themselves
+            lo, hi, _, _ = two_point(0.0, spec.lower, spec.upper, two_point_weights(spec.epsilon))
+            outputs = tuple(np.linspace(lo, hi, n_outputs).tolist())
         return cls(curve, reference_x, spec, inputs, outputs)
 
     def validate(self) -> None:

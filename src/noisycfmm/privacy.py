@@ -172,16 +172,43 @@ class NoiseDistribution:
         return cls.from_pairs((d["eta"], d["p"]) for d in obj)
 
 
+def two_point_weights(epsilon: float) -> tuple[float, float]:
+    """t = tanh(epsilon/2) and 1 - t, the second as 2q/(1 + q) with q = e^-epsilon:
+    it keeps its digits where 1.0 - t cancels (t is 1.0 from epsilon about 38 on)."""
+    q = math.exp(-epsilon)
+    return math.tanh(0.5 * epsilon), 2.0 * q / (1.0 + q)
+
+
+def two_point(delta, lower, upper, weights):
+    """Atoms and probabilities (lo, hi, p_lo, p_hi) of binary_mechanism, for floats and
+    numpy arrays alike. With (t, 1 - t) = weights = two_point_weights(epsilon), p_lo is
+    (1 - t)/2 + t*(upper - delta)/width, exactly (1 - t)/2 at delta = upper, and p_hi
+    its mirror. The width, unlike the half-width, is nonzero on every interval."""
+    t, rest = weights
+    width = upper - lower
+    big = 0.5 * width / t
+    center = 0.5 * (upper + lower) - delta
+    base = 0.5 * rest
+    p_lo, p_hi = base + t * ((upper - delta) / width), base + t * ((delta - lower) / width)
+    return center - big, center + big, p_lo, p_hi
+
+
+def mean_tilt(lo, hi, mu):
+    """Probabilities (p_lo, p_hi) that give the atoms lo < hi the mean mu; in [0, 1]
+    only for mu in [lo, hi]. Floats or numpy arrays alike."""
+    p_hi = (mu - lo) / (hi - lo)
+    return 1.0 - p_hi, p_hi
+
+
 def binary_mechanism(delta: float, spec: PrivacySpec) -> NoiseDistribution:
     """Two-point noise masking ``delta`` within the spec's interval.
 
     Writing m for the interval midpoint, w for its half-width and
-    t = tanh(epsilon/2), the noise takes the values
-
-        m - delta -/+ w/t     with probabilities (1 -/+ d*t)/2,
-
-    where d = (delta - m)/w is the trade's normalized position in the
-    interval. Both post-noise positions delta + eta land on the
+    t = tanh(epsilon/2), the noise takes the values m - delta -/+ w/t with
+    probabilities (1 - t)/2 + t*(upper - delta)/(2w) and
+    (1 - t)/2 + t*(delta - lower)/(2w): (1 -/+ d*t)/2 for the normalized
+    position d = (delta - m)/w, written without the cancellation of 1 - d*t
+    as t rounds toward 1. Both post-noise positions delta + eta land on the
     input-independent landmarks m -/+ w/t, which is what makes the guarantee
     hold with the ratio exactly exp(epsilon) at the interval endpoints, and
     the mean is identically zero. A degenerate spec yields the zero atom.
@@ -196,24 +223,9 @@ def binary_mechanism(delta: float, spec: PrivacySpec) -> NoiseDistribution:
         raise SpecViolationError(
             f"epsilon {spec.epsilon} below the supported floor {EPSILON_FLOOR}"
         )
-    half = 0.5 * spec.width
-    t = math.tanh(0.5 * spec.epsilon)  # = (e^eps - 1)/(e^eps + 1), overflow-free
-    big = half / t
-    center = spec.midpoint - delta
-    # d is exactly -/+1 at the endpoints, where delta - midpoint can lose
-    # bits to cancellation on a narrow interval far from zero
-    if delta == spec.upper:
-        d = 1.0
-    elif delta == spec.lower:
-        d = -1.0
-    else:
-        d = (delta - spec.midpoint) / half
-    return NoiseDistribution(
-        (
-            NoiseAtom(center - big, 0.5 * (1.0 - d * t)),
-            NoiseAtom(center + big, 0.5 * (1.0 + d * t)),
-        )
-    )
+    weights = two_point_weights(spec.epsilon)
+    lo, hi, p_lo, p_hi = two_point(delta, spec.lower, spec.upper, weights)
+    return NoiseDistribution((NoiseAtom(lo, p_lo), NoiseAtom(hi, p_hi)))
 
 
 def biased_binary(delta: float, spec: PrivacySpec, mu: float) -> NoiseDistribution:
@@ -231,12 +243,12 @@ def biased_binary(delta: float, spec: PrivacySpec, mu: float) -> NoiseDistributi
             )
         return base
     lo, hi = base.atoms[0].eta, base.atoms[1].eta
-    p_hi = (mu - lo) / (hi - lo)
+    p_lo, p_hi = mean_tilt(lo, hi, mu)
     if not 0.0 <= p_hi <= 1.0:
         raise InfeasibleBiasError(
             f"mean {mu} outside the atom span [{lo}, {hi}] of the masking interval"
         )
-    return NoiseDistribution((NoiseAtom(lo, 1.0 - p_hi), NoiseAtom(hi, p_hi)))
+    return NoiseDistribution((NoiseAtom(lo, p_lo), NoiseAtom(hi, p_hi)))
 
 
 def biased_factory(mu: float) -> Callable[[float, PrivacySpec], NoiseDistribution]:

@@ -29,7 +29,8 @@ from noisycfmm import (
     truthful_strategy,
 )
 from noisycfmm.harness import (
-    _RATIO_EPS_CAP, _design, _fee_cost_matrix, _policy_params, _summarize,
+    _POLICY_PERIODS, _POLICY_UNIFORMS, _RATIO_EPS_CAP, _design, _fee_cost_matrix,
+    _scale_policy, _summarize,
 )
 from noisycfmm.privacy import MATCH_TOL, MAX_GRID_SIZE
 
@@ -75,6 +76,21 @@ def integral_price_quadrature(
     return recurse(a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), tol, 48)
 
 
+def policy_rng(seed: int, index: int) -> np.random.Generator:
+    """Substream that fixes one random policy's parameters (disjoint from replica streams)."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(1, index))))
+
+
+def policy_params(
+    seed: int, index: int, base_spec: PrivacySpec
+) -> tuple[float, float, float, float, int]:
+    """Aggression, offset, width, epsilon and private period of random policy ``index``,
+    drawn one numpy call at a time: the reference for harness._policy_table."""
+    rng = policy_rng(seed, index)
+    draws = [rng.uniform(low, high) for low, high in _POLICY_UNIFORMS]
+    return (*_scale_policy(draws, base_spec), int(rng.integers(*_POLICY_PERIODS)))
+
+
 def make_random_policy(
     seed: int, index: int, base_spec: PrivacySpec, true_price: float
 ) -> AdaptivePolicy:
@@ -87,7 +103,7 @@ def make_random_policy(
     ``state.trades``), so replicas stay reproducible and fee policies can be
     compared on identical noise streams.
     """
-    aggression, offset, width, epsilon, private_period = _policy_params(seed, index, base_spec)
+    aggression, offset, width, epsilon, private_period = policy_params(seed, index, base_spec)
 
     def policy(state: MarketState) -> tuple[float, PrivacySpec] | None:
         target = state.curve.x_of_price(true_price)

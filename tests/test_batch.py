@@ -15,7 +15,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noisycfmm import (
@@ -84,6 +84,10 @@ CASES = {
     # the zero atom is drawn and ends the chase before more fixed fees
     "chasing-zero-draw": experiment(
         privacy=PrivacySpec(0.0, 1e-20, 2.0), fee_policy=FeePolicy.fixed(0.01)
+    ),
+    # a one-ulp interval: its half-width rounds to 0, so both atoms coincide
+    "case1-subnormal-width": experiment(
+        strategy=StrategyConfig("case1", trade_size=5e-324), privacy=PrivacySpec(0.0, 5e-324, 2.0)
     ),
     "adaptive-uneven-split": experiment(
         strategy=StrategyConfig("adaptive_random", policies=7, bound=5), replicas=100
@@ -198,6 +202,9 @@ def test_uniforms_table_stays_bounded_under_many_rounds():
     true_price=st.floats(0.5, 3.0),
     mu=st.one_of(st.none(), st.floats(-0.5, 0.5)),
 )
+# large epsilon, where 1 - tanh(eps/2) cancels, with the trade at either end
+@example(seed=0, lower=0.0, width=2.0, at=1.0, epsilon=40.0, true_price=1.5, mu=None)
+@example(seed=0, lower=0.0, width=2.0, at=0.0, epsilon=709.0, true_price=1.5, mu=None)
 @settings(max_examples=25, deadline=None)
 def test_property_matches_the_scalar_engine(
     kind, seed, lower, width, at, epsilon, true_price, mu

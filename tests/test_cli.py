@@ -195,7 +195,17 @@ class TestVerifyPldp:
                 "--tau", "0,2", "--seed", "3",
             ],
         }[command]
-        for epsilon in ("709", "710", "1000"):
+        # e^709 and the endpoint ratio are finite; from about 709.78 on both overflow
+        code, out, err = run(capsys, flags + ["--epsilon", "709", "--output", "json"])
+        assert (code, err) == (0, "")
+        doc, _, summary = out.rpartition("}\n")
+        payload = json.loads(doc + "}\n", parse_constant=reject_constant)
+        report = payload if command == "verify-pldp" else payload["pldp"]
+        assert report["bound"] == math.exp(709.0)
+        assert report["max_ratio"] == pytest.approx(math.exp(709.0), rel=1e-9)
+        assert report["satisfied"] is True
+        assert summary.strip().endswith("e^eps: PASS")
+        for epsilon in ("710", "1000"):
             code, out, err = run(capsys, flags + ["--epsilon", epsilon, "--output", "json"])
             assert (code, err) == (1, "")
             doc, _, summary = out.rpartition("}\n")
@@ -203,7 +213,7 @@ class TestVerifyPldp:
             report = payload if command == "verify-pldp" else payload["pldp"]
             assert report["max_ratio"] == "inf"
             assert report["satisfied"] is False
-            assert report["bound"] == ("inf" if epsilon != "709" else math.exp(709.0))
+            assert report["bound"] == "inf"
             assert summary.strip().endswith("max ratio inf <= e^eps: FAIL")
 
     def test_overflowing_width_is_a_spec_error(self, capsys):

@@ -219,6 +219,20 @@ class TestVerifyPLDP:
         assert report.satisfied, f"spec={spec} ratio={report.max_ratio}"
         assert report.max_ratio == pytest.approx(math.exp(spec.epsilon), rel=1e-9)
 
+    # 1 - tanh(eps/2) as a difference cancelled as tanh rounded toward 1: an
+    # endpoint's low atom kept only its last bits (ratio off, eps 35 and 36)
+    # or none (infinite ratio, eps 40 on); e^710 overflows, and so does the ratio
+    @pytest.mark.parametrize("tau", [(0.0, 2.0), (32.0, 32.001)])
+    @pytest.mark.parametrize(
+        "epsilon", [2.0, 30.0, 35.0, 36.0, 37.0, 40.0, 100.0, 700.0, 709.0, 710.0]
+    )
+    def test_tight_at_large_epsilon(self, tau, epsilon):
+        spec = PrivacySpec(*tau, epsilon)
+        report = verify_pldp(lambda v: binary_mechanism(v, spec), spec, 101)
+        assert report.satisfied is (epsilon < 710.0), report
+        if epsilon < 710.0:
+            assert report.max_ratio == pytest.approx(math.exp(epsilon), rel=1e-9)
+
     def test_degenerate_spec_trivially_private(self):
         spec = PrivacySpec(1.0, 1.0, 2.0)
         report = verify_pldp(lambda v: binary_mechanism(v, spec), spec, 11)
@@ -259,12 +273,14 @@ class TestVerifyPLDP:
 
     @pytest.mark.parametrize("epsilon", [709.0, 710.0, 1000.0, 1e308])
     def test_overflowing_bound_is_infinite(self, epsilon):
-        # tanh(eps/2) rounds to 1, so an endpoint's low atom has probability 0
+        # the endpoint ratio is 1/q with q = e^-eps: from eps ~ 709.78 on it
+        # overflows with e^eps (and q is 0 from eps ~ 745 on); below, it is finite
         spec = PrivacySpec(0.0, 2.0, epsilon)
         report = verify_pldp(lambda v: binary_mechanism(v, spec), spec, 11)
-        assert report.bound == (math.exp(709.0) if epsilon == 709.0 else math.inf)
-        assert math.isinf(report.max_ratio)
-        assert not report.satisfied
+        finite = epsilon == 709.0
+        assert report.bound == (math.exp(709.0) if finite else math.inf)
+        assert math.isinf(report.max_ratio) is not finite
+        assert report.satisfied is finite
 
     def test_infinite_ratio_passes_only_infinite_epsilon(self):
         def drifting(v):

@@ -1,10 +1,10 @@
 """The array streams of the batched engine against numpy's own generators.
 
-replica_rng(seed, i) and policy_rng(seed, j) define the noise: numpy's
-Generator(Philox(SeedSequence(seed, spawn_key=(k, i)))). The engine computes
-the same keys and Philox blocks as arrays over many indices at once; every
-word and every uniform must equal numpy's, and a seed numpy refuses must
-fail with numpy's error.
+replica_rng(seed, i) and oracles.policy_rng(seed, j) define the noise and
+the random policies: numpy's Generator(Philox(SeedSequence(seed,
+spawn_key=(k, i)))). The engine computes the same keys and Philox blocks as
+arrays over many indices at once; every word and every uniform must equal
+numpy's, and a seed numpy refuses must fail with numpy's error.
 """
 
 import math
@@ -19,10 +19,11 @@ from noisycfmm import (
     StrategyConfig,
     TradingCurve,
     estimate_excess_profit,
-    policy_rng,
     replica_rng,
 )
 from noisycfmm import harness
+from noisycfmm.privacy import two_point_weights
+from oracles import policy_params, policy_rng
 
 SEEDS = [0, 2**32 - 1, 2**64 + 1, 2**130 + 3]
 # one and two 32-bit words, both ends of each
@@ -87,26 +88,9 @@ SPECS = [PrivacySpec(0.0, 2.0, 2.0), PrivacySpec(-3.0, 0.5, 0.3), PrivacySpec(1.
 @pytest.mark.parametrize("seed", [0, 42, 2**64 + 1])
 def test_policy_table_matches_policy_params(seed, spec):
     table = harness._policy_table(seed, 60, spec)
-    params = np.array([harness._policy_params(seed, j, spec) for j in range(60)])
+    params = np.array([policy_params(seed, j, spec) for j in range(60)])
     assert table[:, :5].tobytes() == params.tobytes()
-    assert table[:, 5].tolist() == [math.tanh(0.5 * p[3]) for p in params]
-
-
-def test_refused_words_come_from_the_scalar_draw(monkeypatch):
-    """A policy whose integers() word Lemire would refuse is drawn by _policy_params."""
-    spec = SPECS[0]
-    scalar = harness._policy_params
-    calls = []
-
-    def spy(seed, index, base_spec):
-        calls.append(index)
-        return scalar(seed, index, base_spec)
-
-    monkeypatch.setattr(harness, "_lemire_rejects", lambda word, span: np.arange(word.size) % 3 == 1)
-    monkeypatch.setattr(harness, "_policy_params", spy)
-    table = harness._policy_table(7, 10, spec)
-    assert calls == [1, 4, 7]
-    assert table[:, :5].tolist() == [list(scalar(7, j, spec)) for j in range(10)]
+    assert table[:, 5:].tolist() == [list(two_point_weights(p[3])) for p in params]
 
 
 def test_lemire_rejection_predicate():
@@ -135,6 +119,20 @@ def test_lemire_rejection_agrees_with_numpy():
         assert one_word == (not refused[j])
         if one_word:
             assert value == int(words[j]) * span >> 32
+
+
+# about a quarter, and just under half, of the words refused; at the second
+# span some of the 2000 rows are refused eight times and draw from block 3
+@pytest.mark.parametrize("span, n", [(3 * 2**30, 200), (2**31 + 1, 2000)])
+def test_bounded_draw_agrees_with_numpy(span, n):
+    keys = harness._stream_keys(5, 1, np.arange(n, dtype=np.uint64))
+    got = harness._bounded(keys, 2, span)
+    want = []
+    for j in range(n):
+        rng = policy_rng(5, j)
+        rng.random(4)  # use up block 1
+        want.append(int(rng.integers(0, span)))
+    assert got.tolist() == want
 
 
 def test_negative_seed_raises_numpys_error():
