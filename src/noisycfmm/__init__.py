@@ -3,9 +3,13 @@ trade sizes with zero-mean noise, price the fee that makes the masking
 incentive-neutral, and check the personalized local differential privacy
 guarantee of the masking mechanism.
 
-The names of __all__ that this file does not import come from harness, which
-is imported on the first such lookup: harness loads numpy, and the fee,
-privacy and market layers run without it."""
+The names of __all__ that this file does not import come from market, then
+strategies, then harness, each imported on the first such lookup: the curve,
+fee and privacy layers, which every subcommand of the CLI uses, are loaded
+with the package; market and strategies load when one of their names is
+first read, and harness, which loads numpy, when one of its names is."""
+
+from importlib import import_module
 
 from .codec import to_json
 from .curve import Family, TradingCurve
@@ -31,15 +35,6 @@ from .fee import (
     noise_fee,
     noise_fee_closed_form,
 )
-from .market import (
-    FeePolicy,
-    FeePolicyKind,
-    MarketState,
-    TradeRecord,
-    eavesdrop_infer,
-    execute_trade,
-    support_check,
-)
 from .privacy import (
     EPSILON_FLOOR,
     NoiseAtom,
@@ -50,17 +45,6 @@ from .privacy import (
     biased_factory,
     binary_mechanism,
     verify_pldp,
-)
-from .strategies import (
-    DEFAULT_MAX_ROUNDS,
-    AdaptivePolicy,
-    ExternalFlow,
-    StrategyTrace,
-    case1_deviation,
-    case2_deviation,
-    noise_chasing_strategy,
-    run_adaptive,
-    truthful_strategy,
 )
 
 __version__ = "0.1.0"
@@ -135,13 +119,16 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    """An __all__ name not bound above, looked up in harness on every access.
+    """An __all__ name not bound above, looked up on every access in market,
+    then strategies, then harness.
 
-    No copy is kept here, so a function replaced in harness (by a tracer or a
-    test) is what the package hands out.
+    No copy is kept here, so a function replaced in its module (by a tracer or
+    a test) is what the package hands out.
     """
     if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import harness
-
-    return getattr(harness, name)
+    for module in ("market", "strategies", "harness"):
+        owner = import_module(f"{__name__}.{module}")
+        if hasattr(owner, name):
+            return getattr(owner, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,9 +5,11 @@ Exit codes: 0 success, 1 a configured expectation was falsified by the run,
 and propagate). Randomized commands refuse to run without an explicit seed;
 nothing ever falls back to wall-clock seeding. JSON output is canonical
 (sorted keys, two-space indent) so identical config and seed give
-byte-identical bytes. attack-demo, simulate and optimize-noise import
-harness, and with it numpy, when they run; the other subcommands never load
-numpy.
+byte-identical bytes. simulate and optimize-noise import harness, and with
+it numpy, market and strategies, when they run. attack-demo imports market
+and draws its noise from streams, replica_rng's Philox stream in plain ints,
+so it loads no numpy; quote-fee, verify-pldp and scaling-study load none of
+these.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .codec import (
 from .curve import TradingCurve, parse_curve
 from .errors import ConfigError, NoisyCfmmError
 from .fee import ScalingRow, liquidity_scaling_study, noise_fee, noise_fee_closed_form
-from .market import MarketState, eavesdrop_infer, execute_trade
 from .privacy import PrivacySpec, binary_mechanism, parse_privacy, verify_pldp
 
 EXIT_OK = 0
@@ -73,6 +74,12 @@ _SCALING_FIELDS = {
 def _sig3(x: float) -> str:
     """Three-significant-figure scientific display."""
     return f"{x:.2e}"
+
+
+def _ratio(x: float) -> str:
+    """A privacy ratio for a summary line: five decimals, in scientific form from
+    1e6 on, where e^eps would print hundreds of digits (e^709 has 308)."""
+    return f"{x:.5f}" if x < 1e6 else f"{x:.5e}"
 
 
 def _parse_tau(text: str) -> tuple[float, float]:
@@ -199,7 +206,8 @@ def quote_fee_cmd(args: argparse.Namespace) -> int:
 
 
 def attack_demo_cmd(args: argparse.Namespace) -> int:
-    from .harness import replica_rng  # numpy: replica streams are its Philox generator
+    from .market import MarketState, eavesdrop_infer, execute_trade
+    from .streams import ReplicaStream  # replica 0's stream, without numpy
 
     curve = _curve_from_args(args)
     spec = _spec_from_args(args)
@@ -217,7 +225,7 @@ def attack_demo_cmd(args: argparse.Namespace) -> int:
     noiseless_inferred = eavesdrop_infer(pre_price, bare_state.spot, curve)
 
     # and when the pool adds masking noise
-    rng = replica_rng(args.seed, 0)
+    rng = ReplicaStream(args.seed, 0)
     noisy_state, record = execute_trade(state, args.delta, spec, rng)
     noisy_inferred = eavesdrop_infer(pre_price, noisy_state.spot, curve)
 
@@ -237,7 +245,7 @@ def attack_demo_cmd(args: argparse.Namespace) -> int:
     ratio_word = "PASS" if report.satisfied else "FAIL"
     summary = (
         f"eavesdropper sees {noiseless_inferred:.5f} bare vs {noisy_inferred:.5f} masked "
-        f"(eta {record.eta:+.5f}); max ratio {report.max_ratio:.5f} <= e^eps: {ratio_word}"
+        f"(eta {record.eta:+.5f}); max ratio {_ratio(report.max_ratio)} <= e^eps: {ratio_word}"
     )
     if note:
         summary += f" ({note})"
@@ -323,7 +331,7 @@ def optimize_cmd(args: argparse.Namespace) -> int:
     ok = checkup.ok
     parts = [f"avg fee {solution.average_fee!r}"]
     parts.append(
-        f"max ratio {checkup.pldp.max_ratio:.5f} <= e^eps: "
+        f"max ratio {_ratio(checkup.pldp.max_ratio)} <= e^eps: "
         f"{'PASS' if checkup.pldp.satisfied else 'FAIL'}"
     )
     if max_avg is not None:
@@ -352,7 +360,7 @@ def verify_cmd(args: argparse.Namespace) -> int:
     report = verify_pldp(lambda v: binary_mechanism(v, spec), spec, grid_size=args.grid)
     payload = {**fields_of(report, "n_outputs"), "privacy": spec, "grid_size": args.grid}
     summary = (
-        f"max ratio {report.max_ratio:.5f} <= e^eps: "
+        f"max ratio {_ratio(report.max_ratio)} <= e^eps: "
         f"{'PASS' if report.satisfied else 'FAIL'}"
     )
     _emit(args, payload, summary)

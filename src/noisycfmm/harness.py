@@ -61,6 +61,7 @@ from .privacy import (
     verify_pldp,
 )
 from .strategies import DEFAULT_MAX_ROUNDS, check_case1, check_case2, truthful_strategy
+from .streams import INIT_A, INIT_B, MIX_L, MIX_R, MULT_A, MULT_B, PHILOX_M, PHILOX_W
 
 # Two-sided 99% normal quantile; CIs here use the normal approximation.
 Z99 = 2.5758293035489004
@@ -87,14 +88,13 @@ def replica_rng(seed: int, index: int) -> np.random.Generator:
 # Philox key; Philox4x64-10 maps (key, counter) to four uint64 lanes
 # (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11). The
 # functions below run them on arrays of stream indices, word for word as
-# numpy does.
+# numpy does; streams runs them on plain ints for one stream and holds the
+# constants.
 
 _LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # SeedSequence's entropy hash
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # and its generate_state hash
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
-_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_MIX_L, _MIX_R = np.uint32(MIX_L), np.uint32(MIX_R)
+_PHILOX_M = np.array(PHILOX_M, dtype=np.uint64)[:, None]
+_PHILOX_W = np.array(PHILOX_W, dtype=np.uint64)[:, None]
 _PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LOW32, _PHILOX_M >> _SHIFT32
 
 
@@ -114,7 +114,7 @@ def _hash4(words: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
 
 def _absorb(pool: np.ndarray, const: int, word: np.ndarray) -> tuple[np.ndarray, int]:
     """Mix one more entropy word (one per column) into each of the four pool words."""
-    h, const = _hash4(word, const, _MULT_A)
+    h, const = _hash4(word, const, MULT_A)
     mixed = _MIX_L * pool - _MIX_R * h
     return mixed ^ mixed >> np.uint32(16), const
 
@@ -132,14 +132,14 @@ def _stream_keys(seed: int, k: int, index: np.ndarray) -> np.ndarray:
     # cross-mix it, and 4 more for each entropy word past the pool's 4 (the
     # seed's words beyond 4, as it is padded to 4, then k).
     seed_words = -(-int(seed).bit_length() // 32)
-    const = _INIT_A * pow(_MULT_A, 16 + 4 * (max(seed_words, 4) - 3), 2**32) & 0xFFFFFFFF
+    const = INIT_A * pow(MULT_A, 16 + 4 * (max(seed_words, 4) - 3), 2**32) & 0xFFFFFFFF
     pool = np.repeat(prefix.pool[:, None], index.size, axis=1)
     pool, const = _absorb(pool, const, (index & _LOW32).astype(np.uint32))
     wide = np.flatnonzero(index >> _SHIFT32)
     if wide.size:
         high = (index[wide] >> _SHIFT32).astype(np.uint32)
         pool[:, wide], _ = _absorb(pool[:, wide], const, high)
-    state = _hash4(pool, _INIT_B, _MULT_B)[0].astype(np.uint64)
+    state = _hash4(pool, INIT_B, MULT_B)[0].astype(np.uint64)
     return state[0::2] | state[1::2] << _SHIFT32  # generate_state(2, uint64)
 
 

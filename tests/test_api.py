@@ -106,16 +106,18 @@ def test_benchmark_tracer_wraps_the_lp_solver():
     assert [getattr(owner, name) for owner, name in listed] == originals
 
 
-# Cold start: quote-fee, verify-pldp and scaling-study load neither numpy nor
-# harness; attack-demo loads numpy (replica_rng is numpy's Philox) but no
-# scipy module; only the noise LP (optimize-noise) loads scipy, on its first
-# solve.
+# Cold start: quote-fee, verify-pldp and scaling-study load neither numpy,
+# harness, market nor strategies; attack-demo loads market but neither numpy
+# nor harness (its one replica stream is plain-int Philox) nor strategies; only
+# the noise LP (optimize-noise) loads scipy, on its first solve.
 COLD_START = textwrap.dedent("""
     import contextlib, io, json, sys, tempfile
     import noisycfmm, noisycfmm.cli as cli
 
     def loaded():
         return {"numpy": "numpy" in sys.modules, "harness": "noisycfmm.harness" in sys.modules,
+                "market": "noisycfmm.market" in sys.modules,
+                "strategies": "noisycfmm.strategies" in sys.modules,
                 "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}
 
     def run(argv, config=None):
@@ -154,9 +156,13 @@ def test_cli_loads_scipy_only_for_the_noise_lp():
     )
     result = json.loads(proc.stdout)
     assert result["lean"] == [0, 0, 0]
-    assert result["after_lean"] == {"numpy": False, "harness": False, "scipy": []}
+    assert result["after_lean"] == {
+        "numpy": False, "harness": False, "market": False, "strategies": False, "scipy": [],
+    }
     assert result["attack"] == 0
-    assert result["after_attack"] == {"numpy": True, "harness": True, "scipy": []}
+    assert result["after_attack"] == {
+        "numpy": False, "harness": False, "market": True, "strategies": False, "scipy": [],
+    }
     assert result["lp_code"] == 0
     assert result["solver_loaded"]
 

@@ -205,6 +205,7 @@ class TestVerifyPldp:
         assert report["max_ratio"] == pytest.approx(math.exp(709.0), rel=1e-9)
         assert report["satisfied"] is True
         assert summary.strip().endswith("e^eps: PASS")
+        assert len(summary.strip()) < 120  # e^709 in scientific form, not its 308 digits
         for epsilon in ("710", "1000"):
             code, out, err = run(capsys, flags + ["--epsilon", epsilon, "--output", "json"])
             assert (code, err) == (1, "")

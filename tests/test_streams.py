@@ -1,16 +1,21 @@
-"""The array streams of the batched engine against numpy's own generators.
+"""The array streams of the batched engine, and the plain-int stream of the
+CLI, against numpy's own generators.
 
 replica_rng(seed, i) and oracles.policy_rng(seed, j) define the noise and
 the random policies: numpy's Generator(Philox(SeedSequence(seed,
 spawn_key=(k, i)))). The engine computes the same keys and Philox blocks as
-arrays over many indices at once; every word and every uniform must equal
-numpy's, and a seed numpy refuses must fail with numpy's error.
+arrays over many indices at once, and streams.ReplicaStream computes replica
+i's in Python ints; every word and every uniform must equal numpy's, and a
+seed numpy refuses must fail with numpy's error.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisycfmm import (
     STRATEGY_KINDS,
@@ -21,8 +26,9 @@ from noisycfmm import (
     estimate_excess_profit,
     replica_rng,
 )
-from noisycfmm import harness
+from noisycfmm import cli, harness, market
 from noisycfmm.privacy import two_point_weights
+from noisycfmm.streams import ReplicaStream
 from oracles import policy_params, policy_rng
 
 SEEDS = [0, 2**32 - 1, 2**64 + 1, 2**130 + 3]
@@ -135,6 +141,39 @@ def test_bounded_draw_agrees_with_numpy(span, n):
     assert got.tolist() == want
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_plain_int_stream_matches_replica_rng(seed):
+    """Four Philox blocks of each stream, one uniform at a time."""
+    for index in INDICES.tolist():
+        stream = ReplicaStream(seed, index)
+        assert [stream.random() for _ in range(16)] == replica_rng(seed, index).random(16).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**200 - 1), index=st.integers(0, 2**64 - 1))
+def test_plain_int_stream_matches_on_any_seed_and_index(seed, index):
+    stream = ReplicaStream(seed, index)
+    assert [stream.random() for _ in range(9)] == replica_rng(seed, index).random(9).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42, 2**64 + 1])
+def test_attack_demo_masks_with_replica_zeros_noise(seed, capsys):
+    """The CLI's numpy-free draw gives the trade that replica_rng(seed, 0) gives."""
+    curve, spec = TradingCurve.constant_product(1e4), PrivacySpec(0.0, 2.0, 2.0)
+    state = market.MarketState(curve, 100.0, 1e9, 1e9)
+    noisy, record = market.execute_trade(state, 1.0, spec, replica_rng(seed, 0))
+    code = cli.main([
+        "attack-demo", "--curve", "cp", "--level", "1e4", "--x", "100", "--delta", "1",
+        "--tau", "0,2", "--epsilon", "2", "--seed", str(seed), "--output", "json",
+    ])
+    doc, _, _ = capsys.readouterr().out.rpartition("}\n")
+    payload = json.loads(doc + "}\n")
+    assert code == 0
+    assert (payload["eta"], payload["fee_paid"], payload["noisy_inferred"]) == (
+        record.eta, record.gamma, market.eavesdrop_infer(state.spot, noisy.spot, curve),
+    )
+
+
 def test_negative_seed_raises_numpys_error():
     with pytest.raises(ValueError) as numpy_error:
         replica_rng(-1, 0)
@@ -142,6 +181,9 @@ def test_negative_seed_raises_numpys_error():
         with pytest.raises(ValueError) as ours:
             harness._stream_keys(-1, k, INDICES)
         assert str(ours.value) == str(numpy_error.value)
+    with pytest.raises(ValueError) as plain:
+        ReplicaStream(-1, 0)
+    assert str(plain.value) == str(numpy_error.value)
 
 
 @pytest.mark.parametrize("kind", STRATEGY_KINDS)
