@@ -168,12 +168,15 @@ def test_cli_loads_scipy_only_for_the_noise_lp():
 
 
 def test_harness_names_are_looked_up_on_every_access(monkeypatch):
-    from noisycfmm import harness
+    from noisycfmm import harness, market
 
     assert noisycfmm.replica_rng is harness.replica_rng
     replacement = lambda seed, index: None  # noqa: E731
     monkeypatch.setattr(harness, "replica_rng", replacement)
     assert noisycfmm.replica_rng is replacement
     assert "replica_rng" not in vars(noisycfmm)
+    monkeypatch.setattr(market, "execute_trade", replacement)
+    assert noisycfmm.execute_trade is replacement
+    assert "execute_trade" not in vars(noisycfmm)
     with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
         noisycfmm.not_a_name
