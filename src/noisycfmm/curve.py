@@ -20,6 +20,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 from .codec import fields_of, number, parse_kind
 from .errors import DomainError, NoSolutionError
@@ -213,27 +215,32 @@ class TradingCurve:
         eta * spot_price(s), but that difference cancels to O(eta^2) while
         each term is O(eta), so the naive form loses half its digits once
         |eta| is small against s. Fee pricing lives exactly there, so each
-        family gets a form whose terms all share the result's sign.
+        family gets a form whose terms all share the result's sign; the
+        formulas are _cp_gain, _csum_gain and _lmsr_gain below. This is the
+        one-atom case of reversal_gains, calling its family's formula directly.
         """
-        self._require(s, "s")
-        if eta == 0.0:
-            return 0.0
-        self._require(s + eta, "s+eta")
+        if not self.x_lo <= s <= self.x_hi:  # _require, inlined on the hot path
+            self._require(s, "s")
         if self.family is Family.CONSTANT_PRODUCT:
-            return self.level * eta * eta / (s * s * (s + eta))
+            return _cp_gain(self, s, s * s, eta)
         if self.family is Family.CONSTANT_SUM:
-            return 0.0
-        c = 2.0 - self.level
-        v = math.exp(-s)
-        d = c - v
-        if d <= 0.0:
-            raise DomainError(f"reserve {s} too close to the LMSR domain edge")
-        beta = v / d  # spot price at s
-        z = -beta * math.expm1(-eta)  # (e^-s - e^-(s+eta)) / (c - e^-s)
-        if 1.0 + z <= 0.0:
-            raise DomainError(f"reserve {s + eta} too close to the LMSR domain edge")
-        # both addends are positive and O(eta^2): no cancellation between them
-        return _z_minus_log1p(z) + beta * _eta_plus_expm1_neg(eta)
+            return _csum_gain(self, s, eta)
+        return _lmsr_gain(self, s, math.exp(-s), eta)
+
+    def reversal_gains(self, s: float) -> Callable[[float], float]:
+        """reversal_gain(s, eta) as a function of eta alone, for many atoms at one s.
+
+        Checks s and computes its terms (s^2, or e^-s for LMSR) once. Each
+        call then checks s + eta and evaluates the same formula as
+        reversal_gain, so the two agree bit for bit and raise the same errors.
+        """
+        if not self.x_lo <= s <= self.x_hi:
+            self._require(s, "s")
+        if self.family is Family.CONSTANT_PRODUCT:
+            return partial(_cp_gain, self, s, s * s)
+        if self.family is Family.CONSTANT_SUM:
+            return partial(_csum_gain, self, s)
+        return partial(_lmsr_gain, self, s, math.exp(-s))
 
     def liquidity(self, price: float) -> float | None:
         """Reciprocal price sensitivity 1/(dP/dx) at the reserve with spot ``price``.
@@ -271,6 +278,46 @@ _CURVE_KINDS = {
 def parse_curve(obj: dict, where: str = "curve") -> TradingCurve:
     fields = parse_kind(obj, "family", _CURVE_KINDS, ("level", "slope"), where)
     return TradingCurve(_CURVE_FAMILIES[fields.pop("family")], **fields)
+
+
+# The reversal-gain formulas, one per family. The caller has checked s; each
+# formula checks s + eta.
+
+
+def _cp_gain(curve: TradingCurve, s: float, s2: float, eta: float) -> float:
+    """K eta^2 / (s^2 (s + eta)), with s2 = s * s."""
+    if eta == 0.0:
+        return 0.0
+    t = s + eta
+    if not curve.x_lo <= t <= curve.x_hi:
+        curve._require(t, "s+eta")
+    return curve.level * eta * eta / (s2 * t)
+
+
+def _csum_gain(curve: TradingCurve, s: float, eta: float) -> float:
+    """0: the spot price is flat."""
+    if eta != 0.0 and not curve.x_lo <= s + eta <= curve.x_hi:
+        curve._require(s + eta, "s+eta")
+    return 0.0
+
+
+def _lmsr_gain(curve: TradingCurve, s: float, v: float, eta: float) -> float:
+    """z - log1p(z) + beta (eta + expm1(-eta)), with v = e^-s, beta the spot price
+    at s and z = -beta expm1(-eta)."""
+    if eta == 0.0:
+        return 0.0
+    t = s + eta
+    if not curve.x_lo <= t <= curve.x_hi:
+        curve._require(t, "s+eta")
+    d = (2.0 - curve.level) - v
+    if d <= 0.0:
+        raise DomainError(f"reserve {s} too close to the LMSR domain edge")
+    beta = v / d  # spot price at s
+    z = -beta * math.expm1(-eta)  # (e^-s - e^-(s+eta)) / (c - e^-s)
+    if 1.0 + z <= 0.0:
+        raise DomainError(f"reserve {t} too close to the LMSR domain edge")
+    # both addends are positive and O(eta^2): no cancellation between them
+    return _z_minus_log1p(z) + beta * _eta_plus_expm1_neg(eta)
 
 
 def _z_minus_log1p(z: float) -> float:

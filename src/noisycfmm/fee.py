@@ -7,14 +7,16 @@ price an informed counterparty just saw, and reversing it is worth
 
 to whoever trades next. The privacy fee charges the expectation of that value
 under the noise distribution, evaluated at the post-trade state. Each atom's
-integral is TradingCurve.reversal_gain(s, eta), the per-family analytic
-expansion of
+integral is the per-family analytic expansion of
 
     Y(s + eta) - Y(s) + eta * P(s),
 
 so the engine below never numerically integrates and never subtracts nearly
 equal reserve values; quadrature appears only in tests as an independent
-oracle. For the constant-product family and two-atom zero-mean noise there is
+oracle. The atoms of one quote share s, so the engine takes the per-state
+form TradingCurve.reversal_gains(s), which checks s and computes its terms
+once, and calls it for each atom: the same bits as reversal_gain(s, eta)
+atom by atom. For the constant-product family and two-atom zero-mean noise there is
 also a one-line closed form used to cross-check the generic engine. The
 liquidity scaling study prices one trade on constant-product pools of scaled
 depth, to show the fee falling inversely with liquidity.
@@ -63,16 +65,18 @@ def noise_fee(
     """
     s = state_x + delta
     curve._require(s, "post-trade reserve x+delta")
-    for atom in dist.atoms:
-        if not curve.contains(s + atom.eta):
-            raise DomainError(
-                f"noised reserve {s + atom.eta} (atom eta={atom.eta}) exits the curve domain"
-            )
+    lo, hi = curve.x_lo, curve.x_hi
+    atoms = dist.atoms
+    for atom in atoms:
+        eta = atom.eta
+        if not lo <= s + eta <= hi:  # curve.contains, inlined
+            raise DomainError(f"noised reserve {s + eta} (atom eta={eta}) exits the curve domain")
+    gain = curve.reversal_gains(s)
     gamma = 0.0
-    for atom in dist.atoms:
-        if atom.eta == 0.0:
-            continue
-        gamma += atom.p * curve.reversal_gain(s, atom.eta)
+    for atom in atoms:
+        eta = atom.eta
+        if eta != 0.0:
+            gamma += atom.p * gain(eta)
     if not math.isfinite(gamma):
         raise DomainError(f"noise fee {gamma} is not finite")
     return FeeQuote(gamma, state_x, delta, dist, FeeMethod.GENERIC)

@@ -414,7 +414,7 @@ def _y_of_x(curve: TradingCurve, x: np.ndarray) -> np.ndarray:
     """TradingCurve.y_of_x at each point, all of them inside the domain.
 
     LMSR points go through the scalar method one by one, here and in
-    _reversal_gain: numpy's exp and log may round differently from math's.
+    _reversal_gains: numpy's exp and log may round differently from math's.
     """
     if curve.family is Family.CONSTANT_PRODUCT:
         return curve.level / x
@@ -423,13 +423,18 @@ def _y_of_x(curve: TradingCurve, x: np.ndarray) -> np.ndarray:
     return np.array([curve.y_of_x(v) for v in x.tolist()])
 
 
-def _reversal_gain(curve: TradingCurve, s: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """TradingCurve.reversal_gain at each (s, eta), both ends inside the domain."""
-    if curve.family is Family.CONSTANT_PRODUCT:  # not finite where the scalar division raises
-        return np.where(eta == 0.0, 0.0, curve.level * eta * eta / (s * s * (s + eta)))
+def _reversal_gains(
+    curve: TradingCurve, s: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """TradingCurve.reversal_gain at each (s, lo) and each (s, hi), all inside the domain."""
+    if curve.family is Family.LMSR:  # one per-state gain per entry of s serves both atoms
+        gains = [curve.reversal_gains(x) for x in s.tolist()]
+        return tuple(np.array([g(e) for g, e in zip(gains, eta.tolist())]) for eta in (lo, hi))
     if curve.family is Family.CONSTANT_SUM:
-        return np.zeros(s.size)
-    return np.array([curve.reversal_gain(a, b) for a, b in zip(s.tolist(), eta.tolist())])
+        return np.zeros(s.size), np.zeros(s.size)
+    return tuple(  # not finite where the scalar division raises
+        np.where(eta == 0.0, 0.0, curve.level * eta * eta / (s * s * (s + eta))) for eta in (lo, hi)
+    )
 
 
 class _Batch:
@@ -517,9 +522,10 @@ class _Batch:
         if bad.any():
             raise self._failure(bad, trade)
         try:  # LMSR goes through the scalar curve queries, which raise as execute_trade's do
+            gain_lo, gain_hi = _reversal_gains(curve, s, lo, hi)
             quote = (
-                0.0 + np.where(lo == 0.0, 0.0, p_lo * _reversal_gain(curve, s, lo))
-                + np.where(hi == 0.0, 0.0, p_hi * _reversal_gain(curve, s, hi))
+                0.0 + np.where(lo == 0.0, 0.0, p_lo * gain_lo)
+                + np.where(hi == 0.0, 0.0, p_hi * gain_hi)
             )
             if not np.isfinite(quote).all():
                 raise self._failure(~np.isfinite(quote), trade)
@@ -779,11 +785,12 @@ def _deviation_moments(
     """
     s = pre_trade_x + trade_size
     p_s = curve.spot_price(s)
+    gain = curve.reversal_gains(s)
     mean = 0.0
     second = 0.0
     for atom in dist.atoms:
         # split off the curve-exact part so nothing cancels when p_hat ~ P(s)
-        step = curve.reversal_gain(s, atom.eta) + atom.eta * (true_price - p_s)
+        step = gain(atom.eta) + atom.eta * (true_price - p_s)
         mean += atom.p * step
         second += atom.p * step * step
     variance = max(0.0, second - mean * mean)
@@ -981,9 +988,8 @@ def _fee_cost_matrix(problem: LPNoiseProblem) -> np.ndarray:
     m, n = len(problem.input_grid), len(problem.output_grid)
     cost = np.empty((m, n))
     for i, v in enumerate(problem.input_grid):
-        s = x_ref + v
-        for j, o in enumerate(problem.output_grid):
-            cost[i, j] = curve.reversal_gain(s, o - v)
+        gain = curve.reversal_gains(x_ref + v)
+        cost[i] = [gain(o - v) for o in problem.output_grid]
     return cost
 
 

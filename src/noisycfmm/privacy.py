@@ -40,11 +40,11 @@ PROBABILITY_TOL = 1e-12
 MATCH_TOL = 1e-9
 
 # verify_pldp's largest grid. Each grid point adds one (output, input,
-# probability) entry per atom, about 190 bytes with its floats, and puts the
-# entry's input and probability on its output's bucket lists. Memory grows
-# with the entries alone, however many distinct outputs there are. For the
-# two-point mechanism at 10**6 points: 2*10**6 entries in two buckets, 0.45 GB
-# peak RSS and 6 s on a 2-core Xeon.
+# probability) entry per atom and puts the entry's input and probability on
+# its output's bucket lists: about 220 bytes per atom with its floats. Memory
+# grows with the entries alone, however many distinct outputs there are. For
+# the two-point mechanism at 10**6 points: 2*10**6 entries in two buckets,
+# 0.44 GB peak RSS and 6 s on a 2-core Xeon.
 MAX_GRID_SIZE = 10**6
 
 
@@ -119,16 +119,18 @@ class NoiseDistribution:
     atoms: tuple[NoiseAtom, ...]
 
     def __post_init__(self) -> None:
-        if not self.atoms:
+        atoms = self.atoms
+        if not atoms:
             raise DistributionShapeError("noise distribution needs at least one atom")
         total = 0.0
-        for atom in self.atoms:
-            if not math.isfinite(atom.eta):
-                raise DistributionShapeError(f"atom value must be finite, got {atom.eta}")
-            if not -PROBABILITY_TOL <= atom.p <= 1.0 + PROBABILITY_TOL:
-                raise DistributionShapeError(f"atom probability {atom.p} outside [0, 1]")
-            total += atom.p
-        if abs(total - 1.0) > PROBABILITY_TOL * max(1, len(self.atoms)):
+        for atom in atoms:
+            eta, p = atom.eta, atom.p
+            if not math.isfinite(eta):
+                raise DistributionShapeError(f"atom value must be finite, got {eta}")
+            if not -PROBABILITY_TOL <= p <= 1.0 + PROBABILITY_TOL:
+                raise DistributionShapeError(f"atom probability {p} outside [0, 1]")
+            total += p
+        if abs(total - 1.0) > PROBABILITY_TOL * len(atoms):
             raise DistributionShapeError(f"atom probabilities sum to {total}, not 1")
 
     @classmethod
@@ -213,19 +215,24 @@ def binary_mechanism(delta: float, spec: PrivacySpec) -> NoiseDistribution:
     hold with the ratio exactly exp(epsilon) at the interval endpoints, and
     the mean is identically zero. A degenerate spec yields the zero atom.
     """
-    if not spec.contains(delta):
-        raise SpecViolationError(
-            f"trade {delta} outside masking interval [{spec.lower}, {spec.upper}]"
-        )
-    if spec.degenerate:
+    atoms = _two_point_atoms(delta, spec)
+    if atoms is None:
         return NoiseDistribution.zero()
-    if spec.epsilon < EPSILON_FLOOR:
-        raise SpecViolationError(
-            f"epsilon {spec.epsilon} below the supported floor {EPSILON_FLOOR}"
-        )
-    weights = two_point_weights(spec.epsilon)
-    lo, hi, p_lo, p_hi = two_point(delta, spec.lower, spec.upper, weights)
+    lo, hi, p_lo, p_hi = atoms
     return NoiseDistribution((NoiseAtom(lo, p_lo), NoiseAtom(hi, p_hi)))
+
+
+def _two_point_atoms(delta: float, spec: PrivacySpec) -> tuple | None:
+    """binary_mechanism's checks, then two_point's atoms and probabilities, or None
+    for a degenerate spec. Reads each field of spec once."""
+    lower, upper, epsilon = spec.lower, spec.upper, spec.epsilon
+    if not lower <= delta <= upper:  # spec.contains
+        raise SpecViolationError(f"trade {delta} outside masking interval [{lower}, {upper}]")
+    if lower == upper or math.isinf(epsilon):  # spec.degenerate
+        return None
+    if epsilon < EPSILON_FLOOR:
+        raise SpecViolationError(f"epsilon {epsilon} below the supported floor {EPSILON_FLOOR}")
+    return two_point(delta, lower, upper, two_point_weights(epsilon))
 
 
 def biased_binary(delta: float, spec: PrivacySpec, mu: float) -> NoiseDistribution:
@@ -233,16 +240,20 @@ def biased_binary(delta: float, spec: PrivacySpec, mu: float) -> NoiseDistributi
 
     Solves the 2x2 system (probabilities sum to one, mean equals mu); only
     means inside the atom span are expressible. Used to build the adversarial
-    counterexamples: shifting the mean breaks priceability.
+    counterexamples: shifting the mean breaks priceability. Raises what
+    binary_mechanism(delta, spec) raises before any error of its own.
     """
-    base = binary_mechanism(delta, spec)
-    if len(base.atoms) == 1:
+    atoms = _two_point_atoms(delta, spec)
+    if atoms is None:
         if mu != 0.0:
             raise InfeasibleBiasError(
                 f"degenerate spec admits only zero-mean noise, requested mean {mu}"
             )
-        return base
-    lo, hi = base.atoms[0].eta, base.atoms[1].eta
+        return NoiseDistribution.zero()
+    lo, hi = atoms[0], atoms[1]
+    for eta in (lo, hi):  # what binary_mechanism's NoiseDistribution refuses
+        if not math.isfinite(eta):
+            raise DistributionShapeError(f"atom value must be finite, got {eta}")
     p_lo, p_hi = mean_tilt(lo, hi, mu)
     if not 0.0 <= p_hi <= 1.0:
         raise InfeasibleBiasError(

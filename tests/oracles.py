@@ -11,8 +11,10 @@ from scipy.optimize import linprog
 from noisycfmm import (
     AdaptivePolicy,
     ConfigError,
+    DomainError,
     ExcessProfitResult,
     ExperimentConfig,
+    Family,
     LPNoiseProblem,
     MarketState,
     MisalignedSupportError,
@@ -28,6 +30,7 @@ from noisycfmm import (
     run_adaptive,
     truthful_strategy,
 )
+from noisycfmm.curve import _eta_plus_expm1_neg, _z_minus_log1p
 from noisycfmm.harness import (
     _POLICY_PERIODS, _POLICY_UNIFORMS, _RATIO_EPS_CAP, _design, _fee_cost_matrix,
     _scale_policy, _summarize,
@@ -74,6 +77,34 @@ def integral_price_quadrature(
     mid = 0.5 * (a + b)
     fa, fm, fb = f(a), f(mid), f(b)
     return recurse(a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), tol, 48)
+
+
+def reversal_gain_oracle(curve: TradingCurve, s: float, eta: float) -> float:
+    """TradingCurve.reversal_gain computed from scratch for one (s, eta).
+
+    Every call checks s and, for LMSR, recomputes e^-s and the spot price;
+    the library's per-state form (TradingCurve.reversal_gains) computes
+    those once per s and must give these bits and these errors.
+    """
+    curve._require(s, "s")
+    if eta == 0.0:
+        return 0.0
+    curve._require(s + eta, "s+eta")
+    if curve.family is Family.CONSTANT_PRODUCT:
+        return curve.level * eta * eta / (s * s * (s + eta))
+    if curve.family is Family.CONSTANT_SUM:
+        return 0.0
+    c = 2.0 - curve.level
+    v = math.exp(-s)
+    d = c - v
+    if d <= 0.0:
+        raise DomainError(f"reserve {s} too close to the LMSR domain edge")
+    beta = v / d  # spot price at s
+    z = -beta * math.expm1(-eta)  # (e^-s - e^-(s+eta)) / (c - e^-s)
+    if 1.0 + z <= 0.0:
+        raise DomainError(f"reserve {s + eta} too close to the LMSR domain edge")
+    # both addends are positive and O(eta^2): no cancellation between them
+    return _z_minus_log1p(z) + beta * _eta_plus_expm1_neg(eta)
 
 
 def policy_rng(seed: int, index: int) -> np.random.Generator:

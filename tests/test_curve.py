@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from noisycfmm import (
     DomainError,
     Family,
+    NoiseDistribution,
     NoSolutionError,
     TradingCurve,
+    noise_fee,
 )
-from oracles import integral_price_quadrature
+from oracles import integral_price_quadrature, reversal_gain_oracle
 
 # Closed forms are exact algebra; anything tighter than a few ulps of the
 # operands is luck, so relative comparisons sit at 1e-12.
@@ -227,6 +229,126 @@ class TestReversalGain:
             CP.reversal_gain(100.0, -100.0)
         with pytest.raises(DomainError):
             LMSR.reversal_gain(1.2, -2.0)
+
+
+def outcome(f, *args):
+    """f(*args) as the hex of its float, or the type and message of its error."""
+    try:
+        return f(*args).hex()
+    except (DomainError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def eta_for_z(beta: float, z: float) -> float:
+    """The eta at which the LMSR gain's z = -beta * expm1(-eta) equals z (for z < beta)."""
+    return -math.log1p(-z / beta)
+
+
+@st.composite
+def gain_state(draw):
+    """A curve of any family, a reserve s on it and 1 to 64 displacements from s.
+
+    The displacements mix zeros, tiny ones of either sign (subnormals too),
+    ones near |eta| = 0.5 and, on LMSR, near |z| = 0.25, where the two series
+    switch to closed forms, and ones that may leave the domain.
+    """
+    family = draw(st.sampled_from(Family))
+    if family is Family.CONSTANT_PRODUCT:
+        curve = TradingCurve.constant_product(draw(st.floats(1e2, 1e8)))
+        s = draw(st.floats(0.5, 1e4))
+    elif family is Family.LMSR:
+        curve = TradingCurve.lmsr(draw(st.floats(0.05, 1.95)))
+        s = draw(st.floats(curve.x_lo, min(curve.x_hi, curve.x_lo + 4.0)))
+    else:
+        curve = TradingCurve.constant_sum(draw(st.floats(1e2, 1e5)), draw(st.floats(0.5, 2.0)))
+        s = draw(st.floats(curve.x_lo, curve.x_hi))
+    kinds = [
+        st.sampled_from([0.0, -0.0]),
+        st.floats(-1e-9, 1e-9),
+        st.floats(0.45, 0.55).flatmap(lambda e: st.sampled_from([e, -e])),
+        st.floats(-1.5 * s, 1.5 * s),
+    ]
+    d = (2.0 - curve.level) - math.exp(-s)
+    if family is Family.LMSR and d > 0.0:  # d rounds to 0 at the lowest reserves
+        beta = math.exp(-s) / d
+        kinds.append(
+            st.floats(-0.35, 0.35).filter(lambda z: z < beta).map(lambda z: eta_for_z(beta, z))
+        )
+    etas = draw(st.lists(st.one_of(kinds), min_size=1, max_size=64))
+    return curve, s, etas
+
+
+class TestPerStateGain:
+    """reversal_gains(s) and reversal_gain against the from-scratch oracle, bit for bit."""
+
+    @given(case=gain_state(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle_bit_for_bit(self, case, data):
+        curve, s, etas = case
+        gain = curve.reversal_gains(s)
+        for eta in etas:
+            want = outcome(reversal_gain_oracle, curve, s, eta)
+            assert outcome(gain, eta) == want, f"s={s!r} eta={eta!r}"
+            assert outcome(curve.reversal_gain, s, eta) == want, f"s={s!r} eta={eta!r}"
+        # noise_fee on the atoms that stay on the curve: sum of p * gain in atom order
+        inside = [eta for eta in etas if curve.contains(s + eta)]
+        if not inside:
+            return
+        weights = data.draw(st.lists(
+            st.floats(0.01, 1.0), min_size=len(inside), max_size=len(inside)
+        ))
+        total = math.fsum(weights)
+        dist = NoiseDistribution.from_pairs((eta, w / total) for eta, w in zip(inside, weights))
+        try:
+            want = 0.0
+            for atom in dist.atoms:
+                if atom.eta != 0.0:
+                    want += atom.p * reversal_gain_oracle(curve, s, atom.eta)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as got:
+                noise_fee(curve, s, 0.0, dist)
+            assert str(got.value) == str(exc)
+            return
+        assert noise_fee(curve, s, 0.0, dist).gamma.hex() == want.hex()
+
+    @pytest.mark.parametrize("z", [-0.26, -0.25, -0.24, 0.24, 0.25, 0.26])
+    @pytest.mark.parametrize("curve", [LMSR, LMSR_SHALLOW])
+    def test_lmsr_series_edges(self, curve, z):
+        # |z| = 0.25 switches z - log1p(z) to its series, |eta| = 0.5 the other one
+        s = curve.x_lo + 0.8
+        gain = curve.reversal_gains(s)
+        for eta in (eta_for_z(curve.spot_price(s), z), 0.49, 0.5, 0.51, -0.49, -0.5, -0.51):
+            want = reversal_gain_oracle(curve, s, eta).hex()
+            assert gain(eta).hex() == want
+            assert curve.reversal_gain(s, eta).hex() == want
+
+    def test_zero_tiny_and_flat(self):
+        for curve, s in ((CP, 100.0), (LMSR, 1.2), (CSUM, 50.0)):
+            gain = curve.reversal_gains(s)
+            for eta in (0.0, -0.0, 5e-324, -5e-324, 1e-12, -1e-12):
+                want = reversal_gain_oracle(curve, s, eta).hex()
+                assert gain(eta).hex() == want
+                assert curve.reversal_gain(s, eta).hex() == want
+
+    def test_errors_match_oracle(self):
+        # s off the curve, s + eta off the curve, and the two LMSR rounding edges:
+        # e^-s rounding onto 2 - level at the lowest reserve, and 1 + z <= 0
+        lmsr_low = TradingCurve.lmsr(1.133)
+        lmsr_steep = TradingCurve.lmsr(1.756)
+        cases = [
+            (CP, -1.0, 1.0), (CP, 100.0, -100.0), (LMSR, 1.2, -2.0), (CSUM, 50.0, 300.0),
+            (lmsr_low, lmsr_low.x_lo, 0.1), (lmsr_steep, 1.9105870536889353, -0.5),
+        ]
+        for curve, s, eta in cases:
+            want = outcome(reversal_gain_oracle, curve, s, eta)
+            assert want[0] is DomainError
+            assert outcome(curve.reversal_gain, s, eta) == want
+            assert outcome(lambda e: curve.reversal_gains(s)(e), eta) == want
+        assert "too close to the LMSR domain edge" in outcome(
+            reversal_gain_oracle, lmsr_steep, 1.9105870536889353, -0.5
+        )[1]
+        # a zero displacement at the lowest reserve needs no spot price
+        assert lmsr_low.reversal_gains(lmsr_low.x_lo)(0.0) == 0.0
 
 
 class TestValidationAndDomain:

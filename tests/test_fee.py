@@ -158,6 +158,33 @@ class TestGenericEngine:
         with pytest.raises(DomainError):
             noise_fee(CP, 100.0, 0.0, d)
 
+    def test_out_of_domain_atom_is_reported_before_an_lmsr_edge(self):
+        # the first atom lands where 1 + z rounds to 0; the second leaves the curve
+        curve = TradingCurve.lmsr(1.756)
+        s = 1.9105870536889353
+        edge = NoiseDistribution.from_pairs([(-0.5, 0.5), (0.5, 0.5)])
+        with pytest.raises(DomainError) as err:
+            noise_fee(curve, s, 0.0, edge)
+        assert str(err.value) == f"reserve {s - 0.5} too close to the LMSR domain edge"
+        both = NoiseDistribution.from_pairs([(-0.5, 0.5), (2e12, 0.5)])
+        with pytest.raises(DomainError) as err:
+            noise_fee(curve, s, 0.0, both)
+        assert str(err.value) == (
+            f"noised reserve {s + 2e12} (atom eta={2e12}) exits the curve domain"
+        )
+        with pytest.raises(DomainError) as err:
+            noise_fee(curve, -1.0, 0.0, both)
+        assert str(err.value).startswith("post-trade reserve x+delta=-1.0 outside")
+
+    def test_lmsr_lowest_reserve_is_an_edge_error(self):
+        # at the lowest represented reserve e^-s rounds onto 2 - level
+        curve = TradingCurve.lmsr(1.133)
+        s = curve.x_lo
+        with pytest.raises(DomainError) as err:
+            noise_fee(curve, s, 0.0, NoiseDistribution.from_pairs([(0.0, 0.5), (0.1, 0.5)]))
+        assert str(err.value) == f"reserve {s} too close to the LMSR domain edge"
+        assert noise_fee(curve, s, 0.0, NoiseDistribution.zero()).gamma == 0.0
+
     def test_non_finite_fee_is_a_domain_error(self):
         # every reserve is on the curve, but the fee overflows float range
         deep = TradingCurve.constant_product(1e308)

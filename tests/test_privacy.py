@@ -11,6 +11,7 @@ from oracles import column_verify_pldp
 
 from noisycfmm import (
     EPSILON_FLOOR,
+    DistributionShapeError,
     InfeasibleBiasError,
     MisalignedSupportError,
     NoiseAtom,
@@ -111,13 +112,26 @@ class TestBinaryMechanism:
         d = binary_mechanism(1.0, PrivacySpec(0.0, 2.0, math.inf))
         assert d.is_zero_noise
 
-    def test_outside_interval_rejected(self):
-        with pytest.raises(SpecViolationError):
-            binary_mechanism(3.0, REF_SPEC)
+    @pytest.mark.parametrize("mechanism", [
+        binary_mechanism, lambda delta, spec: biased_binary(delta, spec, 0.1),
+    ])
+    def test_outside_interval_rejected(self, mechanism):
+        with pytest.raises(SpecViolationError) as err:
+            mechanism(3.0, REF_SPEC)
+        assert str(err.value) == "trade 3.0 outside masking interval [0.0, 2.0]"
+        with pytest.raises(SpecViolationError) as err:
+            mechanism(math.nan, PrivacySpec(1.0, 1.0, 2.0))
+        assert str(err.value) == "trade nan outside masking interval [1.0, 1.0]"
 
-    def test_epsilon_floor(self):
-        with pytest.raises(SpecViolationError):
-            binary_mechanism(1.0, PrivacySpec(0.0, 2.0, 0.5 * EPSILON_FLOOR))
+    @pytest.mark.parametrize("mechanism", [
+        binary_mechanism, lambda delta, spec: biased_binary(delta, spec, 0.1),
+    ])
+    def test_epsilon_floor(self, mechanism):
+        with pytest.raises(SpecViolationError) as err:
+            mechanism(1.0, PrivacySpec(0.0, 2.0, 0.5 * EPSILON_FLOOR))
+        assert str(err.value) == (
+            f"epsilon {0.5 * EPSILON_FLOOR} below the supported floor {EPSILON_FLOOR}"
+        )
 
     @given(pair=spec_strategy())
     @settings(max_examples=100, deadline=None)
@@ -176,10 +190,28 @@ class TestBiasedBinary:
 
     def test_infeasible_mean(self):
         big = 1.0 / math.tanh(1.0)
-        with pytest.raises(InfeasibleBiasError):
+        lo, hi = binary_mechanism(1.0, REF_SPEC).support()
+        with pytest.raises(InfeasibleBiasError) as err:
             biased_binary(1.0, REF_SPEC, big * 1.01)
-        with pytest.raises(InfeasibleBiasError):
+        assert str(err.value) == (
+            f"mean {big * 1.01} outside the atom span [{lo}, {hi}] of the masking interval"
+        )
+        with pytest.raises(InfeasibleBiasError) as err:
             biased_binary(1.0, PrivacySpec(1.0, 1.0, 2.0), 0.1)
+        assert str(err.value) == "degenerate spec admits only zero-mean noise, requested mean 0.1"
+        assert biased_binary(1.0, PrivacySpec(1.0, 1.0, 2.0), 0.0).is_zero_noise
+
+    def test_overflowing_atom_raises_what_binary_mechanism_raises(self):
+        # half-width / tanh(epsilon/2) overflows: binary_mechanism's distribution
+        # refuses the infinite atom before any mean could be tilted onto it
+        spec = PrivacySpec(0.0, 1e303, 2.0 * EPSILON_FLOOR)
+        with pytest.raises(DistributionShapeError) as want:
+            binary_mechanism(1.0, spec)
+        assert str(want.value) == "atom value must be finite, got -inf"
+        for mu in (0.0, 1.0, math.nan):
+            with pytest.raises(DistributionShapeError) as err:
+                biased_binary(1.0, spec, mu)
+            assert str(err.value) == str(want.value)
 
     def test_factory_spares_exact_trades(self):
         f = biased_factory(0.3)

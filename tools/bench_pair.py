@@ -8,7 +8,9 @@ For every workload in BENCHMARK.json the script runs PAIRS pairs of
 workload's run_seconds as S, one run of each commit per pair; the commit
 that goes first alternates from pair to pair. Then it times PAIRS pairs of
 the acceptance Monte Carlo test (test_04) the same way, by pytest's JUnit
-report. The record keeps every result line as run.py printed it, next to
+report. Last, one short traced run per commit and workload (`--trace 1
+--seconds TRACE_SECONDS`) records the per-layer metrics under `layers`.
+The record keeps every result line as run.py printed it, next to
 the machine facts run.py logged for that run (versions and load average),
 and for each commit the median and quartiles (inclusive method) of every
 end-to-end metric and of test_04's time, plus the machine and the command
@@ -32,6 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TEST_04 = "tests/test_acceptance.py::test_04_priced_noise_is_truthful"
 SEED = 42
 PAIRS = 10  # runs per side and workload
+TRACE_SECONDS = 5  # the traced run: per-layer metrics, not timed against the other side
 SIDES = ("parent", "change")
 
 
@@ -51,11 +54,13 @@ def src_lines(tree: Path) -> int:
     return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "noisycfmm").glob("*.py"))
 
 
-def run_workload(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, str]:
+def run_workload(
+    tree: Path, workload: str, seed: int, seconds: float, trace: int = 0,
+) -> tuple[dict, str]:
     """run.py's result line and the machine facts it logs."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds)],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, check=True, capture_output=True, text=True,
     )
     facts = next((line.split("; ", 1)[1] for line in proc.stderr.splitlines()
@@ -118,6 +123,7 @@ def main(argv: list[str] | None = None) -> int:
         "commits": {}, "src_lines": {}, "pairs": PAIRS,
         "runs": {side: {w: [] for w in workloads} for side in SIDES},
         "test_04_s": {side: [] for side in SIDES},
+        "layers": {side: {} for side in SIDES},
     }
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
@@ -135,6 +141,12 @@ def main(argv: list[str] | None = None) -> int:
         for k in range(PAIRS):
             for side in pair_order(k):
                 record["test_04_s"][side].append(time_test_04(trees[side]))
+        for workload in workloads:
+            for side in SIDES:
+                print(f"{side}: {workload} traced", file=sys.stderr, flush=True)
+                record["layers"][side][workload], _ = run_workload(
+                    trees[side], workload, SEED, TRACE_SECONDS, trace=1
+                )
     record["summary"] = {
         side: {
             **{w: summarize(record["runs"][side][w], metrics) for w in workloads},
