@@ -16,10 +16,10 @@ equal reserve values; quadrature appears only in tests as an independent
 oracle. The atoms of one quote share s, so the engine takes the per-state
 form TradingCurve.reversal_gains(s), which checks s and computes its terms
 once, and calls it for each atom: the same bits as reversal_gain(s, eta)
-atom by atom. For the constant-product family and two-atom zero-mean noise there is
-also a one-line closed form used to cross-check the generic engine. The
-liquidity scaling study prices one trade on constant-product pools of scaled
-depth, to show the fee falling inversely with liquidity.
+atom by atom. For the constant-product family and two-atom zero-mean noise
+there is also a one-line closed form used to cross-check the generic engine.
+The liquidity scaling study prices one trade on constant-product pools of
+scaled depth, to show the fee falling inversely with liquidity.
 """
 
 from __future__ import annotations
