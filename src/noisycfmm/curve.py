@@ -39,6 +39,9 @@ class Family(enum.Enum):
     CONSTANT_SUM = "constant_sum"
 
 
+_CP, _LMSR, _CSUM = Family  # for construction: each Family.X lookup costs ~0.1 us
+
+
 @dataclass(frozen=True, slots=True)
 class TradingCurve:
     """One level set of a trading function, restricted to a reserve interval.
@@ -49,7 +52,10 @@ class TradingCurve:
     bound the X reserves the simulation is willing to represent; they are
     intersected with the interval where the level set keeps both reserves
     strictly positive. ``x_lo``/``x_hi`` are derived, not set: the smallest
-    and largest X reserve ``contains`` accepts.
+    and largest X reserve ``contains``, the one domain test, accepts. Between
+    them ``y_of_x`` and ``spot_price`` are finite and positive in floats, and
+    ``integral_price`` and the reversal gain raise only DomainError: LMSR stops
+    below ln(float max) ~ 709.78, and any bound steps in where rounding fails.
     """
 
     family: Family
@@ -63,22 +69,43 @@ class TradingCurve:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.level) and self.level > 0.0):
             raise DomainError(f"curve level must be a positive finite real, got {self.level}")
-        if self.family is Family.LMSR and not self.level < 2.0:
+        if self.family is _LMSR and not self.level < 2.0:
             raise DomainError(f"LMSR level must lie in (0, 2), got {self.level}")
-        if self.family is Family.CONSTANT_SUM and not (
-            math.isfinite(self.slope) and self.slope > 0.0
-        ):
+        if self.family is _CSUM and not (math.isfinite(self.slope) and self.slope > 0.0):
             raise DomainError(f"constant-sum slope must be a positive finite real, got {self.slope}")
         if not (0.0 < self.x_min < self.x_max):
             raise DomainError(
                 f"need 0 < x_min < x_max, got x_min={self.x_min}, x_max={self.x_max}"
             )
-        # The natural bounds are open and [x_min, x_max] is closed; stepping
-        # one float inside the natural ones makes both closed, so contains is
-        # two comparisons (which also reject NaN and the infinities).
-        lo, hi = self.natural_bounds()
-        object.__setattr__(self, "x_lo", max(math.nextafter(lo, math.inf), self.x_min))
-        object.__setattr__(self, "x_hi", min(math.nextafter(hi, -math.inf), self.x_max))
+        # Closed bounds inside the open natural ones, so contains is two comparisons
+        # (which also reject NaN and the infinities).
+        if self.family is _CP:  # x^3 and level/x^2 positive and finite
+            root = math.sqrt(self.level)
+            x_lo, x_hi = max(2.0**-358, root * 2.0**-511), min(2.0**340, root * 2.0**536)
+        elif self.family is _LMSR:  # 0 < 2 - level - e^-x < 1; expm1 below ln(float max)
+            lo = self.natural_bounds()[0]
+            x_lo = lo + 2.0**-50 * max(1.0, lo)
+            x_hi = 709.782712893384 if self.level > 1.0 else -math.log(1.0 - self.level + 2.0**-51)
+        else:
+            x_lo, x_hi = 0.0, math.nextafter(self.natural_bounds()[1], 0.0)
+        x_lo, x_hi = max(x_lo, self.x_min), min(x_hi, self.x_max)
+        # where rounding fails the queries at a bound, step in by 1, 3, 7, ... ulps
+        step = math.ulp(x_lo)
+        while x_lo <= x_hi and not self._finite_at(x_lo):
+            x_lo, step = x_lo + step, 2.0 * step
+        step = math.ulp(x_hi)
+        while x_lo <= x_hi and not self._finite_at(x_hi):
+            x_hi, step = x_hi - step, 2.0 * step
+        object.__setattr__(self, "x_lo", x_lo)
+        object.__setattr__(self, "x_hi", x_hi)
+
+    def _finite_at(self, x: float) -> bool:
+        """Are y_of_x(x) and spot_price(x) finite and positive, as they compute them?"""
+        if self.family is _LMSR:  # for d in (0, 1) here, y = -log(d) and spot e^-x / d
+            return 0.0 < (2.0 - self.level) - math.exp(-x) < 1.0
+        if self.family is _CSUM:
+            return self.level - self.slope * x > 0.0
+        return 0.0 < self.level / (x * x) < math.inf  # and with it level / x
 
     @classmethod
     def constant_product(
@@ -127,10 +154,9 @@ class TradingCurve:
 
     def _require(self, x: float, what: str) -> None:
         if not self.x_lo <= x <= self.x_hi:  # contains, inlined on the hot path
-            lo, hi = self.natural_bounds()
             raise DomainError(
                 f"{what}={x} outside the represented domain "
-                f"[{max(lo, self.x_min)}, {min(hi, self.x_max)}] of {self.family.value}"
+                f"[{self.x_lo}, {self.x_hi}] of {self.family.value}"
             )
 
     # -- queries ------------------------------------------------------------
@@ -142,10 +168,7 @@ class TradingCurve:
             return self.level / x
         if self.family is Family.CONSTANT_SUM:
             return self.level - self.slope * x
-        arg = (2.0 - self.level) - math.exp(-x)
-        if arg <= 0.0:  # only reachable by rounding at the domain edge
-            raise DomainError(f"x={x} too close to the LMSR domain edge")
-        return -math.log(arg)
+        return -math.log((2.0 - self.level) - math.exp(-x))
 
     def spot_price(self, x: float) -> float:
         """Marginal exchange rate f_x/f_y at (x, Y(x))."""
@@ -174,8 +197,7 @@ class TradingCurve:
                 raise NoSolutionError(
                     f"constant-sum spot price is {self.slope} everywhere; no reserve has price {price}"
                 )
-            _, hi = self.natural_bounds()
-            x = min(self.x_max, math.nextafter(hi, 0.0))
+            x = self.x_hi
         else:
             x = -math.log((2.0 - self.level) * price / (1.0 + price))
         self._require(x, f"x_of_price({price})")
@@ -202,7 +224,7 @@ class TradingCurve:
         u_a = math.exp(-a)
         shift = math.expm1(a - b) * u_a  # e^-b - e^-a without cancellation
         denom = c - u_a
-        if denom <= 0.0 or denom - shift <= 0.0:
+        if denom - shift <= 0.0:
             raise DomainError(f"reserves [{a}, {b}] too close to the LMSR domain edge")
         return math.log1p(-shift / denom)
 
@@ -217,15 +239,9 @@ class TradingCurve:
         |eta| is small against s. Fee pricing lives exactly there, so each
         family gets a form whose terms all share the result's sign; the
         formulas are _cp_gain, _csum_gain and _lmsr_gain below. This is the
-        one-atom case of reversal_gains, calling its family's formula directly.
+        one-atom case of reversal_gains.
         """
-        if not self.x_lo <= s <= self.x_hi:  # _require, inlined on the hot path
-            self._require(s, "s")
-        if self.family is Family.CONSTANT_PRODUCT:
-            return _cp_gain(self, s, s * s, eta)
-        if self.family is Family.CONSTANT_SUM:
-            return _csum_gain(self, s, eta)
-        return _lmsr_gain(self, s, math.exp(-s), eta)
+        return self.reversal_gains(s)(eta)
 
     def reversal_gains(self, s: float) -> Callable[[float], float]:
         """reversal_gain(s, eta) as a function of eta alone, for many atoms at one s.
@@ -285,9 +301,7 @@ def parse_curve(obj: dict, where: str = "curve") -> TradingCurve:
 
 
 def _cp_gain(curve: TradingCurve, s: float, s2: float, eta: float) -> float:
-    """K eta^2 / (s^2 (s + eta)), with s2 = s * s."""
-    if eta == 0.0:
-        return 0.0
+    """K eta^2 / (s^2 (s + eta)), with s2 = s * s; 0 at eta = 0, as s^3 > 0 on the domain."""
     t = s + eta
     if not curve.x_lo <= t <= curve.x_hi:
         curve._require(t, "s+eta")
@@ -309,10 +323,7 @@ def _lmsr_gain(curve: TradingCurve, s: float, v: float, eta: float) -> float:
     t = s + eta
     if not curve.x_lo <= t <= curve.x_hi:
         curve._require(t, "s+eta")
-    d = (2.0 - curve.level) - v
-    if d <= 0.0:
-        raise DomainError(f"reserve {s} too close to the LMSR domain edge")
-    beta = v / d  # spot price at s
+    beta = v / ((2.0 - curve.level) - v)  # spot price at s
     z = -beta * math.expm1(-eta)  # (e^-s - e^-(s+eta)) / (c - e^-s)
     if 1.0 + z <= 0.0:
         raise DomainError(f"reserve {t} too close to the LMSR domain edge")

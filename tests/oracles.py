@@ -96,10 +96,7 @@ def reversal_gain_oracle(curve: TradingCurve, s: float, eta: float) -> float:
         return 0.0
     c = 2.0 - curve.level
     v = math.exp(-s)
-    d = c - v
-    if d <= 0.0:
-        raise DomainError(f"reserve {s} too close to the LMSR domain edge")
-    beta = v / d  # spot price at s
+    beta = v / (c - v)  # spot price at s
     z = -beta * math.expm1(-eta)  # (e^-s - e^-(s+eta)) / (c - e^-s)
     if 1.0 + z <= 0.0:
         raise DomainError(f"reserve {s + eta} too close to the LMSR domain edge")

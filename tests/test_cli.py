@@ -116,10 +116,10 @@ class TestQuoteFee:
         assert exc.value.code == 2
 
     def test_overflowing_fee_is_a_domain_error(self, capsys):
-        # a deep pool at a tiny reserve prices the noise beyond float range
+        # a deep pool near its lowest reserve prices the noise beyond float range
         code, out, err = run(capsys, [
-            "quote-fee", "--curve", "cp", "--level", "1e308", "--x", "1e-3",
-            "--delta", "0.001", "--tau", "0,0.002", "--epsilon", "2", "--output", "json",
+            "quote-fee", "--curve", "cp", "--level", "1e308", "--x", "3",
+            "--delta", "2", "--tau", "0,4", "--epsilon", "2", "--output", "json",
         ])
         assert code == 2
         assert out == ""
@@ -330,6 +330,21 @@ class TestSimulate:
             code, out, err = run(capsys, ["simulate", "--config", path, "--output", output])
         assert (code, out) == (2, "")
         assert err.splitlines() == ["error: excess-profit mean -inf is not finite"]
+
+    def test_reserve_where_x_squared_underflows_is_a_domain_error(self, capsys, tmp_path):
+        # x_min may sit as low as a config likes; the domain stops where x*x and
+        # level/x^2 stay positive and finite
+        config = simulate_config(
+            curve={"family": "constant_product", "level": 1e4, "x_min": 1e-200},
+            initial_x=1e-200, strategy={"kind": "case1", "trade_size": 1.0},
+        )
+        path = write_config(tmp_path, config)
+        code, out, err = run(capsys, ["simulate", "--config", path, "--output", "json"])
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error: x=1e-200 outside the represented domain "
+            "[1.7031839360032603e-108, 1000000000000.0] of constant_product"
+        ]
 
     def test_config_file_must_exist(self, capsys):
         code, _, err = run(capsys, ["simulate", "--config", "/nonexistent.json"])
@@ -642,6 +657,14 @@ def flag_argv(draw):
 @example(argv=[
     "quote-fee", "--curve", "cp", "--level", "1e4", "--x", "100", "--delta", "1",
     "--tau", "0,2", "--epsilon", "1000",
+])
+@example(argv=[  # e^-x rounds onto 2 - level at the natural lower bound's next float
+    "attack-demo", "--curve", "lmsr", "--level", "1.484375", "--x", "0.6623755218931917",
+    "--delta", "0", "--tau", "0,0.001", "--epsilon", "2", "--seed", "0",
+])
+@example(argv=[  # expm1 of a displacement of 998.5 overflows
+    "quote-fee", "--curve", "lmsr", "--level", "1.5", "--x", "1000", "--delta", "0",
+    "--tau=-998.5,0", "--epsilon", "30",
 ])
 def test_every_flag_set_ends_in_json_or_an_error(argv):
     out, err = io.StringIO(), io.StringIO()

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noisycfmm import (
@@ -235,7 +235,7 @@ def outcome(f, *args):
     """f(*args) as the hex of its float, or the type and message of its error."""
     try:
         return f(*args).hex()
-    except (DomainError, ArithmeticError) as exc:
+    except DomainError as exc:
         return type(exc), str(exc)
 
 
@@ -268,9 +268,8 @@ def gain_state(draw):
         st.floats(0.45, 0.55).flatmap(lambda e: st.sampled_from([e, -e])),
         st.floats(-1.5 * s, 1.5 * s),
     ]
-    d = (2.0 - curve.level) - math.exp(-s)
-    if family is Family.LMSR and d > 0.0:  # d rounds to 0 at the lowest reserves
-        beta = math.exp(-s) / d
+    if family is Family.LMSR:
+        beta = curve.spot_price(s)
         kinds.append(
             st.floats(-0.35, 0.35).filter(lambda z: z < beta).map(lambda z: eta_for_z(beta, z))
         )
@@ -331,24 +330,97 @@ class TestPerStateGain:
                 assert curve.reversal_gain(s, eta).hex() == want
 
     def test_errors_match_oracle(self):
-        # s off the curve, s + eta off the curve, and the two LMSR rounding edges:
-        # e^-s rounding onto 2 - level at the lowest reserve, and 1 + z <= 0
+        # s off the curve, s + eta off the curve, and reserves just below x_lo,
+        # where LMSR rounds onto its edge (e^-s onto 2 - level, 1 + z onto 0)
         lmsr_low = TradingCurve.lmsr(1.133)
         lmsr_steep = TradingCurve.lmsr(1.756)
+        below = math.nextafter(lmsr_low.x_lo, 0.0)
         cases = [
             (CP, -1.0, 1.0), (CP, 100.0, -100.0), (LMSR, 1.2, -2.0), (CSUM, 50.0, 300.0),
-            (lmsr_low, lmsr_low.x_lo, 0.1), (lmsr_steep, 1.9105870536889353, -0.5),
+            (lmsr_low, below, 0.1), (lmsr_steep, 1.9105870536889353, -0.5),
         ]
         for curve, s, eta in cases:
             want = outcome(reversal_gain_oracle, curve, s, eta)
             assert want[0] is DomainError
             assert outcome(curve.reversal_gain, s, eta) == want
             assert outcome(lambda e: curve.reversal_gains(s)(e), eta) == want
-        assert "too close to the LMSR domain edge" in outcome(
-            reversal_gain_oracle, lmsr_steep, 1.9105870536889353, -0.5
-        )[1]
-        # a zero displacement at the lowest reserve needs no spot price
+        assert outcome(reversal_gain_oracle, lmsr_low, below, 0.1)[1] == (
+            f"s={below} outside the represented domain "
+            f"[{lmsr_low.x_lo}, {lmsr_low.x_hi}] of lmsr"
+        )
+        assert outcome(reversal_gain_oracle, lmsr_steep, 1.9105870536889353, -0.5)[1] == (
+            f"s+eta={1.9105870536889353 - 0.5} outside the represented domain "
+            f"[{lmsr_steep.x_lo}, {lmsr_steep.x_hi}] of lmsr"
+        )
+        # at the lowest reserve the gain is priced, and a zero displacement is free
+        want = reversal_gain_oracle(lmsr_low, lmsr_low.x_lo, 0.1)
+        assert lmsr_low.reversal_gains(lmsr_low.x_lo)(0.1).hex() == want.hex()
+        assert math.isfinite(want) and want > 0.0
         assert lmsr_low.reversal_gains(lmsr_low.x_lo)(0.0) == 0.0
+
+
+def inside(x: float, toward: float, ulps: int) -> float:
+    for _ in range(ulps):
+        x = math.nextafter(x, toward)
+    return x
+
+
+@st.composite
+def edge_curve(draw):
+    """A curve of any family, its level and window [x_min, x_max] near the float edges:
+    LMSR levels near 1 and 2, x_min down to 1e-300 and x_max up to 1e300."""
+    family = draw(st.sampled_from(Family))
+    window = {
+        "x_min": draw(st.one_of(st.just(1e-9), st.floats(1e-300, 1.0))),
+        "x_max": draw(st.one_of(st.just(1e12), st.floats(2.0, 1e300), st.just(math.inf))),
+    }
+    if family is Family.CONSTANT_PRODUCT:
+        return TradingCurve.constant_product(draw(st.floats(5e-324, 1e308)), **window)
+    if family is Family.CONSTANT_SUM:
+        level, slope = draw(st.floats(1e-300, 1e300)), draw(st.floats(1e-300, 1e300))
+        return TradingCurve.constant_sum(level, slope, **window)
+    offset = st.integers(1, 60).map(lambda k: 2.0**-k)
+    level = draw(st.one_of(
+        st.floats(1e-3, 1.999),
+        st.floats(0.999, 1.001),
+        st.tuples(offset, st.sampled_from([-1.0, 1.0])).map(lambda o: 1.0 + o[1] * o[0]),
+        st.integers(1, 52).map(lambda k: 2.0 - 2.0**-k),
+    ))
+    return TradingCurve.lmsr(level, **window)
+
+
+class TestDomainEdges:
+    """Every query is finite at x_lo and x_hi, and contains stops exactly there."""
+
+    @given(curve=edge_curve())
+    @settings(max_examples=300, deadline=None)
+    @example(curve=TradingCurve.lmsr(1.484375))  # e^-x rounds onto 2 - level at the lowest reserve
+    @example(curve=TradingCurve.lmsr(0.8))  # y rounds to 0 at the highest reserve
+    @example(curve=TradingCurve.lmsr(1.5))  # expm1 overflows across [lo, 1e12]
+    @example(curve=TradingCurve.constant_product(1e4, x_min=1e-200))  # x*x underflows
+    def test_every_query_is_finite_at_the_domain_edges(self, curve):
+        lo, hi = curve.x_lo, curve.x_hi
+        assert not curve.contains(math.nextafter(lo, -math.inf))
+        assert not curve.contains(math.nextafter(hi, math.inf))
+        if lo > hi:  # the window holds no reserve the queries can price
+            assert not curve.contains(lo) and not curve.contains(hi)
+            return
+        points = [x for x in (lo, inside(lo, hi, 3), hi, inside(hi, lo, 3)) if curve.contains(x)]
+        for x in points:
+            y, p = curve.y_of_x(x), curve.spot_price(x)
+            assert 0.0 < y < math.inf and 0.0 < p < math.inf, (x, y, p)
+        for a in points:
+            for b in points:
+                for query in (
+                    lambda: curve.integral_price(a, b),
+                    lambda: curve.reversal_gain(a, b - a),
+                    lambda: curve.reversal_gains(a)(b - a),
+                ):
+                    try:
+                        value = query()
+                    except DomainError:
+                        continue
+                    assert not math.isnan(value), (a, b)
 
 
 class TestValidationAndDomain:
@@ -379,17 +451,29 @@ class TestValidationAndDomain:
         TradingCurve(Family.LMSR, 1.9, x_min=0.5, x_max=3.0),
     ])
     def test_contains_is_open_natural_and_closed_window(self, curve):
+        # contains is the closed [x_lo, x_hi], inside the open natural interval
+        # and the closed window; it stops short of a finite natural bound by a
+        # few ulps at most, and LMSR and constant product cap an infinite one
+        # (LMSR at ln(float max), or lower where y rounds to 0 for level <= 1)
         lo, hi = curve.natural_bounds()
+        assert lo < curve.x_lo <= curve.x_hi < hi
+        assert curve.x_min <= curve.x_lo and curve.x_hi <= curve.x_max
+        assert curve.x_lo == curve.x_min or curve.x_lo - lo < 1e-14 * max(1.0, lo)
+        if math.isfinite(hi):
+            assert curve.x_hi == curve.x_max or hi - curve.x_hi < 1e-14 * hi
+        else:
+            assert curve.x_hi <= (709.782712893384 if curve.family is Family.LMSR else 2.0**340)
         points = [math.inf, -math.inf, math.nan, 0.0, -0.0]
-        for bound in (lo, hi, curve.x_min, curve.x_max):
+        for bound in (lo, hi, curve.x_min, curve.x_max, curve.x_lo, curve.x_hi):
             for direction in (math.inf, -math.inf):
                 v = bound
                 for _ in range(3):
                     points.append(v)
                     v = math.nextafter(v, direction)
         for x in points:
-            expected = math.isfinite(x) and lo < x < hi and curve.x_min <= x <= curve.x_max
+            expected = curve.x_lo <= x <= curve.x_hi
             assert curve.contains(x) == expected, x
+            assert not expected or (lo < x < hi and curve.x_min <= x <= curve.x_max), x
 
     def test_derived_bounds_stay_out_of_identity(self):
         twin = TradingCurve.lmsr(1.5)

@@ -1,5 +1,7 @@
 """Noise fee pricing: generic engine, closed form, independent oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -159,40 +161,56 @@ class TestGenericEngine:
             noise_fee(CP, 100.0, 0.0, d)
 
     def test_out_of_domain_atom_is_reported_before_an_lmsr_edge(self):
-        # the first atom lands where 1 + z rounds to 0; the second leaves the curve
+        # the first atom lands on the lowest reserve, which stops clear of the
+        # LMSR edge (where 1 + z would round to 0) and is priced; the second
+        # leaves the curve
         curve = TradingCurve.lmsr(1.756)
-        s = 1.9105870536889353
+        s = curve.x_lo + 0.5
+        assert s - 0.5 == curve.x_lo
         edge = NoiseDistribution.from_pairs([(-0.5, 0.5), (0.5, 0.5)])
-        with pytest.raises(DomainError) as err:
-            noise_fee(curve, s, 0.0, edge)
-        assert str(err.value) == f"reserve {s - 0.5} too close to the LMSR domain edge"
+        gamma = noise_fee(curve, s, 0.0, edge).gamma
+        assert 0.0 < gamma < math.inf
         both = NoiseDistribution.from_pairs([(-0.5, 0.5), (2e12, 0.5)])
         with pytest.raises(DomainError) as err:
             noise_fee(curve, s, 0.0, both)
         assert str(err.value) == (
             f"noised reserve {s + 2e12} (atom eta={2e12}) exits the curve domain"
         )
+        # one float lower the first atom leaves the curve too, and is reported first
+        below = math.nextafter(s, 0.0)
+        with pytest.raises(DomainError) as err:
+            noise_fee(curve, below, 0.0, both)
+        assert str(err.value) == (
+            f"noised reserve {below - 0.5} (atom eta={-0.5}) exits the curve domain"
+        )
         with pytest.raises(DomainError) as err:
             noise_fee(curve, -1.0, 0.0, both)
         assert str(err.value).startswith("post-trade reserve x+delta=-1.0 outside")
 
     def test_lmsr_lowest_reserve_is_an_edge_error(self):
-        # at the lowest represented reserve e^-s rounds onto 2 - level
+        # the edge, where e^-s rounds onto 2 - level, lies below the lowest
+        # represented reserve: that reserve is priced, the one below is refused
         curve = TradingCurve.lmsr(1.133)
         s = curve.x_lo
+        dist = NoiseDistribution.from_pairs([(0.0, 0.5), (0.1, 0.5)])
+        assert 0.0 < noise_fee(curve, s, 0.0, dist).gamma < math.inf
+        below = math.nextafter(s, 0.0)
         with pytest.raises(DomainError) as err:
-            noise_fee(curve, s, 0.0, NoiseDistribution.from_pairs([(0.0, 0.5), (0.1, 0.5)]))
-        assert str(err.value) == f"reserve {s} too close to the LMSR domain edge"
+            noise_fee(curve, below, 0.0, dist)
+        assert str(err.value) == (
+            f"post-trade reserve x+delta={below} outside the represented domain "
+            f"[{curve.x_lo}, {curve.x_hi}] of lmsr"
+        )
         assert noise_fee(curve, s, 0.0, NoiseDistribution.zero()).gamma == 0.0
 
     def test_non_finite_fee_is_a_domain_error(self):
         # every reserve is on the curve, but the fee overflows float range
         deep = TradingCurve.constant_product(1e308)
-        d = binary_mechanism(1e-3, PrivacySpec(0.0, 2e-3, 2.0))
+        d = binary_mechanism(2.0, PrivacySpec(0.0, 4.0, 2.0))
         with pytest.raises(DomainError, match="not finite"):
-            noise_fee(deep, 1e-3, 1e-3, d)
+            noise_fee(deep, 3.0, 2.0, d)
         with pytest.raises(DomainError, match="not finite"):
-            noise_fee_closed_form(deep.level, 1e-3, 1e-3, d)
+            noise_fee_closed_form(deep.level, 3.0, 2.0, d)
 
     @given(
         x=st.floats(min_value=20.0, max_value=400.0),

@@ -8,13 +8,15 @@ For every workload in BENCHMARK.json the script runs PAIRS pairs of
 workload's run_seconds as S, one run of each commit per pair; the commit
 that goes first alternates from pair to pair. Then it times PAIRS pairs of
 the acceptance Monte Carlo test (test_04) the same way, by pytest's JUnit
-report. Last, one short traced run per commit and workload (`--trace 1
---seconds TRACE_SECONDS`) records the per-layer metrics under `layers`.
-The record keeps every result line as run.py printed it, next to
+report, and TIER1_PAIRS pairs of the whole tier-1 suite by the wall time of
+its pytest process. Last, one short traced run per commit and workload
+(`--trace 1 --seconds TRACE_SECONDS`) records the per-layer metrics under
+`layers`. The record keeps every result line as run.py printed it, next to
 the machine facts run.py logged for that run (versions and load average),
 and for each commit the median and quartiles (inclusive method) of every
-end-to-end metric and of test_04's time, plus the machine and the command
-that wrote it, and each commit's line count of src/noisycfmm/*.py.
+end-to-end metric, of test_04's time and of the tier-1 time (`tier1_s`),
+plus the machine and the command that wrote it, and each commit's line
+count of src/noisycfmm/*.py.
 """
 
 from __future__ import annotations
@@ -29,11 +31,13 @@ import sys
 import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 TEST_04 = "tests/test_acceptance.py::test_04_priced_noise_is_truthful"
 SEED = 42
 PAIRS = 10  # runs per side and workload
+TIER1_PAIRS = 3  # runs per side of the tier-1 suite, about 16 s each
 TRACE_SECONDS = 5  # the traced run: per-layer metrics, not timed against the other side
 SIDES = ("parent", "change")
 
@@ -76,6 +80,17 @@ def time_test_04(tree: Path) -> float:
         cwd=tree, check=True, capture_output=True, env={**os.environ, "PYTHONPATH": "src"},
     )
     return float(ET.parse(report).find(".//testcase").get("time"))
+
+
+def time_tier1(tree: Path) -> float:
+    """Wall time of one tier-1 run, the command ROADMAP.md names, in a fresh process."""
+    t0 = perf_counter()
+    subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"],
+        cwd=tree, check=True, capture_output=True, env={**os.environ, "PYTHONPATH": "src"},
+    )
+    return perf_counter() - t0
 
 
 def cpu_model() -> str:
@@ -123,6 +138,7 @@ def main(argv: list[str] | None = None) -> int:
         "commits": {}, "src_lines": {}, "pairs": PAIRS,
         "runs": {side: {w: [] for w in workloads} for side in SIDES},
         "test_04_s": {side: [] for side in SIDES},
+        "tier1_s": {side: [] for side in SIDES},
         "layers": {side: {} for side in SIDES},
     }
     with tempfile.TemporaryDirectory() as tmp:
@@ -141,6 +157,10 @@ def main(argv: list[str] | None = None) -> int:
         for k in range(PAIRS):
             for side in pair_order(k):
                 record["test_04_s"][side].append(time_test_04(trees[side]))
+        for k in range(TIER1_PAIRS):
+            for side in pair_order(k):
+                print(f"{side}: tier-1 {k + 1}/{TIER1_PAIRS}", file=sys.stderr, flush=True)
+                record["tier1_s"][side].append(time_tier1(trees[side]))
         for workload in workloads:
             for side in SIDES:
                 print(f"{side}: {workload} traced", file=sys.stderr, flush=True)
@@ -151,6 +171,7 @@ def main(argv: list[str] | None = None) -> int:
         side: {
             **{w: summarize(record["runs"][side][w], metrics) for w in workloads},
             "test_04_s": spread(record["test_04_s"][side]),
+            "tier1_s": spread(record["tier1_s"][side]),
         }
         for side in SIDES
     }
