@@ -198,8 +198,9 @@ class TradingCurve:
                     f"constant-sum spot price is {self.slope} everywhere; no reserve has price {price}"
                 )
             x = self.x_hi
-        else:
-            x = -math.log((2.0 - self.level) * price / (1.0 + price))
+        else:  # e^-x, which underflows to 0 where x lies past every float
+            e = (2.0 - self.level) * price / (1.0 + price)
+            x = -math.log(e) if e > 0.0 else math.inf
         self._require(x, f"x_of_price({price})")
         return x
 

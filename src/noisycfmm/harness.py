@@ -22,7 +22,8 @@ SeedSequence(seed, spawn_key=(1, j)), as replica i does on spawn key (0, i).
 The batched engine computes the same streams as arrays over all replicas of
 a block (_stream_keys, _philox): uniform c of replica i is lane c % 4 of its
 Philox block c // 4 + 1, bit for bit what replica_rng(seed, i).random()
-returns as its c-th draw.
+returns as its c-th draw. Each replica holds a chunk of the blocks it can
+draw, and one _philox call refills every replica that has used its chunk up.
 """
 
 from __future__ import annotations
@@ -94,8 +95,10 @@ def replica_rng(seed: int, index: int) -> np.random.Generator:
 _LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 _MIX_L, _MIX_R = np.uint32(MIX_L), np.uint32(MIX_R)
 _PHILOX_M = np.array(PHILOX_M, dtype=np.uint64)[:, None]
-_PHILOX_W = np.array(PHILOX_W, dtype=np.uint64)[:, None]
-_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LOW32, _PHILOX_M >> _SHIFT32
+# round r's key is the key plus r times the key increments, wrapping
+_PHILOX_STEPS = np.arange(10, dtype=np.uint64)[:, None, None] * np.array(
+    PHILOX_W, dtype=np.uint64
+)[:, None]
 
 
 def _hash4(words: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
@@ -148,19 +151,22 @@ def _philox(key: np.ndarray, counter: np.ndarray) -> np.ndarray:
 
     numpy's Philox starts from counter 0 and increments before each block,
     so its b-th block of four outputs is the one at counter b. The 128-bit
-    products are assembled from 32-bit halves.
+    products are assembled from 32-bit halves. Every operand is a full (2, n)
+    array: numpy takes about twice as long to broadcast a (2, 1) one.
     """
-    x = np.zeros((2, key.shape[1]), dtype=np.uint64)  # counter words 0 and 2
+    n = key.shape[1]
+    low, shift = (np.full((2, n), v, dtype=np.uint64) for v in (0xFFFFFFFF, 32))
+    m = np.repeat(_PHILOX_M, n, axis=1)
+    m_lo, m_hi = m & low, m >> shift
+    x = np.zeros((2, n), dtype=np.uint64)  # counter words 0 and 2
     x[0] = counter
     y = np.zeros_like(x)  # counter words 1 and 3
-    for r in range(10):
-        if r:
-            key = key + _PHILOX_W
-        x_lo, x_hi = x & _LOW32, x >> _SHIFT32
-        t = _PHILOX_M_HI * x_lo + (_PHILOX_M_LO * x_lo >> _SHIFT32)
-        u = _PHILOX_M_LO * x_hi + (t & _LOW32)
-        hi = _PHILOX_M_HI * x_hi + (t >> _SHIFT32) + (u >> _SHIFT32)
-        x, y = hi[::-1] ^ y ^ key, (_PHILOX_M * x)[::-1]
+    for round_key in key + _PHILOX_STEPS:
+        x_lo, x_hi = x & low, x >> shift
+        t = m_hi * x_lo + (m_lo * x_lo >> shift)
+        u = m_lo * x_hi + (t & low)
+        hi = m_hi * x_hi + (t >> shift) + (u >> shift)
+        x, y = hi[::-1] ^ y ^ round_key, (m * x)[::-1]
     return np.stack([x[0], y[0], x[1], y[1]])
 
 
@@ -174,15 +180,20 @@ def _lemire_rejects(word: np.ndarray, span: int) -> np.ndarray:
     return (word * np.uint64(span) & _LOW32) < (2**32 - span) % span
 
 
-def _bounded(key: np.ndarray, block: int, span: int) -> np.ndarray:
+def _bounded(
+    key: np.ndarray, block: int, span: int, lanes: np.ndarray | None = None,
+) -> np.ndarray:
     """Generator.integers(0, span) of each key column's stream, from Philox block ``block`` on:
     numpy's 32-bit Lemire draw, w * span >> 32 of the first word w it does not refuse. The
-    words are the low, then the high half of lanes 0-3 of each block in turn."""
+    words are the low, then the high half of lanes 0-3 of each block in turn. ``lanes``
+    is block ``block`` of every column, if the caller has computed it."""
     value = np.empty(key.shape[1], dtype=np.uint64)
     rows = np.arange(key.shape[1])
+    if lanes is None:
+        lanes = _philox(key, np.full(rows.size, block, dtype=np.uint64))
     k = 0
     while rows.size:
-        if k % 8 == 0:
+        if k and k % 8 == 0:
             lanes = _philox(key[:, rows], np.full(rows.size, block + k // 8, dtype=np.uint64))
         word = lanes[k // 2 % 4] >> np.uint64(32 * (k % 2)) & _LOW32
         refused = _lemire_rejects(word, span)
@@ -386,24 +397,28 @@ def _policy_table(seed: int, n_policies: int, base_spec: PrivacySpec) -> np.ndar
 
     Policy j draws them from numpy's Generator on SeedSequence(seed, spawn_key=(1, j)):
     Generator.uniform's low + (high - low) * u on lanes 0-3 of Philox block 1,
-    then integers(*_POLICY_PERIODS) from block 2 on."""
+    then integers(*_POLICY_PERIODS) from block 2 on. Blocks 1 and 2 of every
+    policy come from one _philox call."""
     key = _stream_keys(seed, 1, np.arange(n_policies, dtype=np.uint64))
-    uniforms = _unit(_philox(key, np.ones(n_policies, dtype=np.uint64)))
+    blocks = _philox(np.tile(key, 2), np.repeat(np.array([1, 2], dtype=np.uint64), n_policies))
+    uniforms = _unit(blocks[:, :n_policies])
     draws = [low + (high - low) * u for (low, high), u in zip(_POLICY_UNIFORMS, uniforms)]
     params = _scale_policy(draws, base_spec)
     low, high = _POLICY_PERIODS
     weights = [two_point_weights(epsilon) for epsilon in params[3].tolist()]
     return np.column_stack(
-        [*params, low + _bounded(key, 2, high - low), np.reshape(weights, (n_policies, 2))]
+        [*params, low + _bounded(key, 2, high - low, blocks[:, n_policies:]),
+         np.reshape(weights, (n_policies, 2))]
     )
 
 
 # -- the batched replica engine --------------------------------------------------
 
 # Replicas run together in blocks of at most _BLOCK, and each replica holds
-# one Philox block of uniforms at a time, so memory stays bounded whatever
-# the replica count and the number of rounds.
+# at most _CHUNK Philox blocks (4 * _CHUNK uniforms) at a time, so memory
+# stays bounded whatever the replica count and the number of rounds.
 _BLOCK = 4096
+_CHUNK = 16
 
 
 class _Failed(Exception):
@@ -464,22 +479,31 @@ class _Batch:
         self.fees = np.zeros(n)
         self.cash = np.zeros(n)
         self.key = _stream_keys(seed, 0, np.arange(start, stop, dtype=np.uint64))
-        self.lanes = np.empty((n, 4))  # each row's current Philox block, as uniforms
+        # the uniforms a replica can draw: one per round, at most one for case1 and case2
+        strategy = config.strategy
+        bound = {"noise_chasing": strategy.max_rounds, "adaptive_random": strategy.bound}
+        chunk = min(max(1, -(-bound.get(strategy.kind, 1) // 4)), _CHUNK)
+        self.lanes = np.empty((n, 4 * chunk))  # each row's next chunk of Philox blocks
         self.used = np.zeros(n, dtype=np.uint64)  # uniforms each row has drawn
 
     def _draw(self, rows: np.ndarray) -> np.ndarray:
         """The next uniform of each replica in rows.
 
-        Uniform c of a row is lane c % 4 of its block c // 4 + 1; a block is
-        computed when a row has used up the one before.
+        Uniform c of a row is lane c % 4 of its block c // 4 + 1. A row holds
+        a chunk of consecutive blocks; the rows that have used theirs up get
+        the next chunk, all of them from one _philox call.
         """
         used = self.used[rows]
-        lane = used % 4
-        fresh = rows[lane == 0]
+        width = self.lanes.shape[1]
+        at = used % width
+        fresh = rows[at == 0]
         if fresh.size:
-            self.lanes[fresh] = _unit(_philox(self.key[:, fresh], self.used[fresh] // 4 + 1)).T
+            chunk = width // 4
+            counter = self.used[fresh] // 4 + 1 + np.arange(chunk, dtype=np.uint64)[:, None]
+            blocks = _unit(_philox(np.tile(self.key[:, fresh], chunk), counter.ravel()))
+            self.lanes[fresh] = blocks.reshape(4, chunk, fresh.size).T.reshape(fresh.size, width)
         self.used[rows] = used + 1
-        return self.lanes[rows, lane]
+        return self.lanes[rows, at]
 
     def trade(
         self, rows: np.ndarray, delta: np.ndarray, lower: np.ndarray, upper: np.ndarray,
@@ -496,60 +520,69 @@ class _Batch:
         """
         curve = self.curve
         x = self.x[rows]
-        # the PrivacySpec, execute_trade's and binary_mechanism's checks
-        bad = ~(np.isfinite(lower) & np.isfinite(upper) & (lower <= upper) & (epsilon > 0.0))
-        bad |= ~((lower <= delta) & (delta <= upper))
+        # the PrivacySpec, execute_trade's and binary_mechanism's checks; a trade
+        # in [lower, upper] has lower <= upper
+        bad = ~(np.isfinite(lower) & np.isfinite(upper) & (epsilon > 0.0) & (lower <= delta)
+                & (delta <= upper))
         noisy = (lower != upper) & ~np.isinf(epsilon)  # a degenerate spec gets the zero atom
-        lo, hi, p_lo, p_hi = two_point(delta, lower, upper, weights)
-        # NoiseDistribution refuses only non-finite atoms here: for a trade in
-        # its interval each probability is in [0, 1] and they sum to 1, up to ulps
-        bad |= noisy & ((epsilon < EPSILON_FLOOR) | ~(np.isfinite(lo) & np.isfinite(hi)))
-        if self.mu is not None:  # biased_binary: the same atoms with mean mu
-            # coincident atoms, where biased_binary divides by zero, leave p_hi non-finite
-            p_lo, p_hi = mean_tilt(lo, hi, self.mu)
-            bad |= noisy & ~((0.0 <= p_hi) & (p_hi <= 1.0))
-        lo, hi = np.where(noisy, lo, 0.0), np.where(noisy, hi, 0.0)
         # noise_fee: the post-trade and noised reserves stay on the curve
         s = x + delta
-        s_lo, s_hi = s + lo, s + hi
-        x_lo, x_hi = curve.x_lo, curve.x_hi
-        bad |= ~(
-            (x_lo <= s) & (s <= x_hi) & (x_lo <= s_lo) & (s_lo <= x_hi)
-            & (x_lo <= s_hi) & (s_hi <= x_hi)
-        )
+        low = high = s
+        quiet = not noisy.any()  # then no row has noise to quote, support or draw
+        if not quiet:
+            lo, hi, p_lo, p_hi = two_point(delta, lower, upper, weights)
+            # NoiseDistribution refuses only non-finite atoms here: for a trade in
+            # its interval each probability is in [0, 1] and they sum to 1, up to ulps
+            bad |= noisy & ((epsilon < EPSILON_FLOOR) | ~(np.isfinite(lo) & np.isfinite(hi)))
+            if self.mu is not None:  # biased_binary: the same atoms with mean mu
+                # coincident atoms, which biased_binary refuses, leave p_hi non-finite
+                p_lo, p_hi = mean_tilt(lo, hi, self.mu)
+                bad |= noisy & ~((0.0 <= p_hi) & (p_hi <= 1.0))
+            every = noisy.all()
+            if not every:  # the rows with a degenerate spec get the zero atom
+                lo, hi = np.where(noisy, lo, 0.0), np.where(noisy, hi, 0.0)
+            s_lo, s_hi = s + lo, s + hi
+            # a NaN anywhere stays NaN and fails both tests below
+            low = np.minimum(np.minimum(s, s_lo), s_hi)
+            high = np.maximum(np.maximum(s, s_lo), s_hi)
+        bad |= ~((curve.x_lo <= low) & (high <= curve.x_hi))
         trade = rows, delta, lower, upper, epsilon
         if bad.any():
             raise self._failure(bad, trade)
+        hidden_x, hidden_y = self.hidden_x[rows], self.hidden_y[rows]
+        ok, fee, eta = np.ones(rows.size, dtype=bool), 0.0, np.zeros(rows.size)
         try:  # LMSR goes through the scalar curve queries, which raise as execute_trade's do
-            gain_lo, gain_hi = _reversal_gains(curve, s, lo, hi)
-            quote = (
-                0.0 + np.where(lo == 0.0, 0.0, p_lo * gain_lo)
-                + np.where(hi == 0.0, 0.0, p_hi * gain_hi)
-            )
-            if not np.isfinite(quote).all():
-                raise self._failure(~np.isfinite(quote), trade)
-            # support_check: can the hidden account fund every atom? The atoms
-            # straddle zero (|center| <= half <= big), so only hi can need X and
-            # only lo can need Y.
             y_s = _y_of_x(curve, s)
-            hidden_x, hidden_y = self.hidden_x[rows], self.hidden_y[rows]
-            ok = ~(
-                ((hi > 0.0) & (hidden_x < hi))
-                | ((lo < 0.0) & (hidden_y < _y_of_x(curve, s_lo) - y_s))
-            )
-            if not ok.all():
-                if self.rejection_fails:
-                    raise self._failure(~ok, trade)
-                rows, x, delta, s, y_s, lo, hi, p_lo, noisy, quote, hidden_x, hidden_y = (
-                    a[ok] for a in (
-                        rows, x, delta, s, y_s, lo, hi, p_lo, noisy, quote, hidden_x, hidden_y,
-                    )
+            if not quiet:
+                gain_lo, gain_hi = _reversal_gains(curve, s, lo, hi)
+                quote = (
+                    0.0 + np.where(lo == 0.0, 0.0, p_lo * gain_lo)
+                    + np.where(hi == 0.0, 0.0, p_hi * gain_hi)
                 )
-            fee = np.where(noisy, self.fee_policy.charge(quote), 0.0)
-            eta = np.zeros(rows.size)
-            draw = np.flatnonzero(noisy)
-            if draw.size:
+                if not np.isfinite(quote).all():
+                    raise self._failure(~np.isfinite(quote), trade)
+                # support_check: can the hidden account fund every atom? The atoms
+                # straddle zero (|center| <= half <= big), so only hi can need X and
+                # only lo can need Y.
+                ok = ~(
+                    ((hi > 0.0) & (hidden_x < hi))
+                    | ((lo < 0.0) & (hidden_y < _y_of_x(curve, s_lo) - y_s))
+                )
+                if not ok.all():
+                    if self.rejection_fails:
+                        raise self._failure(~ok, trade)
+                    rows, x, delta, s, y_s, lo, hi, p_lo, noisy, quote, hidden_x, hidden_y = (
+                        a[ok] for a in (
+                            rows, x, delta, s, y_s, lo, hi, p_lo, noisy, quote, hidden_x,
+                            hidden_y,
+                        )
+                    )
+                fee = self.fee_policy.charge(quote)
+                if not every:
+                    fee = np.where(noisy, fee, 0.0)
+                draw = slice(None) if every else np.flatnonzero(noisy)
                 u = self._draw(rows[draw])
+                eta = np.zeros(rows.size)
                 eta[draw] = np.where(u < p_lo[draw], lo[draw], hi[draw])
             post = s + eta
             y_post = _y_of_x(curve, post)

@@ -254,6 +254,8 @@ def biased_binary(delta: float, spec: PrivacySpec, mu: float) -> NoiseDistributi
     for eta in (lo, hi):  # what binary_mechanism's NoiseDistribution refuses
         if not math.isfinite(eta):
             raise DistributionShapeError(f"atom value must be finite, got {eta}")
+    if lo == hi:  # a half-width that underflows to 0 leaves no span to tilt over
+        raise DistributionShapeError(f"the two atoms coincide at {lo}; a mean tilt needs two")
     p_lo, p_hi = mean_tilt(lo, hi, mu)
     if not 0.0 <= p_hi <= 1.0:
         raise InfeasibleBiasError(

@@ -192,6 +192,70 @@ def test_uniforms_table_stays_bounded_under_many_rounds():
     assert_bit_identical(got, scalar_excess_profit(config, keep_samples=True))
 
 
+def chunk_case(kind: str, rounds: int) -> ExperimentConfig:
+    if kind == "noise_chasing":
+        return experiment(strategy=StrategyConfig(kind, max_rounds=rounds), replicas=10)
+    # the private cadence leaves the rows at different draws when they refill
+    return experiment(strategy=StrategyConfig(kind, policies=3, bound=rounds), replicas=12)
+
+
+@functools.cache
+def chunk_reference(kind: str, rounds: int):
+    return scalar_excess_profit(chunk_case(kind, rounds), keep_samples=True)
+
+
+# rounds one short of, at and one past the uniforms a chunk of Philox blocks
+# holds, so that rows refill across its boundary; at _CHUNK = 2 they refill
+# every eight draws
+@pytest.mark.parametrize("chunk", [harness._CHUNK, 2])
+@pytest.mark.parametrize("block", [harness._BLOCK, 7])
+@pytest.mark.parametrize("past", [-1, 0, 1])
+@pytest.mark.parametrize("kind", ["noise_chasing", "adaptive_random"])
+def test_chunk_boundaries_change_nothing(kind, past, block, chunk, monkeypatch):
+    monkeypatch.setattr(harness, "_BLOCK", block)
+    monkeypatch.setattr(harness, "_CHUNK", chunk)
+    rounds = 4 * chunk + past
+    assert_bit_identical(
+        batched(chunk_case(kind, rounds), keep_samples=True), chunk_reference(kind, rounds)
+    )
+
+
+def counting(monkeypatch, name: str) -> list:
+    """Replace harness.<name> by a wrapper that records its calls; returns the record."""
+    calls, target = [], getattr(harness, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return target(*args)
+
+    monkeypatch.setattr(harness, name, wrapper)
+    return calls
+
+
+def test_a_chase_computes_its_uniforms_in_one_philox_call(monkeypatch):
+    calls = counting(monkeypatch, "_philox")
+    estimate_excess_profit(CASES["chasing"])
+    assert len(calls) == 1  # 8 rounds of 120 replicas: two blocks each
+    assert calls[0][0].shape == (2, 2 * 120)
+
+
+def test_the_policy_table_computes_its_blocks_in_one_philox_call(monkeypatch):
+    calls = counting(monkeypatch, "_philox")
+    harness._policy_table(42, 100, REF_SPEC)  # periods span 3: a refusal is 1 in 2**32
+    assert len(calls) == 1
+
+
+def test_a_trade_without_noise_computes_no_noise(monkeypatch):
+    """The correction legs and the truthful run draw nothing and price no atoms."""
+    def noise(*args):
+        raise AssertionError("a trade without noise computed some")
+
+    for name in ("two_point", "_reversal_gains", "_philox"):
+        monkeypatch.setattr(harness, name, noise)
+    got = estimate_excess_profit(CASES["truthful"], keep_samples=True)
+    assert_bit_identical(got, reference("truthful"))
+
+
 @pytest.mark.parametrize("kind", ["noise_chasing", "case1", "adaptive_random"])
 @given(
     seed=st.integers(0, 2**32 - 1),

@@ -578,15 +578,26 @@ SUBSTITUTES = st.one_of(
 @example(field=("simulate", ("seed",)), value=-1)
 @example(field=("optimize-noise", ("n_inputs",)), value=10**20)
 @example(field=("optimize-noise", ("n_outputs",)), value=10**20)
+# an empty path replaces the whole config: two that ended in a traceback.
+# A half-width of 2.5e-324 rounds to 0, so the biased atoms coincide.
+@example(field=("simulate", ()), value={
+    **README_CONFIGS["simulate"], "true_price": 2.0, "privacy": {"tau": [0, 5e-324], "epsilon": 2},
+    "strategy": {"kind": "case1", "trade_size": 0.0}, "noise": {"kind": "biased_binary", "mu": 0.0},
+})
+# e^-x of an LMSR reserve at price 5e-324 underflows to 0
+@example(field=("simulate", ()), value={
+    **README_CONFIGS["simulate"], "curve": {"family": "lmsr", "level": 1.5}, "initial_x": 1.2,
+    "true_price": 5e-324,
+})
 def test_every_config_ends_in_json_or_an_error(tmp_path_factory, field, value):
     command, path = field
-    obj = copy.deepcopy(README_CONFIGS[command])
+    obj = copy.deepcopy(README_CONFIGS[command]) if path else value
     parent = obj
     for key in path[:-1]:
         parent = parent[key]
-    if value is DROP:
+    if path and value is DROP:
         del parent[path[-1]]
-    else:
+    elif path:
         parent[path[-1]] = value
     config = tmp_path_factory.mktemp("fuzz") / "config.json"
     config.write_text(json.dumps(obj))

@@ -445,6 +445,12 @@ class TestValidationAndDomain:
         with pytest.raises(DomainError):
             tight.x_of_price(100.0)
 
+    @pytest.mark.parametrize("level", [1.5, 1.9])
+    def test_lmsr_x_of_price_past_every_float(self, level):
+        # e^-x = (2 - level) * price / (1 + price) underflows to 0 for 2 - level <= 1/2
+        with pytest.raises(DomainError, match=r"x_of_price\(5e-324\)=inf outside"):
+            TradingCurve.lmsr(level).x_of_price(5e-324)
+
     @pytest.mark.parametrize("curve", [
         CP, LMSR, LMSR_SHALLOW, CSUM, TradingCurve.lmsr(1.0),
         TradingCurve(Family.CONSTANT_PRODUCT, 1e4, x_min=1.0, x_max=math.inf),

@@ -210,6 +210,15 @@ class TestBiasedBinary:
                 biased_binary(1.0, spec, mu)
             assert str(err.value) == str(want.value)
 
+    def test_coincident_atoms_admit_no_tilt(self):
+        # the half-width of a one-ulp interval rounds to 0: both atoms sit at 0
+        spec = PrivacySpec(0.0, 5e-324, 2.0)
+        assert binary_mechanism(0.0, spec).support() == (0.0, 0.0)
+        for mu in (0.0, 0.1):
+            with pytest.raises(DistributionShapeError) as err:
+                biased_binary(0.0, spec, mu)
+            assert str(err.value) == "the two atoms coincide at 0.0; a mean tilt needs two"
+
     def test_factory_spares_exact_trades(self):
         f = biased_factory(0.3)
         assert f(5.0, PrivacySpec(5.0, 5.0, 2.0)).is_zero_noise

@@ -67,6 +67,17 @@ def test_blocks_match_philox(seed, k):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_batch_draws_follow_each_replica_stream(seed):
     """_Batch._draw hands each replica its next uniform, for 1 to 13 draws at mixed offsets."""
+    check_batch_draws(seed)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_batch_draws_follow_each_stream_across_chunks(chunk, monkeypatch):
+    """Rows that hold 1 to 3 blocks refill at different draws, several times each."""
+    monkeypatch.setattr(harness, "_CHUNK", chunk)
+    check_batch_draws(2**64 + 1)
+
+
+def check_batch_draws(seed):
     config = ExperimentConfig(
         curve=TradingCurve.constant_product(1e4), initial_x=100.0, true_price=1.5,
         privacy=PrivacySpec(0.0, 2.0, 2.0), strategy=StrategyConfig("noise_chasing"),
@@ -139,6 +150,33 @@ def test_bounded_draw_agrees_with_numpy(span, n):
         rng.random(4)  # use up block 1
         want.append(int(rng.integers(0, span)))
     assert got.tolist() == want
+
+
+def test_bounded_draw_from_a_given_first_block(monkeypatch):
+    """The policy table hands _bounded block 2, computed with block 1. Just
+    under half the words are refused at this span, so some rows refuse all
+    eight words of block 2 and go on to block 3, computed for them alone."""
+    span, n = 2**31 + 1, 2000
+    keys = harness._stream_keys(5, 1, np.arange(n, dtype=np.uint64))
+    first = harness._philox(keys, np.full(n, 2, dtype=np.uint64))
+    want = []
+    for j in range(n):
+        rng = policy_rng(5, j)
+        rng.random(4)  # use up block 1
+        want.append(int(rng.integers(0, span)))
+    widths = []
+
+    def philox(key, counter):
+        widths.append(key.shape[1])
+        return compute(key, counter)
+
+    compute = harness._philox
+    monkeypatch.setattr(harness, "_philox", philox)
+    assert harness._bounded(keys, 2, span).tolist() == want
+    assert widths[0] == n and 0 < widths[1] < n
+    del widths[:]
+    assert harness._bounded(keys, 2, span, first).tolist() == want
+    assert 0 < widths[0] < n
 
 
 @pytest.mark.parametrize("seed", SEEDS)
