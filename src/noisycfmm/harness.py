@@ -22,8 +22,9 @@ SeedSequence(seed, spawn_key=(1, j)), as replica i does on spawn key (0, i).
 The batched engine computes the same streams as arrays over all replicas of
 a block (_stream_keys, _philox): uniform c of replica i is lane c % 4 of its
 Philox block c // 4 + 1, bit for bit what replica_rng(seed, i).random()
-returns as its c-th draw. Each replica holds a chunk of the blocks it can
-draw, and one _philox call refills every replica that has used its chunk up.
+returns as its c-th draw. Each replica holds a chunk of up to _CHUNK of the
+blocks it can draw, and one _philox call refills every replica that has used
+its chunk up.
 """
 
 from __future__ import annotations
@@ -95,10 +96,7 @@ def replica_rng(seed: int, index: int) -> np.random.Generator:
 _LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 _MIX_L, _MIX_R = np.uint32(MIX_L), np.uint32(MIX_R)
 _PHILOX_M = np.array(PHILOX_M, dtype=np.uint64)[:, None]
-# round r's key is the key plus r times the key increments, wrapping
-_PHILOX_STEPS = np.arange(10, dtype=np.uint64)[:, None, None] * np.array(
-    PHILOX_W, dtype=np.uint64
-)[:, None]
+_PHILOX_W = np.array(PHILOX_W, dtype=np.uint64)[:, None]
 
 
 def _hash4(words: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
@@ -156,17 +154,19 @@ def _philox(key: np.ndarray, counter: np.ndarray) -> np.ndarray:
     """
     n = key.shape[1]
     low, shift = (np.full((2, n), v, dtype=np.uint64) for v in (0xFFFFFFFF, 32))
-    m = np.repeat(_PHILOX_M, n, axis=1)
+    m, w = (np.repeat(c, n, axis=1) for c in (_PHILOX_M, _PHILOX_W))
     m_lo, m_hi = m & low, m >> shift
     x = np.zeros((2, n), dtype=np.uint64)  # counter words 0 and 2
     x[0] = counter
     y = np.zeros_like(x)  # counter words 1 and 3
-    for round_key in key + _PHILOX_STEPS:
+    for r in range(10):
+        if r:
+            key = key + w
         x_lo, x_hi = x & low, x >> shift
         t = m_hi * x_lo + (m_lo * x_lo >> shift)
         u = m_lo * x_hi + (t & low)
         hi = m_hi * x_hi + (t >> shift) + (u >> shift)
-        x, y = hi[::-1] ^ y ^ round_key, (m * x)[::-1]
+        x, y = hi[::-1] ^ y ^ key, (m * x)[::-1]
     return np.stack([x[0], y[0], x[1], y[1]])
 
 
@@ -180,17 +180,14 @@ def _lemire_rejects(word: np.ndarray, span: int) -> np.ndarray:
     return (word * np.uint64(span) & _LOW32) < (2**32 - span) % span
 
 
-def _bounded(
-    key: np.ndarray, block: int, span: int, lanes: np.ndarray | None = None,
-) -> np.ndarray:
+def _bounded(key: np.ndarray, block: int, span: int, lanes: np.ndarray) -> np.ndarray:
     """Generator.integers(0, span) of each key column's stream, from Philox block ``block`` on:
     numpy's 32-bit Lemire draw, w * span >> 32 of the first word w it does not refuse. The
-    words are the low, then the high half of lanes 0-3 of each block in turn. ``lanes``
-    is block ``block`` of every column, if the caller has computed it."""
+    words are the low, then the high half of lanes 0-3 of each block in turn; ``lanes``
+    is block ``block`` of every column, and later blocks are computed for the columns
+    that refuse all its words."""
     value = np.empty(key.shape[1], dtype=np.uint64)
     rows = np.arange(key.shape[1])
-    if lanes is None:
-        lanes = _philox(key, np.full(rows.size, block, dtype=np.uint64))
     k = 0
     while rows.size:
         if k and k % 8 == 0:
@@ -397,28 +394,32 @@ def _policy_table(seed: int, n_policies: int, base_spec: PrivacySpec) -> np.ndar
 
     Policy j draws them from numpy's Generator on SeedSequence(seed, spawn_key=(1, j)):
     Generator.uniform's low + (high - low) * u on lanes 0-3 of Philox block 1,
-    then integers(*_POLICY_PERIODS) from block 2 on. Blocks 1 and 2 of every
-    policy come from one _philox call."""
+    then integers(*_POLICY_PERIODS) from block 2 on. Blocks 1 and 2 of _BLOCK
+    policies at a time come from one _philox call."""
     key = _stream_keys(seed, 1, np.arange(n_policies, dtype=np.uint64))
-    blocks = _philox(np.tile(key, 2), np.repeat(np.array([1, 2], dtype=np.uint64), n_policies))
-    uniforms = _unit(blocks[:, :n_policies])
+    first, stop = _POLICY_PERIODS
+    uniforms, period = np.empty((4, n_policies)), np.empty(n_policies, dtype=np.uint64)
+    for start in range(0, n_policies, _BLOCK):
+        part = key[:, start:start + _BLOCK]
+        n = part.shape[1]
+        blocks = _philox(np.tile(part, 2), np.repeat(np.array([1, 2], dtype=np.uint64), n))
+        uniforms[:, start:start + n] = _unit(blocks[:, :n])
+        period[start:start + n] = first + _bounded(part, 2, stop - first, blocks[:, n:])
     draws = [low + (high - low) * u for (low, high), u in zip(_POLICY_UNIFORMS, uniforms)]
     params = _scale_policy(draws, base_spec)
-    low, high = _POLICY_PERIODS
     weights = [two_point_weights(epsilon) for epsilon in params[3].tolist()]
-    return np.column_stack(
-        [*params, low + _bounded(key, 2, high - low, blocks[:, n_policies:]),
-         np.reshape(weights, (n_policies, 2))]
-    )
+    return np.column_stack([*params, period, np.reshape(weights, (n_policies, 2))])
 
 
 # -- the batched replica engine --------------------------------------------------
 
 # Replicas run together in blocks of at most _BLOCK, and each replica holds
 # at most _CHUNK Philox blocks (4 * _CHUNK uniforms) at a time, so memory
-# stays bounded whatever the replica count and the number of rounds.
+# stays bounded whatever the replica count and the number of rounds. A row
+# computes its whole chunk even if its replica stops before drawing it, so
+# _CHUNK stays at the largest chunk the benchmark times (an 8-round chase).
 _BLOCK = 4096
-_CHUNK = 16
+_CHUNK = 2
 
 
 class _Failed(Exception):
@@ -538,9 +539,8 @@ class _Batch:
                 # coincident atoms, which biased_binary refuses, leave p_hi non-finite
                 p_lo, p_hi = mean_tilt(lo, hi, self.mu)
                 bad |= noisy & ~((0.0 <= p_hi) & (p_hi <= 1.0))
-            every = noisy.all()
-            if not every:  # the rows with a degenerate spec get the zero atom
-                lo, hi = np.where(noisy, lo, 0.0), np.where(noisy, hi, 0.0)
+            # the rows with a degenerate spec get the zero atom
+            lo, hi = np.where(noisy, lo, 0.0), np.where(noisy, hi, 0.0)
             s_lo, s_hi = s + lo, s + hi
             # a NaN anywhere stays NaN and fails both tests below
             low = np.minimum(np.minimum(s, s_lo), s_hi)
@@ -577,13 +577,12 @@ class _Batch:
                             hidden_y,
                         )
                     )
-                fee = self.fee_policy.charge(quote)
-                if not every:
-                    fee = np.where(noisy, fee, 0.0)
-                draw = slice(None) if every else np.flatnonzero(noisy)
-                u = self._draw(rows[draw])
+                fee = np.where(noisy, self.fee_policy.charge(quote), 0.0)
                 eta = np.zeros(rows.size)
-                eta[draw] = np.where(u < p_lo[draw], lo[draw], hi[draw])
+                draw = np.flatnonzero(noisy)
+                if draw.size:  # unless the hidden account refused every noisy row
+                    u = self._draw(rows[draw])
+                    eta[draw] = np.where(u < p_lo[draw], lo[draw], hi[draw])
             post = s + eta
             y_post = _y_of_x(curve, post)
             y_pre = _y_of_x(curve, x)

@@ -207,7 +207,7 @@ def chunk_reference(kind: str, rounds: int):
 # rounds one short of, at and one past the uniforms a chunk of Philox blocks
 # holds, so that rows refill across its boundary; at _CHUNK = 2 they refill
 # every eight draws
-@pytest.mark.parametrize("chunk", [harness._CHUNK, 2])
+@pytest.mark.parametrize("chunk", [1, 2, 3])
 @pytest.mark.parametrize("block", [harness._BLOCK, 7])
 @pytest.mark.parametrize("past", [-1, 0, 1])
 @pytest.mark.parametrize("kind", ["noise_chasing", "adaptive_random"])

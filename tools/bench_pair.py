@@ -16,9 +16,7 @@ the machine facts run.py logged for that run (versions and load average),
 and for each commit the median and quartiles (inclusive method) of every
 end-to-end metric, of test_04's time and of the tier-1 time (`tier1_s`),
 plus the machine and the command that wrote it, and each commit's line
-count of src/noisycfmm/*.py. `load_1m` holds the host's 1-minute load
-average before and after each timed run, in the order of the run lists, so
-an outlying pair can be traced to the host.
+count of src/noisycfmm/*.py.
 """
 
 from __future__ import annotations
@@ -72,12 +70,6 @@ def run_workload(
     facts = next((line.split("; ", 1)[1] for line in proc.stderr.splitlines()
                   if line.startswith(f"{workload}: seed")), "")
     return json.loads(proc.stdout.strip().splitlines()[-1]), facts
-
-
-def with_load(run, *args):
-    """run(*args), and the 1-minute load average before and after it."""
-    before = os.getloadavg()[0]
-    return run(*args), [before, os.getloadavg()[0]]
 
 
 def time_test_04(tree: Path) -> float:
@@ -148,9 +140,6 @@ def main(argv: list[str] | None = None) -> int:
         "test_04_s": {side: [] for side in SIDES},
         "tier1_s": {side: [] for side in SIDES},
         "layers": {side: {} for side in SIDES},
-        "load_1m": {
-            side: {name: [] for name in (*workloads, "test_04_s", "tier1_s")} for side in SIDES
-        },
     }
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
@@ -161,19 +150,17 @@ def main(argv: list[str] | None = None) -> int:
             for k in range(PAIRS):
                 for side in pair_order(k):
                     print(f"{side}: {workload} {k + 1}/{PAIRS}", file=sys.stderr, flush=True)
-                    (result, facts), load = with_load(
-                        run_workload, trees[side], workload, SEED, bench["run_seconds"]
+                    result, facts = run_workload(
+                        trees[side], workload, SEED, bench["run_seconds"]
                     )
                     record["runs"][side][workload].append({"result": result, "facts": facts})
-                    record["load_1m"][side][workload].append(load)
-        for name, timer, pairs in (("test_04_s", time_test_04, PAIRS),
-                                   ("tier1_s", time_tier1, TIER1_PAIRS)):
-            for k in range(pairs):
-                for side in pair_order(k):
-                    print(f"{side}: {name} {k + 1}/{pairs}", file=sys.stderr, flush=True)
-                    seconds, load = with_load(timer, trees[side])
-                    record[name][side].append(seconds)
-                    record["load_1m"][side][name].append(load)
+        for k in range(PAIRS):
+            for side in pair_order(k):
+                record["test_04_s"][side].append(time_test_04(trees[side]))
+        for k in range(TIER1_PAIRS):
+            for side in pair_order(k):
+                print(f"{side}: tier-1 {k + 1}/{TIER1_PAIRS}", file=sys.stderr, flush=True)
+                record["tier1_s"][side].append(time_tier1(trees[side]))
         for workload in workloads:
             for side in SIDES:
                 print(f"{side}: {workload} traced", file=sys.stderr, flush=True)
