@@ -24,11 +24,16 @@ a block (_stream_keys, _philox): uniform c of replica i is lane c % 4 of its
 Philox block c // 4 + 1, bit for bit what replica_rng(seed, i).random()
 returns as its c-th draw. Each replica holds a chunk of up to _CHUNK of the
 blocks it can draw, and one _philox call refills every replica that has used
-its chunk up.
+its chunk up. Two bounded tables of read-only arrays hold the keys of a
+replica range (_key_table) and its first chunk (_block_table), so every
+estimate on the same seed, replica range and chunk computes them once: a
+batch looks up its keys when it starts and its first chunk at its first
+draw, so a run without noise computes no blocks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -168,6 +173,34 @@ def _philox(key: np.ndarray, counter: np.ndarray) -> np.ndarray:
         hi = m_hi * x_hi + (t >> shift) + (u >> shift)
         x, y = hi[::-1] ^ y ^ key, (m * x)[::-1]
     return np.stack([x[0], y[0], x[1], y[1]])
+
+
+# -- the tables estimates share ---------------------------------------------------
+#
+# A range spans at most _BLOCK streams, so an entry holds at most 64 KiB of
+# keys or chunk * 128 KiB of blocks: at chunk 2, at most 4 and 16 MiB per
+# table. _TABLES lets the five test_04 arms share theirs, 25 ranges of 10**5
+# replicas at chunks 1 and 2 and one policy range (about 11 MiB).
+_TABLES = 64
+
+
+@functools.lru_cache(maxsize=_TABLES)
+def _key_table(seed: int, k: int, start: int, stop: int) -> np.ndarray:
+    """_stream_keys of streams start..stop-1 of kind k, read-only."""
+    keys = _stream_keys(seed, k, np.arange(start, stop, dtype=np.uint64))
+    keys.flags.writeable = False
+    return keys
+
+
+@functools.lru_cache(maxsize=_TABLES)
+def _block_table(seed: int, k: int, start: int, stop: int, chunk: int) -> np.ndarray:
+    """Philox blocks 1..chunk of streams start..stop-1 of kind k, read-only, shape
+    (4, chunk * n): column b * n + i is block b + 1 of stream start + i."""
+    n = stop - start
+    counter = np.repeat(np.arange(1, chunk + 1, dtype=np.uint64), n)
+    words = _philox(np.tile(_key_table(seed, k, start, stop), chunk), counter)
+    words.flags.writeable = False
+    return words
 
 
 def _unit(words: np.ndarray) -> np.ndarray:
@@ -395,16 +428,16 @@ def _policy_table(seed: int, n_policies: int, base_spec: PrivacySpec) -> np.ndar
     Policy j draws them from numpy's Generator on SeedSequence(seed, spawn_key=(1, j)):
     Generator.uniform's low + (high - low) * u on lanes 0-3 of Philox block 1,
     then integers(*_POLICY_PERIODS) from block 2 on. Blocks 1 and 2 of _BLOCK
-    policies at a time come from one _philox call."""
-    key = _stream_keys(seed, 1, np.arange(n_policies, dtype=np.uint64))
+    policies at a time come from one _block_table entry."""
     first, stop = _POLICY_PERIODS
     uniforms, period = np.empty((4, n_policies)), np.empty(n_policies, dtype=np.uint64)
     for start in range(0, n_policies, _BLOCK):
-        part = key[:, start:start + _BLOCK]
-        n = part.shape[1]
-        blocks = _philox(np.tile(part, 2), np.repeat(np.array([1, 2], dtype=np.uint64), n))
-        uniforms[:, start:start + n] = _unit(blocks[:, :n])
-        period[start:start + n] = first + _bounded(part, 2, stop - first, blocks[:, n:])
+        end = min(start + _BLOCK, n_policies)
+        n = end - start
+        blocks = _block_table(seed, 1, start, end, 2)
+        uniforms[:, start:end] = _unit(blocks[:, :n])
+        key = _key_table(seed, 1, start, end)
+        period[start:end] = first + _bounded(key, 2, stop - first, blocks[:, n:])
     draws = [low + (high - low) * u for (low, high), u in zip(_POLICY_UNIFORMS, uniforms)]
     params = _scale_policy(draws, base_spec)
     weights = [two_point_weights(epsilon) for epsilon in params[3].tolist()]
@@ -420,6 +453,12 @@ def _policy_table(seed: int, n_policies: int, base_spec: PrivacySpec) -> np.ndar
 # _CHUNK stays at the largest chunk the benchmark times (an 8-round chase).
 _BLOCK = 4096
 _CHUNK = 2
+
+
+def _chunk_rows(words: np.ndarray, chunk: int) -> np.ndarray:
+    """The uniforms of (4, chunk * n) words laid out as a _block_table entry, one
+    row of 4 * chunk per stream: entry c is lane c % 4 of its block c // 4."""
+    return _unit(words).reshape(4, chunk, -1).T.reshape(-1, 4 * chunk)
 
 
 class _Failed(Exception):
@@ -479,30 +518,33 @@ class _Batch:
         self.y_out = np.zeros(n)
         self.fees = np.zeros(n)
         self.cash = np.zeros(n)
-        self.key = _stream_keys(seed, 0, np.arange(start, stop, dtype=np.uint64))
+        self.stream = seed, 0, start, stop
+        self.key = _key_table(*self.stream)  # eager: numpy refuses a bad seed here
         # the uniforms a replica can draw: one per round, at most one for case1 and case2
         strategy = config.strategy
         bound = {"noise_chasing": strategy.max_rounds, "adaptive_random": strategy.bound}
-        chunk = min(max(1, -(-bound.get(strategy.kind, 1) // 4)), _CHUNK)
-        self.lanes = np.empty((n, 4 * chunk))  # each row's next chunk of Philox blocks
+        self.chunk = min(max(1, -(-bound.get(strategy.kind, 1) // 4)), _CHUNK)
+        self.lanes = None  # each row's next chunk of Philox blocks, from the first draw on
         self.used = np.zeros(n, dtype=np.uint64)  # uniforms each row has drawn
 
     def _draw(self, rows: np.ndarray) -> np.ndarray:
         """The next uniform of each replica in rows.
 
         Uniform c of a row is lane c % 4 of its block c // 4 + 1. A row holds
-        a chunk of consecutive blocks; the rows that have used theirs up get
-        the next chunk, all of them from one _philox call.
+        a chunk of consecutive blocks. The first chunk of every row comes from
+        the shared _block_table; the rows that have used a chunk up get the
+        next one, all of them from one _philox call.
         """
+        chunk = self.chunk
+        if self.lanes is None:
+            self.lanes = _chunk_rows(_block_table(*self.stream, chunk), chunk)
         used = self.used[rows]
-        width = self.lanes.shape[1]
-        at = used % width
-        fresh = rows[at == 0]
+        at = used % (4 * chunk)
+        fresh = rows[(at == 0) & (used != 0)]
         if fresh.size:
-            chunk = width // 4
             counter = self.used[fresh] // 4 + 1 + np.arange(chunk, dtype=np.uint64)[:, None]
-            blocks = _unit(_philox(np.tile(self.key[:, fresh], chunk), counter.ravel()))
-            self.lanes[fresh] = blocks.reshape(4, chunk, fresh.size).T.reshape(fresh.size, width)
+            words = _philox(np.tile(self.key[:, fresh], chunk), counter.ravel())
+            self.lanes[fresh] = _chunk_rows(words, chunk)
         self.used[rows] = used + 1
         return self.lanes[rows, at]
 

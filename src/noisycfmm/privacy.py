@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .codec import number, pair, parse_fields
@@ -319,12 +320,13 @@ def verify_pldp(
         spec.lower, spec.upper, grid_size
     )
 
-    # entry list: (observable output, input index, probability), sorted
+    # entry list: (observable output, input index, probability), sorted by
+    # output; the sort is stable, so equal outputs keep their input order
     entries: list[tuple[float, int, float]] = []
     for i, v in enumerate(grid):
         for atom in mechanism(v).atoms:
             entries.append((v + atom.eta, i, atom.p))
-    entries.sort()
+    entries.sort(key=itemgetter(0))
 
     # a bucket holds the inputs and probabilities of the entries from the
     # output that opens it to the last output within MATCH_TOL of that one

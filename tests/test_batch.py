@@ -232,6 +232,15 @@ def counting(monkeypatch, name: str) -> list:
     return calls
 
 
+@pytest.fixture
+def cold_tables():
+    """Empty the stream tables estimates share, so that a count of _philox calls
+    does not depend on what the tests before it computed."""
+    harness._key_table.cache_clear()
+    harness._block_table.cache_clear()
+
+
+@pytest.mark.usefixtures("cold_tables")
 def test_a_chase_computes_its_uniforms_in_one_philox_call(monkeypatch):
     calls = counting(monkeypatch, "_philox")
     estimate_excess_profit(CASES["chasing"])
@@ -239,12 +248,14 @@ def test_a_chase_computes_its_uniforms_in_one_philox_call(monkeypatch):
     assert calls[0][0].shape == (2, 2 * 120)
 
 
+@pytest.mark.usefixtures("cold_tables")
 def test_the_policy_table_computes_its_blocks_in_one_philox_call(monkeypatch):
     calls = counting(monkeypatch, "_philox")
     harness._policy_table(42, 100, REF_SPEC)  # periods span 3: a refusal is 1 in 2**32
     assert len(calls) == 1
 
 
+@pytest.mark.usefixtures("cold_tables")
 def test_a_trade_without_noise_computes_no_noise(monkeypatch):
     """The correction legs and the truthful run draw nothing and price no atoms."""
     def noise(*args):
@@ -254,6 +265,37 @@ def test_a_trade_without_noise_computes_no_noise(monkeypatch):
         monkeypatch.setattr(harness, name, noise)
     got = estimate_excess_profit(CASES["truthful"], keep_samples=True)
     assert_bit_identical(got, reference("truthful"))
+
+
+SHARED_ARMS = ("chasing", "chasing-fee-zero", "adaptive", "case1", "case2")
+
+
+@pytest.mark.usefixtures("cold_tables")
+def test_estimates_on_one_seed_and_range_share_their_streams(monkeypatch):
+    """The arms of one experiment read the same replica streams (common random
+    numbers), so each table is computed once: the unpriced chase and case2 reuse
+    the blocks of the chase and case1, adaptive's replicas those of the chase,
+    and a second pass computes nothing."""
+    calls = counting(monkeypatch, "_philox")
+    for cold in (True, False):
+        made = []
+        for name in SHARED_ARMS:
+            want, before = reference(name), len(calls)
+            assert_bit_identical(batched(CASES[name], keep_samples=True), want)
+            made.append(len(calls) - before)
+        # adaptive computes its policy table's blocks; case1 draws one block, not two
+        assert made == ([1, 0, 1, 1, 0] if cold else [0] * 5)
+
+
+def test_shared_tables_are_read_only_and_bounded():
+    for table in (harness._key_table(42, 0, 0, 120), harness._block_table(42, 0, 0, 120, 2)):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0
+    for start in range(3 * harness._TABLES):
+        harness._block_table(7, 0, start, start + 1, 1)
+    for table in (harness._key_table, harness._block_table):
+        info = table.cache_info()
+        assert info.currsize == info.maxsize == harness._TABLES
 
 
 @pytest.mark.parametrize("kind", ["noise_chasing", "case1", "adaptive_random"])

@@ -1,10 +1,12 @@
-"""Golden Monte Carlo results: the five acceptance arms and both witness scans.
+"""Golden Monte Carlo results: the five acceptance arms, an LMSR chase and both witness scans.
 
 The expected values in golden_mc.json were recorded from the per-strategy
 replica loops that estimate_excess_profit and the witness scan's confirmation
-pass each kept before they shared one loop. Every replica draws the same
-stream, so any change to the replica loop, the trade counter the adaptive
-policies read, or the confirmation path must reproduce them bit for bit.
+pass each kept before they shared one loop; the LMSR chase, whose curve
+queries go through scalar math calls, from the batched engine. Every replica
+draws the same stream, so any change to the replica loop, the trade counter
+the adaptive policies read, or the confirmation path must reproduce them bit
+for bit.
 The acceptance configs run here at small replica counts; the scans use a
 larger bias than test_05 so that both reach the Monte Carlo confirmation.
 The candidate lists pin the screen of scans that confirm nothing: the
@@ -59,6 +61,11 @@ ARMS = {
     ),
     "adaptive": experiment(strategy=StrategyConfig("adaptive_random", policies=100, bound=8)),
     "unpriced": experiment(fee_policy=FeePolicy.zero()),
+    # an LMSR chase: its curve queries go through the scalar math calls
+    "lmsr_chasing": experiment(
+        curve=TradingCurve.lmsr(1.5), initial_x=50.0, true_price=0.8,
+        privacy=PrivacySpec(0.0, 0.5, 2.0),
+    ),
 }
 
 

@@ -21,6 +21,7 @@ from noisycfmm import (
     PrivacySpec,
     StrategyConfig,
     TradingCurve,
+    biased_binary,
     binary_mechanism,
     check_expectation,
     estimate_excess_profit,
@@ -336,6 +337,44 @@ class TestWitnessScan:
         assert result.true_price is None
         assert len(result.candidates) > 0
         assert all(c.note != "screened" for c in result.candidates)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lmsr=st.booleans(),
+        depth=st.floats(0.0, 1.0),
+        place=st.floats(0.0, 1.0),
+        lower=st.floats(-1.0, 0.0),
+        width=st.floats(0.01, 1.0),
+        at=st.floats(0.0, 1.0),
+        epsilon=st.floats(0.5, 6.0),
+        tilt=st.floats(0.01, 0.99),
+        price_factor=st.floats(0.25, 4.0),
+    )
+    def test_priced_excess_is_the_mean_times_the_price_gap(
+        self, lmsr, depth, place, lower, width, at, epsilon, tilt, price_factor,
+    ):
+        """Priceability: under the noise fee, the one-step excess of a private-then-
+        correct deviation is mu * (p_hat - P(s)), zero for every p_hat only if mu = 0."""
+        # every atom here is within 2.6 of the trade, and the trade within 1 of 0
+        if lmsr:  # levels 1.1 to 1.9, reserves 6 to 14 above the domain's edge
+            curve = TradingCurve.lmsr(1.1 + 0.8 * depth)
+            x = curve.x_lo + 6.0 + 8.0 * place
+        else:  # levels 1e4 to 1e8, prices 1/10 to 10
+            curve = TradingCurve.constant_product(10.0 ** (4.0 + 4.0 * depth))
+            x = math.sqrt(curve.level) * 10.0 ** (place - 0.5)
+        spec = PrivacySpec(lower, lower + width, epsilon)
+        delta = lower + at * width
+        lo, hi = (atom.eta for atom in binary_mechanism(delta, spec).atoms)
+        mu = lo + tilt * (hi - lo)
+        dist = biased_binary(delta, spec, mu)
+        s = x + delta
+        p_s = curve.spot_price(s)
+        p_hat = price_factor * p_s
+        fee = noise_fee(curve, x, delta, dist).gamma
+        mean, _ = harness._deviation_moments(curve, x, delta, dist, fee, p_hat)
+        gain = curve.reversal_gains(s)
+        scale = sum(a.p * (abs(gain(a.eta)) + abs(a.eta * (p_hat - p_s))) for a in dist.atoms)
+        assert abs(mean - mu * (p_hat - p_s)) <= 1e-13 * scale
 
     def test_sign_conventions_enforced(self):
         with pytest.raises(ConfigError):
