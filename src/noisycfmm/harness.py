@@ -45,12 +45,7 @@ from .curve import Family, TradingCurve, parse_curve
 from .errors import (
     ConfigError, DomainError, HiddenAccountError, NoisyCfmmError, OptimizationError,
 )
-from .fee import (  # the scaling study lives in fee; harness still hands it out
-    ScalingRow,
-    ScalingStudyResult,
-    liquidity_scaling_study,
-    noise_fee,
-)
+from .fee import noise_fee
 from .market import FeePolicy, FeePolicyKind, MarketState, execute_trade, support_check
 from .privacy import (
     EPSILON_FLOOR,
@@ -63,9 +58,9 @@ from .privacy import (
     binary_mechanism,
     mean_tilt,
     parse_privacy,
+    pldp_report,
     two_point,
     two_point_weights,
-    verify_pldp,
 )
 from .strategies import DEFAULT_MAX_ROUNDS, check_case1, check_case2, truthful_strategy
 from .streams import INIT_A, INIT_B, MIX_L, MIX_R, MULT_A, MULT_B, PHILOX_M, PHILOX_W
@@ -1013,27 +1008,10 @@ class NoiseLPSolution:
     outputs_used: tuple[float, ...]
     status: str
 
-    def _nearest(self, delta: float) -> int:
-        """Index of the input grid point nearest delta (the first of a tie)."""
-        grid = self.problem.input_grid
-        return min(range(len(grid)), key=lambda k: abs(grid[k] - delta))
-
     def fee_at(self, delta: float) -> float:
-        """Fee of the designed noise for the input grid point nearest delta."""
-        return self.per_input_fees[self._nearest(delta)]
-
-    def mechanism(self) -> Callable[[float], NoiseDistribution]:
-        """Adapter for verify_pldp: maps a grid input to its designed noise."""
+        """Fee of the designed noise at the input grid point nearest delta (the first of a tie)."""
         grid = self.problem.input_grid
-        scale = max(1.0, max(abs(g) for g in grid))
-
-        def lookup(v: float) -> NoiseDistribution:
-            i = self._nearest(v)
-            if abs(grid[i] - v) > 1e-9 * scale:
-                raise ValueError(f"input {v} is not on the design grid")
-            return self.distributions[i]
-
-        return lookup
+        return self.per_input_fees[min(range(len(grid)), key=lambda k: abs(grid[k] - delta))]
 
     def _json_shape(self) -> dict:
         """The fields, with the problem's grids, reference and spec in place of the problem."""
@@ -1065,10 +1043,6 @@ def linprog(*args, **kwargs):
 
     return solve(*args, **kwargs)
 
-
-# Likelihood-ratio constraints above this epsilon are numerically vacuous
-# (ratio > 5e21) and only poison the LP scaling, so they are dropped.
-_RATIO_EPS_CAP = 50.0
 
 # Slack of validate_lp_solution on the zero means and on the ratio bound.
 _CHECK_TOL = 1e-8
@@ -1106,7 +1080,7 @@ def optimize_noise_lp(problem: LPNoiseProblem) -> NoiseLPSolution:
     # each probability side by side: in that order HiGHS solves more designs
     # at eps > 8 than with all upper rows first
     a_ub = b_ub = None
-    if m > 1 and problem.spec.epsilon <= _RATIO_EPS_CAP:
+    if m > 1:
         a_ub = sparse.hstack([
             sparse.kron(sparse.identity(m * n), [[1.0], [-1.0]]),
             sparse.kron(np.ones((m, 1)), sparse.kron(
@@ -1186,17 +1160,11 @@ class NoiseSolutionCheck:
         }
 
 
-def validate_lp_solution(
-    solution: NoiseLPSolution, tol: float = _CHECK_TOL
-) -> NoiseSolutionCheck:
+def validate_lp_solution(solution: NoiseLPSolution) -> NoiseSolutionCheck:
     """Independent re-check of a designed mechanism: zero means and the
-    likelihood-ratio guarantee over the design's own input grid."""
+    likelihood-ratio guarantee on the design's own inputs and distributions."""
     worst_mean = max(abs(d.mean()) for d in solution.distributions)
-    report = verify_pldp(
-        solution.mechanism(),
-        solution.problem.spec,
-        grid_size=len(solution.problem.input_grid),
-        ratio_slack=tol,
-    )
-    ok = report.satisfied and worst_mean <= tol
+    problem = solution.problem
+    report = pldp_report(problem.spec, problem.input_grid, solution.distributions, _CHECK_TOL)
+    ok = report.satisfied and worst_mean <= _CHECK_TOL
     return NoiseSolutionCheck(worst_mean, report, ok)

@@ -37,7 +37,7 @@ EPSILON_FLOOR = 1e-6
 # Probabilities must sum to one within this before a distribution is accepted.
 PROBABILITY_TOL = 1e-12
 
-# verify_pldp identifies outputs of different inputs that agree within this.
+# pldp_report identifies outputs of different inputs that agree within this.
 MATCH_TOL = 1e-9
 
 # verify_pldp's largest grid. Each grid point adds one (output, input,
@@ -300,17 +300,10 @@ def verify_pldp(
 ) -> PLDPReport:
     """Check the likelihood-ratio guarantee of a noise mechanism on a grid.
 
-    ``mechanism`` maps an input trade v to its noise distribution; the
-    verifier compares the induced distributions of the adversary-visible
-    post-noise position v + eta across all grid-point pairs in the masking
-    interval. Outputs from different inputs are identified when they agree
-    within MATCH_TOL; two outputs of a single input falling into one
-    bucket make the alignment ambiguous and raise MisalignedSupportError.
-    Ratio conventions: 0/0 counts as 1, positive/0 as infinity. The guarantee
-    is satisfied when the worst ratio is at most exp(epsilon), with
-    ``ratio_slack`` relative headroom for float rounding. An exp(epsilon)
-    beyond float range is an infinite bound, which an infinite ratio still
-    breaks unless epsilon itself is infinite.
+    ``mechanism`` maps an input trade v to its noise distribution; it is
+    called once per point of a grid_size-point linspace over the masking
+    interval (one point when the interval is a point), and pldp_report
+    checks the distributions it returns against each other.
     """
     if grid_size < 1:
         raise ConfigError(f"grid_size must be >= 1, got {grid_size}")
@@ -319,12 +312,30 @@ def verify_pldp(
     grid = [float(spec.lower)] if spec.lower == spec.upper else _linspace(
         spec.lower, spec.upper, grid_size
     )
+    return pldp_report(spec, grid, map(mechanism, grid), ratio_slack)
 
+
+def pldp_report(
+    spec: PrivacySpec, inputs: Sequence[float], dists: Iterable[NoiseDistribution], ratio_slack: float
+) -> PLDPReport:
+    """Check the likelihood-ratio guarantee of the noise dists[k] on input inputs[k].
+
+    Compares the induced distributions of the adversary-visible post-noise
+    position v + eta across all pairs of inputs; dists may be an iterator,
+    read one distribution at a time. Outputs from different inputs are
+    identified when they agree within MATCH_TOL; two outputs of a single
+    input falling into one bucket make the alignment ambiguous and raise
+    MisalignedSupportError. Ratio conventions: 0/0 counts as 1, positive/0
+    as infinity. The guarantee is satisfied when the worst ratio is at most
+    exp(epsilon), with ``ratio_slack`` relative headroom for float rounding.
+    An exp(epsilon) beyond float range is an infinite bound, which an
+    infinite ratio still breaks unless epsilon itself is infinite.
+    """
     # entry list: (observable output, input index, probability), sorted by
     # output; the sort is stable, so equal outputs keep their input order
     entries: list[tuple[float, int, float]] = []
-    for i, v in enumerate(grid):
-        for atom in mechanism(v).atoms:
+    for i, (v, dist) in enumerate(zip(inputs, dists, strict=True)):
+        for atom in dist.atoms:
             entries.append((v + atom.eta, i, atom.p))
     entries.sort(key=itemgetter(0))
 
@@ -332,25 +343,25 @@ def verify_pldp(
     # output that opens it to the last output within MATCH_TOL of that one
     buckets: list[tuple[float, list[int], list[float]]] = []
     anchor = math.nan
-    inputs: list[int] = []
+    members: list[int] = []
     probs: list[float] = []
     for out, i, p in entries:
         if not buckets or out - anchor > MATCH_TOL:
-            anchor, inputs, probs = out, [i], [p]
-            buckets.append((anchor, inputs, probs))
+            anchor, members, probs = out, [i], [p]
+            buckets.append((anchor, members, probs))
         else:
-            inputs.append(i)
+            members.append(i)
             probs.append(p)
 
-    n = len(grid)
+    n = len(inputs)
     try:
         bound = math.exp(spec.epsilon)
     except OverflowError:
         bound = math.inf
     max_ratio = 1.0
-    for anchor, inputs, probs in buckets:
-        if len(set(inputs)) < len(inputs):
-            _raise_misaligned(grid, anchor, inputs)
+    for anchor, members, probs in buckets:
+        if len(set(members)) < len(members):
+            _raise_misaligned(inputs, anchor, members)
         top, bottom = max(probs), min(probs)
         if len(probs) < n:  # the inputs this output misses give it probability 0
             top, bottom = max(top, 0.0), min(bottom, 0.0)
@@ -390,13 +401,13 @@ def _linspace(lower: float, upper: float, n: int) -> list[float]:
     return grid
 
 
-def _raise_misaligned(grid: list[float], anchor: float, inputs: list[int]) -> None:
+def _raise_misaligned(inputs: Sequence[float], anchor: float, members: list[int]) -> None:
     """Name the first input of a bucket that already has an output there."""
     seen: set[int] = set()
-    for i in inputs:
+    for i in members:
         if i in seen:
             raise MisalignedSupportError(
-                f"input {grid[i]} has two outputs within {MATCH_TOL} of {anchor}; "
+                f"input {inputs[i]} has two outputs within {MATCH_TOL} of {anchor}; "
                 "alignment across inputs is ambiguous"
             )
         seen.add(i)

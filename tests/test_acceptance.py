@@ -239,7 +239,7 @@ def test_07_lp_noise_design():
     solution = optimize_noise_lp(problem)
     elapsed = time.perf_counter() - t0
     two_point = noise_fee(CP, 100.0, 1.0, binary_mechanism(1.0, REF_SPEC)).gamma
-    checkup = validate_lp_solution(solution, tol=1e-8)
+    checkup = validate_lp_solution(solution)
     ok = (
         solution.fee_at(1.0) <= two_point + 1e-9
         and checkup.ok

@@ -16,6 +16,7 @@ from noisycfmm import (
     ExperimentConfig,
     FeePolicy,
     LPNoiseProblem,
+    MisalignedSupportError,
     NoiseConfig,
     OptimizationError,
     PrivacySpec,
@@ -33,6 +34,7 @@ from noisycfmm import (
     reproduce_deviation_theorem,
     to_json,
     validate_lp_solution,
+    verify_pldp,
 )
 from noisycfmm import harness
 from noisycfmm.market import MarketState
@@ -525,7 +527,45 @@ class TestNoiseLP:
         with pytest.raises(OptimizationError, match="fails its check: zero-mean violation"):
             optimize_noise_lp(self.small_problem())
 
-    def test_mechanism_rejects_offgrid_query(self):
-        solution = optimize_noise_lp(self.small_problem())
-        with pytest.raises(ValueError, match="grid"):
-            solution.mechanism()(0.123456)
+    @pytest.mark.parametrize("inputs", [(0.0, 0.5, 2.0), (0.0, 0.25, 1.0, 1.5, 2.0)])
+    def test_hand_built_inputs_are_checked_on_their_own(self, inputs):
+        # uneven inputs are no linspace: the check reads the design's own rows
+        outputs = self.small_problem().output_grid
+        solution = optimize_noise_lp(LPNoiseProblem(self.CURVE, 100.0, REF_SPEC, inputs, outputs))
+        check = validate_lp_solution(solution)
+        assert check.ok
+        assert check.pldp.grid_size == len(inputs)
+
+    @staticmethod
+    def grid_report(solution):
+        """verify_pldp on the design's grid, each input looked up exactly."""
+        p = solution.problem
+        noise = dict(zip(p.input_grid, solution.distributions))
+        return verify_pldp(noise.__getitem__, p.spec, len(p.input_grid), ratio_slack=1e-8)
+
+    @pytest.mark.parametrize("m,n", [(5, 9), (21, 41)])
+    @pytest.mark.parametrize("eps", [0.5, 2.0, 8.0])
+    @pytest.mark.parametrize("curve", [
+        TradingCurve.constant_product(1e4), TradingCurve.constant_product(1e3),
+        TradingCurve.lmsr(1.5), TradingCurve.constant_sum(1e4, 1.5),
+    ], ids=["cp1e4", "cp1e3", "lmsr", "csum"])
+    def test_check_matches_the_grid_check(self, curve, eps, m, n):
+        problem = LPNoiseProblem.build(curve, 100.0, PrivacySpec(0.0, 2.0, eps), m, n)
+        solution = optimize_noise_lp(problem)
+        assert validate_lp_solution(solution).pldp == self.grid_report(solution)
+
+    def test_check_raises_what_the_grid_check_raises(self, monkeypatch):
+        # a 1e-300 interval puts every output of an input within MATCH_TOL
+        problem = LPNoiseProblem.build(self.CURVE, 100.0, PrivacySpec(0.0, 1e-300, 2.0), 21, 41)
+        original, designs = harness.validate_lp_solution, []
+
+        def recording(solution):
+            designs.append(solution)
+            return original(solution)
+
+        monkeypatch.setattr(harness, "validate_lp_solution", recording)
+        with pytest.raises(MisalignedSupportError) as got:
+            optimize_noise_lp(problem)
+        with pytest.raises(MisalignedSupportError) as want:
+            self.grid_report(designs[0])
+        assert str(got.value) == str(want.value)

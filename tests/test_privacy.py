@@ -25,6 +25,7 @@ from noisycfmm import (
     to_json,
     verify_pldp,
 )
+from noisycfmm.privacy import pldp_report
 
 # Atom positions and probabilities are closed-form; mean() is a two-term sum
 # whose cancellation error scales with the atom magnitude, so the zero-mean
@@ -303,6 +304,11 @@ class TestVerifyPLDP:
 
         with pytest.raises(MisalignedSupportError):
             verify_pldp(ambiguous, REF_SPEC, 5)
+
+    def test_rows_need_one_distribution_per_input(self):
+        dists = [binary_mechanism(v, REF_SPEC) for v in (0.0, 2.0)]
+        with pytest.raises(ValueError, match="zip"):
+            pldp_report(REF_SPEC, (0.0, 1.0, 2.0), dists, 1e-9)
 
     def test_infinite_epsilon_bound(self):
         spec = PrivacySpec(0.0, 2.0, math.inf)

@@ -12,11 +12,13 @@ report, and TIER1_PAIRS pairs of the whole tier-1 suite by the wall time of
 its pytest process. Last, one short traced run per commit and workload
 (`--trace 1 --seconds TRACE_SECONDS`) records the per-layer metrics under
 `layers`. The record keeps every result line as run.py printed it, next to
-the machine facts run.py logged for that run (versions and load average),
-and for each commit the median and quartiles (inclusive method) of every
-end-to-end metric, of test_04's time and of the tier-1 time (`tier1_s`),
-plus the machine and the command that wrote it, and each commit's line
-count of src/noisycfmm/*.py.
+the machine facts run.py logged for that run (versions and load average)
+and the run's wall time and CPU time (`wall_s`, `cpu_s`: user plus system,
+of run.py and the processes it waited for), so a run whose wall time
+outgrows its CPU time points at the host. It keeps, for each commit, the
+median and quartiles (inclusive method) of every end-to-end metric, of
+test_04's time and of the tier-1 time (`tier1_s`), plus the machine and the
+command that wrote it, and each commit's line count of src/noisycfmm/*.py.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -58,18 +61,22 @@ def src_lines(tree: Path) -> int:
     return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "noisycfmm").glob("*.py"))
 
 
-def run_workload(
-    tree: Path, workload: str, seed: int, seconds: float, trace: int = 0,
-) -> tuple[dict, str]:
-    """run.py's result line and the machine facts it logs."""
+def run_workload(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """run.py's result line, the machine facts it logs, and its wall and CPU time."""
+    before, t0 = resource.getrusage(resource.RUSAGE_CHILDREN), perf_counter()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, check=True, capture_output=True, text=True,
     )
+    wall, after = perf_counter() - t0, resource.getrusage(resource.RUSAGE_CHILDREN)
     facts = next((line.split("; ", 1)[1] for line in proc.stderr.splitlines()
                   if line.startswith(f"{workload}: seed")), "")
-    return json.loads(proc.stdout.strip().splitlines()[-1]), facts
+    return {
+        "result": json.loads(proc.stdout.strip().splitlines()[-1]), "facts": facts,
+        "wall_s": wall,
+        "cpu_s": after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime,
+    }
 
 
 def time_test_04(tree: Path) -> float:
@@ -150,10 +157,9 @@ def main(argv: list[str] | None = None) -> int:
             for k in range(PAIRS):
                 for side in pair_order(k):
                     print(f"{side}: {workload} {k + 1}/{PAIRS}", file=sys.stderr, flush=True)
-                    result, facts = run_workload(
-                        trees[side], workload, SEED, bench["run_seconds"]
+                    record["runs"][side][workload].append(
+                        run_workload(trees[side], workload, SEED, bench["run_seconds"])
                     )
-                    record["runs"][side][workload].append({"result": result, "facts": facts})
         for k in range(PAIRS):
             for side in pair_order(k):
                 record["test_04_s"][side].append(time_test_04(trees[side]))
@@ -164,9 +170,9 @@ def main(argv: list[str] | None = None) -> int:
         for workload in workloads:
             for side in SIDES:
                 print(f"{side}: {workload} traced", file=sys.stderr, flush=True)
-                record["layers"][side][workload], _ = run_workload(
+                record["layers"][side][workload] = run_workload(
                     trees[side], workload, SEED, TRACE_SECONDS, trace=1
-                )
+                )["result"]
     record["summary"] = {
         side: {
             **{w: summarize(record["runs"][side][w], metrics) for w in workloads},
