@@ -322,6 +322,12 @@ def optimize_cmd(args: argparse.Namespace) -> int:
     )
     expect = fields.pop("expect", None) or {}
     max_avg, fee_at = expect.get("max_average_fee"), expect.get("max_fee_at")
+    spec = fields["privacy"]
+    if fee_at is not None and not spec.contains(fee_at[0]):
+        raise ConfigError(
+            f"config.expect.max_fee_at[0] must lie in the masking interval "
+            f"[{spec.lower}, {spec.upper}], got {fee_at[0]!r}"
+        )
     problem = LPNoiseProblem.build(
         fields.pop("curve"), fields.pop("reference_x"), fields.pop("privacy"), **fields
     )

@@ -247,8 +247,8 @@ class TradingCurve:
     def reversal_gains(self, s: float) -> Callable[[float], float]:
         """reversal_gain(s, eta) as a function of eta alone, for many atoms at one s.
 
-        Checks s and computes its terms (s^2, or e^-s for LMSR) once. Each
-        call then checks s + eta and evaluates the same formula as
+        Checks s and computes its terms (s^2, or the spot price for LMSR) once.
+        Each call then checks s + eta and evaluates the same formula as
         reversal_gain, so the two agree bit for bit and raise the same errors.
         """
         if not self.x_lo <= s <= self.x_hi:
@@ -257,7 +257,8 @@ class TradingCurve:
             return partial(_cp_gain, self, s, s * s)
         if self.family is Family.CONSTANT_SUM:
             return partial(_csum_gain, self, s)
-        return partial(_lmsr_gain, self, s, math.exp(-s))
+        v = math.exp(-s)
+        return partial(_lmsr_gain, self, s, v / ((2.0 - self.level) - v))  # spot_price(s)
 
     def liquidity(self, price: float) -> float | None:
         """Reciprocal price sensitivity 1/(dP/dx) at the reserve with spot ``price``.
@@ -316,15 +317,14 @@ def _csum_gain(curve: TradingCurve, s: float, eta: float) -> float:
     return 0.0
 
 
-def _lmsr_gain(curve: TradingCurve, s: float, v: float, eta: float) -> float:
-    """z - log1p(z) + beta (eta + expm1(-eta)), with v = e^-s, beta the spot price
-    at s and z = -beta expm1(-eta)."""
+def _lmsr_gain(curve: TradingCurve, s: float, beta: float, eta: float) -> float:
+    """z - log1p(z) + beta (eta + expm1(-eta)), with beta the spot price at s and
+    z = -beta expm1(-eta)."""
     if eta == 0.0:
         return 0.0
     t = s + eta
     if not curve.x_lo <= t <= curve.x_hi:
         curve._require(t, "s+eta")
-    beta = v / ((2.0 - curve.level) - v)  # spot price at s
     z = -beta * math.expm1(-eta)  # (e^-s - e^-(s+eta)) / (c - e^-s)
     if 1.0 + z <= 0.0:
         raise DomainError(f"reserve {t} too close to the LMSR domain edge")
@@ -332,21 +332,41 @@ def _lmsr_gain(curve: TradingCurve, s: float, v: float, eta: float) -> float:
     return _z_minus_log1p(z) + beta * _eta_plus_expm1_neg(eta)
 
 
+# The two series below add a fixed number of terms, looked up by the binary
+# exponent e of the argument (math.frexp): the entry at index -e, the last
+# entry for every smaller e; index 0 serves the argument 0. Each count is at
+# least the number of terms after which a loop that stops on a term of at most
+# 2.3e-17 of the running sum stops, anywhere in the band. Past that point
+# every term is below half an ulp of the sum (at least 5.55e-17 of it), so the
+# extra terms leave the sum's bits as that loop leaves them; the loops are the
+# tests' reference (tests/oracles.py). The z series adds four terms a step.
+_Z_TERMS = (4, 4, 28, 20, 16, 12, 12, 12, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 4)
+_ETA_TERMS = (1, 15, 13, 11, 10, 9, 8, 7, 7, 6, 6, 6) + (5,) * 5 + (4,) * 9 + (3,)
+# the divisors k of the z terms from z^2/2 on, in fours, and of the eta terms after eta^2/2
+_Z_DIVISORS = tuple(
+    tuple(tuple(map(float, range(k, k + 4))) for k in range(2, n + 2, 4)) for n in _Z_TERMS
+)
+_ETA_DIVISORS = tuple(tuple(map(float, range(3, n + 2))) for n in _ETA_TERMS)
+
+
 def _z_minus_log1p(z: float) -> float:
     """z - log(1+z) without cancellation; ~z^2/2 near zero, needs z > -1."""
     if abs(z) >= 0.25:
         return z - math.log1p(z)
     # sum_{k>=2} (-1)^k z^k / k; ratio <= 0.25 so the tail dies fast
-    total = 0.0
+    e = -math.frexp(z)[1]
+    nz = -z
     power = z * z
-    k = 2
-    while k < 64:
-        term = power / k
-        total += term
-        if abs(term) <= 2.3e-17 * total:
-            break
-        power *= -z
-        k += 1
+    total = 0.0
+    for a, b, c, d in _Z_DIVISORS[e if e < 18 else 18]:
+        total += power / a
+        power *= nz
+        total += power / b
+        power *= nz
+        total += power / c
+        power *= nz
+        total += power / d
+        power *= nz
     return total
 
 
@@ -355,13 +375,10 @@ def _eta_plus_expm1_neg(eta: float) -> float:
     if abs(eta) >= 0.5:
         return eta + math.expm1(-eta)
     # sum_{k>=2} (-eta)^k / k!
-    total = 0.0
-    term = eta * eta / 2.0
-    k = 2
-    while k < 40:
+    e = -math.frexp(eta)[1]
+    neta = -eta
+    total = term = eta * eta / 2.0
+    for k in _ETA_DIVISORS[e if e < 26 else 26]:
+        term *= neta / k
         total += term
-        if abs(term) <= 2.3e-17 * total:
-            break
-        k += 1
-        term *= -eta / k
     return total

@@ -44,6 +44,7 @@ from .codec import choice, fields_of, integer, number, optional, parse_fields, p
 from .curve import Family, TradingCurve, parse_curve
 from .errors import (
     ConfigError, DomainError, HiddenAccountError, NoisyCfmmError, OptimizationError,
+    SpecViolationError,
 )
 from .fee import noise_fee
 from .market import FeePolicy, FeePolicyKind, MarketState, execute_trade, support_check
@@ -435,8 +436,8 @@ def _policy_table(seed: int, n_policies: int, base_spec: PrivacySpec) -> np.ndar
         period[start:end] = first + _bounded(key, 2, stop - first, blocks[:, n:])
     draws = [low + (high - low) * u for (low, high), u in zip(_POLICY_UNIFORMS, uniforms)]
     params = _scale_policy(draws, base_spec)
-    weights = [two_point_weights(epsilon) for epsilon in params[3].tolist()]
-    return np.column_stack([*params, period, np.reshape(weights, (n_policies, 2))])
+    weights = zip(*map(two_point_weights, params[3].tolist()))
+    return np.column_stack([*params, period, *weights])
 
 
 # -- the batched replica engine --------------------------------------------------
@@ -678,7 +679,7 @@ def _run_block(
     kind = strategy.kind
     target = curve.x_of_price(config.true_price)
     rows = np.arange(stop - start)
-    weights = two_point_weights(spec.epsilon)
+    weights = spec.weights
     batch = _Batch(config, state0, seed, start, stop)
     if kind == "noise_chasing" and not spec.degenerate:
         half = 0.5 * spec.width  # PrivacySpec.recentered
@@ -974,7 +975,7 @@ class LPNoiseProblem:
         else:
             inputs = tuple(np.linspace(spec.lower, spec.upper, n_inputs).tolist())
             # the noise of a zero trade lands on the landmarks themselves
-            lo, hi, _, _ = two_point(0.0, spec.lower, spec.upper, two_point_weights(spec.epsilon))
+            lo, hi, _, _ = two_point(0.0, spec.lower, spec.upper, spec.weights)
             outputs = tuple(np.linspace(lo, hi, n_outputs).tolist())
         return cls(curve, reference_x, spec, inputs, outputs)
 
@@ -1009,7 +1010,13 @@ class NoiseLPSolution:
     status: str
 
     def fee_at(self, delta: float) -> float:
-        """Fee of the designed noise at the input grid point nearest delta (the first of a tie)."""
+        """Fee of the designed noise at the input grid point nearest delta (the first of a
+        tie); delta must lie in the masking interval the design masks."""
+        spec = self.problem.spec
+        if not spec.contains(delta):
+            raise SpecViolationError(
+                f"trade {delta} outside masking interval [{spec.lower}, {spec.upper}]"
+            )
         grid = self.problem.input_grid
         return self.per_input_fees[min(range(len(grid)), key=lambda k: abs(grid[k] - delta))]
 

@@ -14,7 +14,7 @@ guarantee on the observable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -51,11 +51,16 @@ MAX_GRID_SIZE = 10**6
 
 @dataclass(frozen=True, slots=True)
 class PrivacySpec:
-    """Masking interval [lower, upper] and likelihood-ratio budget epsilon."""
+    """Masking interval [lower, upper] and likelihood-ratio budget epsilon.
+
+    ``weights`` is derived, not set: two_point_weights(epsilon), computed once
+    for every two-point mechanism the spec masks.
+    """
 
     lower: float
     upper: float
     epsilon: float
+    weights: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
@@ -72,6 +77,7 @@ class PrivacySpec:
             )
         if not self.epsilon > 0.0:  # also rejects NaN
             raise SpecViolationError(f"epsilon must be positive, got {self.epsilon}")
+        object.__setattr__(self, "weights", two_point_weights(self.epsilon))
 
     @property
     def width(self) -> float:
@@ -113,14 +119,13 @@ class NoiseAtom:
     p: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class NoiseDistribution:
     """Finite-support distribution over noise trades (in units of X)."""
 
     atoms: tuple[NoiseAtom, ...]
 
-    def __post_init__(self) -> None:
-        atoms = self.atoms
+    def __init__(self, atoms: tuple[NoiseAtom, ...]) -> None:
         if not atoms:
             raise DistributionShapeError("noise distribution needs at least one atom")
         total = 0.0
@@ -133,6 +138,7 @@ class NoiseDistribution:
             total += p
         if abs(total - 1.0) > PROBABILITY_TOL * len(atoms):
             raise DistributionShapeError(f"atom probabilities sum to {total}, not 1")
+        object.__setattr__(self, "atoms", atoms)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "NoiseDistribution":
@@ -233,7 +239,7 @@ def _two_point_atoms(delta: float, spec: PrivacySpec) -> tuple | None:
         return None
     if epsilon < EPSILON_FLOOR:
         raise SpecViolationError(f"epsilon {epsilon} below the supported floor {EPSILON_FLOOR}")
-    return two_point(delta, lower, upper, two_point_weights(epsilon))
+    return two_point(delta, lower, upper, spec.weights)
 
 
 def biased_binary(delta: float, spec: PrivacySpec, mu: float) -> NoiseDistribution:

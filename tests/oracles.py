@@ -30,7 +30,6 @@ from noisycfmm import (
     run_adaptive,
     truthful_strategy,
 )
-from noisycfmm.curve import _eta_plus_expm1_neg, _z_minus_log1p
 from noisycfmm.harness import (
     _POLICY_PERIODS, _POLICY_UNIFORMS, _design, _fee_cost_matrix, _scale_policy, _summarize,
 )
@@ -104,7 +103,47 @@ def reversal_gain_oracle(curve: TradingCurve, s: float, eta: float) -> float:
     if 1.0 + z <= 0.0:
         raise DomainError(f"reserve {s + eta} too close to the LMSR domain edge")
     # both addends are positive and O(eta^2): no cancellation between them
-    return _z_minus_log1p(z) + beta * _eta_plus_expm1_neg(eta)
+    return z_minus_log1p_loop(z) + beta * eta_plus_expm1_neg_loop(eta)
+
+
+# The library's two series helpers as they were written with a per-term stop
+# test, word for word: curve._z_minus_log1p and curve._eta_plus_expm1_neg add a
+# fixed number of terms instead, and must give these bits.
+
+
+def z_minus_log1p_loop(z: float) -> float:
+    """z - log(1+z) without cancellation; ~z^2/2 near zero, needs z > -1."""
+    if abs(z) >= 0.25:
+        return z - math.log1p(z)
+    # sum_{k>=2} (-1)^k z^k / k; ratio <= 0.25 so the tail dies fast
+    total = 0.0
+    power = z * z
+    k = 2
+    while k < 64:
+        term = power / k
+        total += term
+        if abs(term) <= 2.3e-17 * total:
+            break
+        power *= -z
+        k += 1
+    return total
+
+
+def eta_plus_expm1_neg_loop(eta: float) -> float:
+    """eta + expm1(-eta) without cancellation; ~eta^2/2 near zero."""
+    if abs(eta) >= 0.5:
+        return eta + math.expm1(-eta)
+    # sum_{k>=2} (-eta)^k / k!
+    total = 0.0
+    term = eta * eta / 2.0
+    k = 2
+    while k < 40:
+        total += term
+        if abs(term) <= 2.3e-17 * total:
+            break
+        k += 1
+        term *= -eta / k
+    return total
 
 
 def policy_rng(seed: int, index: int) -> np.random.Generator:

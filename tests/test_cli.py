@@ -431,6 +431,18 @@ class TestOptimizeNoise:
         assert "avg fee" in summary
         assert "PASS" in summary and "FAIL" not in summary
 
+    @pytest.mark.parametrize("delta", [50.0, -0.5, 2.0000000000000004])
+    def test_fee_bound_outside_the_masking_interval_is_a_config_error(
+        self, capsys, tmp_path, delta
+    ):
+        path = self.small_config(tmp_path, expect={"max_fee_at": [delta, 0.017]})
+        code, out, err = run(capsys, ["optimize-noise", "--config", path])
+        assert (code, out) == (2, "")
+        assert err == (
+            "config error: config.expect.max_fee_at[0] must lie in the masking interval "
+            f"[0.0, 2.0], got {delta!r}\n"
+        )
+
     def test_fee_bound_violation_exits_one(self, capsys, tmp_path):
         path = self.small_config(tmp_path, expect={"max_average_fee": 1e-9})
         code, _, summary, _ = run_json(capsys, ["optimize-noise", "--config", path])

@@ -15,7 +15,13 @@ from noisycfmm import (
     TradingCurve,
     noise_fee,
 )
-from oracles import integral_price_quadrature, reversal_gain_oracle
+from noisycfmm import curve as curve_module
+from oracles import (
+    eta_plus_expm1_neg_loop,
+    integral_price_quadrature,
+    reversal_gain_oracle,
+    z_minus_log1p_loop,
+)
 
 # Closed forms are exact algebra; anything tighter than a few ulps of the
 # operands is luck, so relative comparisons sit at 1e-12.
@@ -357,6 +363,104 @@ class TestPerStateGain:
         assert lmsr_low.reversal_gains(lmsr_low.x_lo)(0.1).hex() == want.hex()
         assert math.isfinite(want) and want > 0.0
         assert lmsr_low.reversal_gains(lmsr_low.x_lo)(0.0) == 0.0
+
+
+# five mantissas of each binary band [2^(e-1), 2^e): its bottom, the float
+# above it, the golden ratio's, 3/4 and the last float below its top
+BAND_MANTISSAS = (
+    0.5, math.nextafter(0.5, 1.0), (math.sqrt(5.0) - 1.0) / 2.0, 0.75, math.nextafter(1.0, 0.0),
+)
+
+
+def band_points(exponents):
+    """(e, x) for the five mantissas of each band e, with both signs."""
+    for e in exponents:
+        for m in BAND_MANTISSAS:
+            for x in (math.ldexp(m, e), math.ldexp(-m, e)):
+                yield e, x
+
+
+def z_terms_added(z: float) -> tuple[float, int]:
+    """z_minus_log1p_loop's series branch: its sum and the number of terms it adds."""
+    total = 0.0
+    power = z * z
+    k = 2
+    while k < 64:
+        term = power / k
+        total += term
+        if abs(term) <= 2.3e-17 * total:
+            break
+        power *= -z
+        k += 1
+    return total, k - 1
+
+
+def eta_terms_added(eta: float) -> tuple[float, int]:
+    """eta_plus_expm1_neg_loop's series branch: its sum and the number of terms it adds."""
+    total = 0.0
+    term = eta * eta / 2.0
+    k = 2
+    while k < 40:
+        total += term
+        if abs(term) <= 2.3e-17 * total:
+            break
+        k += 1
+        term *= -eta / k
+    return total, k - 1
+
+
+# (library series, the stopping loop, its term counter, last exponent of the series
+# branch, terms per step of the library's loop, the library's term table)
+SERIES = {
+    "z": (curve_module._z_minus_log1p, z_minus_log1p_loop, z_terms_added, -2, 4,
+          curve_module._Z_TERMS),
+    "eta": (curve_module._eta_plus_expm1_neg, eta_plus_expm1_neg_loop, eta_terms_added, -1, 1,
+            curve_module._ETA_TERMS),
+}
+
+
+class TestSeriesTermTables:
+    """The series add a tabled number of terms; the loops that stop on a small
+    term (oracles) are the reference, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(SERIES))
+    def test_every_binary_exponent_matches_the_loop(self, name):
+        series, loop, _, top, _, _ = SERIES[name]
+        for _, x in band_points(range(-1074, top + 1)):
+            assert series(x).hex() == loop(x).hex(), f"{name}={x!r}"
+        for x in (0.0, -0.0, 5e-324, -5e-324):
+            assert series(x).hex() == loop(x).hex(), f"{name}={x!r}"
+
+    @pytest.mark.parametrize("name", sorted(SERIES))
+    def test_branch_edges_match_the_loop(self, name):
+        # |z| = 0.25 and |eta| = 0.5 switch between the series and log1p/expm1
+        series, loop, _, top, _, _ = SERIES[name]
+        for edge in (math.ldexp(1.0, top - 1), -math.ldexp(1.0, top - 1)):
+            for x in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, 2.0 * edge)):
+                assert series(x).hex() == loop(x).hex(), f"{name}={x!r}"
+
+    @given(x=st.floats(-0.6, 0.6))
+    @settings(max_examples=400, deadline=None)
+    def test_random_arguments_match_the_loop(self, x):
+        for name, (series, loop, *_) in SERIES.items():
+            assert series(x).hex() == loop(x).hex(), f"{name}={x!r}"
+
+    @pytest.mark.parametrize("name", sorted(SERIES))
+    def test_table_is_the_loops_stop_counts(self, name):
+        # regenerate each band's count from where the loop stops, rounded up to
+        # the library's step; bands past the table's last entry share it
+        series, loop, counted, top, step, table = SERIES[name]
+        last = len(table) - 1
+        stops: dict[int, int] = {}
+        for e, x in band_points(range(-1074, top + 1)):
+            total, terms = counted(x)
+            assert total.hex() == loop(x).hex()  # the counter is the loop
+            stops[e] = max(stops.get(e, 0), terms)
+        for e, terms in stops.items():
+            if -e < last:
+                assert table[-e] == -(-terms // step) * step, f"band {e}"
+            else:
+                assert table[last] >= terms, f"band {e}"
 
 
 def inside(x: float, toward: float, ulps: int) -> float:

@@ -20,6 +20,7 @@ from noisycfmm import (
     NoiseConfig,
     OptimizationError,
     PrivacySpec,
+    SpecViolationError,
     StrategyConfig,
     TradingCurve,
     biased_binary,
@@ -465,6 +466,15 @@ class TestNoiseLP:
         assert solution.fee_at(1.0) <= two_point + 1e-9
         assert solution.average_fee <= two_point + 1e-9
         assert solution.average_fee == pytest.approx(np.mean(solution.per_input_fees), rel=1e-12)
+
+    def test_fee_at_prices_only_the_masking_interval(self):
+        solution = optimize_noise_lp(self.small_problem())
+        fees = solution.per_input_fees
+        assert solution.fee_at(0.0) == fees[0] and solution.fee_at(2.0) == fees[-1]
+        assert solution.fee_at(0.9) == fees[2]  # the nearest input is 1.0
+        for delta in (-1e-12, 2.0 + 1e-12, 50.0, -math.inf, math.nan):
+            with pytest.raises(SpecViolationError, match="outside masking interval"):
+                solution.fee_at(delta)
 
     def test_solution_validates(self):
         check = validate_lp_solution(optimize_noise_lp(self.small_problem()))

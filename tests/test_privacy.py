@@ -1,5 +1,6 @@
 """Masking mechanism: atom placement, zero mean, likelihood-ratio guarantee."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -25,7 +26,7 @@ from noisycfmm import (
     to_json,
     verify_pldp,
 )
-from noisycfmm.privacy import pldp_report
+from noisycfmm.privacy import pldp_report, two_point_weights
 
 # Atom positions and probabilities are closed-form; mean() is a two-term sum
 # whose cancellation error scales with the atom magnitude, so the zero-mean
@@ -75,6 +76,32 @@ class TestPrivacySpec:
     def test_json_round_trip(self):
         obj = to_json(REF_SPEC)
         assert obj == {"tau": [0.0, 2.0], "epsilon": 2.0}
+
+    @given(
+        lower=st.floats(-50.0, 50.0),
+        width=st.floats(0.0, 40.0),
+        epsilon=st.one_of(
+            st.floats(1e-6, 1e3), st.sampled_from([1e-6, 709.0, 1e3, math.inf])
+        ),
+    )
+    @example(lower=0.0, width=2.0, epsilon=2.0)
+    @settings(max_examples=200, deadline=None)
+    def test_weights_are_two_point_weights_and_nothing_else(self, lower, width, epsilon):
+        upper = lower + width
+        spec = PrivacySpec(lower, upper, epsilon)
+        assert [w.hex() for w in spec.weights] == [w.hex() for w in two_point_weights(epsilon)]
+        other = 2.0 * epsilon if math.isfinite(epsilon) else 1.0
+        moved = dataclasses.replace(spec, epsilon=other)
+        assert moved.weights == two_point_weights(other)
+        # the derived field is no part of the spec's value: the forms of a
+        # three-field spec
+        assert repr(spec) == f"PrivacySpec(lower={lower!r}, upper={upper!r}, epsilon={epsilon!r})"
+        assert hash(spec) == hash((lower, upper, epsilon))
+        assert spec == PrivacySpec(lower, upper, epsilon)
+        assert spec != moved
+        assert to_json(spec) == {
+            "tau": [lower, upper], "epsilon": "inf" if math.isinf(epsilon) else epsilon
+        }
 
 
 class TestBinaryMechanism:
@@ -234,6 +261,24 @@ class TestDistributionValidation:
     def test_negative_probability(self):
         with pytest.raises(ValueError):
             NoiseDistribution.from_pairs([(-1.0, -0.1), (1.0, 1.1)])
+
+    def test_checks_in_order(self):
+        # no atoms, then atom by atom a non-finite value or a probability
+        # outside [0, 1], then the sum; dataclasses.replace checks as well
+        cases = [
+            ((), "noise distribution needs at least one atom"),
+            ((NoiseAtom(math.nan, 2.0),), "atom value must be finite, got nan"),
+            ((NoiseAtom(0.0, 2.0), NoiseAtom(math.inf, 0.5)), "atom probability 2.0 outside [0, 1]"),
+            ((NoiseAtom(0.0, 0.5), NoiseAtom(1.0, 0.4)), "atom probabilities sum to 0.9, not 1"),
+        ]
+        for atoms, message in cases:
+            with pytest.raises(DistributionShapeError) as got:
+                NoiseDistribution(atoms)
+            assert str(got.value) == message
+            with pytest.raises(DistributionShapeError) as got:
+                dataclasses.replace(NoiseDistribution.zero(), atoms=atoms)
+            assert str(got.value) == message
+        assert NoiseDistribution(atoms=(NoiseAtom(0.0, 1.0),)) == NoiseDistribution.zero()
 
     def test_json_round_trip(self):
         d = binary_mechanism(1.3, REF_SPEC)

@@ -8,17 +8,20 @@ For every workload in BENCHMARK.json the script runs PAIRS pairs of
 workload's run_seconds as S, one run of each commit per pair; the commit
 that goes first alternates from pair to pair. Then it times PAIRS pairs of
 the acceptance Monte Carlo test (test_04) the same way, by pytest's JUnit
-report, and TIER1_PAIRS pairs of the whole tier-1 suite by the wall time of
-its pytest process. Last, one short traced run per commit and workload
-(`--trace 1 --seconds TRACE_SECONDS`) records the per-layer metrics under
-`layers`. The record keeps every result line as run.py printed it, next to
+report, PAIRS pairs of one LMSR chase (the golden `lmsr_chasing` config of
+tests/golden_mc.json at LMSR_CHASE_REPLICAS replicas, one estimate timed in
+a fresh process, with the mean it returns), and TIER1_PAIRS pairs of the
+whole tier-1 suite by the wall time of its pytest process. Last, one short
+traced run per commit and workload (`--trace 1 --seconds TRACE_SECONDS`)
+records the per-layer metrics under `layers`. The record keeps every result line as run.py printed it, next to
 the machine facts run.py logged for that run (versions and load average)
 and the run's wall time and CPU time (`wall_s`, `cpu_s`: user plus system,
 of run.py and the processes it waited for), so a run whose wall time
 outgrows its CPU time points at the host. It keeps, for each commit, the
 median and quartiles (inclusive method) of every end-to-end metric, of
-test_04's time and of the tier-1 time (`tier1_s`), plus the machine and the
-command that wrote it, and each commit's line count of src/noisycfmm/*.py.
+test_04's time, of the LMSR chase's (`lmsr_chase_s`) and of the tier-1 time
+(`tier1_s`), plus the machine and the command that wrote it, and each
+commit's line count of src/noisycfmm/*.py.
 """
 
 from __future__ import annotations
@@ -43,6 +46,22 @@ PAIRS = 10  # runs per side and workload
 TIER1_PAIRS = 3  # runs per side of the tier-1 suite, about 16 s each
 TRACE_SECONDS = 5  # the traced run: per-layer metrics, not timed against the other side
 SIDES = ("parent", "change")
+LMSR_CHASE_REPLICAS = 10**4
+# one estimate of tests/golden_mc.json's lmsr_chasing arm; prints its time and mean
+LMSR_CHASE = f"""
+from time import perf_counter
+from noisycfmm import (
+    ExperimentConfig, PrivacySpec, StrategyConfig, TradingCurve, estimate_excess_profit,
+)
+config = ExperimentConfig(
+    curve=TradingCurve.lmsr(1.5), initial_x=50.0, true_price=0.8,
+    privacy=PrivacySpec(0.0, 0.5, 2.0), strategy=StrategyConfig("noise_chasing", max_rounds=8),
+    replicas={LMSR_CHASE_REPLICAS}, seed={SEED},
+)
+t0 = perf_counter()
+mean = estimate_excess_profit(config).mean
+print(perf_counter() - t0, repr(mean))
+"""
 
 
 def export(rev: str, into: Path) -> str:
@@ -87,6 +106,15 @@ def time_test_04(tree: Path) -> float:
         cwd=tree, check=True, capture_output=True, env={**os.environ, "PYTHONPATH": "src"},
     )
     return float(ET.parse(report).find(".//testcase").get("time"))
+
+
+def time_lmsr_chase(tree: Path) -> tuple[float, float]:
+    """Seconds of one LMSR chase estimate in a fresh process, and its mean."""
+    out = subprocess.run(
+        [sys.executable, "-c", LMSR_CHASE], cwd=tree, check=True, capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": "src"},
+    ).stdout.split()
+    return float(out[0]), float(out[1])
 
 
 def time_tier1(tree: Path) -> float:
@@ -145,6 +173,8 @@ def main(argv: list[str] | None = None) -> int:
         "commits": {}, "src_lines": {}, "pairs": PAIRS,
         "runs": {side: {w: [] for w in workloads} for side in SIDES},
         "test_04_s": {side: [] for side in SIDES},
+        "lmsr_chase_s": {side: [] for side in SIDES},
+        "lmsr_chase_mean": {side: [] for side in SIDES},
         "tier1_s": {side: [] for side in SIDES},
         "layers": {side: {} for side in SIDES},
     }
@@ -163,6 +193,12 @@ def main(argv: list[str] | None = None) -> int:
         for k in range(PAIRS):
             for side in pair_order(k):
                 record["test_04_s"][side].append(time_test_04(trees[side]))
+        for k in range(PAIRS):
+            for side in pair_order(k):
+                print(f"{side}: lmsr chase {k + 1}/{PAIRS}", file=sys.stderr, flush=True)
+                seconds, mean = time_lmsr_chase(trees[side])
+                record["lmsr_chase_s"][side].append(seconds)
+                record["lmsr_chase_mean"][side].append(mean)
         for k in range(TIER1_PAIRS):
             for side in pair_order(k):
                 print(f"{side}: tier-1 {k + 1}/{TIER1_PAIRS}", file=sys.stderr, flush=True)
@@ -177,6 +213,7 @@ def main(argv: list[str] | None = None) -> int:
         side: {
             **{w: summarize(record["runs"][side][w], metrics) for w in workloads},
             "test_04_s": spread(record["test_04_s"][side]),
+            "lmsr_chase_s": spread(record["lmsr_chase_s"][side]),
             "tier1_s": spread(record["tier1_s"][side]),
         }
         for side in SIDES
