@@ -106,9 +106,9 @@ def reversal_gain_oracle(curve: TradingCurve, s: float, eta: float) -> float:
     return z_minus_log1p_loop(z) + beta * eta_plus_expm1_neg_loop(eta)
 
 
-# The library's two series helpers as they were written with a per-term stop
-# test, word for word: curve._z_minus_log1p and curve._eta_plus_expm1_neg add a
-# fixed number of terms instead, and must give these bits.
+# The two series summed until a term is at most 2.3e-17 of the running sum:
+# the reference for curve._z_minus_log1p and curve._eta_plus_expm1_neg, which
+# add a fixed number of terms and must give these bits.
 
 
 def z_minus_log1p_loop(z: float) -> float:
