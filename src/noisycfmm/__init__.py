@@ -112,6 +112,7 @@ __all__ = [
     "run_adaptive",
     "support_check",
     "to_json",
+    "trade_fee",
     "truthful_strategy",
     "validate_lp_solution",
     "verify_pldp",

@@ -46,8 +46,7 @@ from .errors import (
     ConfigError, DomainError, HiddenAccountError, NoisyCfmmError, OptimizationError,
     SpecViolationError,
 )
-from .fee import noise_fee
-from .market import FeePolicy, FeePolicyKind, MarketState, execute_trade, support_check
+from .market import FeePolicy, MarketState, execute_trade, parse_fee_policy, trade_fee
 from .privacy import (
     EPSILON_FLOOR,
     NoiseAtom,
@@ -230,16 +229,6 @@ def _bounded(key: np.ndarray, block: int, span: int, lanes: np.ndarray) -> np.nd
 
 
 # -- strict config parsing ----------------------------------------------------
-
-_FEE_POLICIES = {
-    "noise_fee": {}, "zero": {}, "fixed": {"value": number}, "scaled": {"multiplier": number},
-}
-
-
-def parse_fee_policy(obj: dict, where: str = "fee_policy") -> FeePolicy:
-    fields = parse_kind(obj, "policy", _FEE_POLICIES, ("value", "multiplier"), where)
-    return FeePolicy(FeePolicyKind(fields.pop("policy")), *fields.values())
-
 
 # The fields each noise and strategy kind takes: the parsers read them and
 # the JSON forms write them, so each table is the one statement of its kinds.
@@ -882,38 +871,31 @@ def reproduce_deviation_theorem(
     curve = config.curve
     trade_size = config.strategy.trade_size
     dist = biased_binary(trade_size, config.privacy, mu)
-    spot = config.initial_state().spot
+    state0 = config.initial_state()
     grid = factor2_grid()
     margin = 2.0  # require the predicted CI to clear zero by this factor
 
     def screen(p_hat: float, detour: float | None) -> WitnessCandidate:
         """Exact moments of one candidate, or the reason it cannot run."""
-        outside = WitnessCandidate(p_hat, detour, None, False, "out of domain")
-        pre_x = config.initial_x
-        if detour is not None:
-            try:
-                pre_x = curve.x_of_price(detour)
-            except DomainError:
-                return outside
-            probe = MarketState(curve, pre_x, config.hidden_x, config.hidden_y)
-            if not support_check(probe, trade_size, dist):
-                return replace(outside, note="hidden account cannot support")
         try:
-            fee = config.fee_policy.charge(noise_fee(curve, pre_x, trade_size, dist).gamma)
-            expected, sd = _deviation_moments(curve, pre_x, trade_size, dist, fee, p_hat)
+            state = state0 if detour is None else replace(state0, x=curve.x_of_price(detour))
+            fee = trade_fee(state, trade_size, dist, config.fee_policy)
+            expected, sd = _deviation_moments(curve, state.x, trade_size, dist, fee, p_hat)
             if detour is None:
                 curve.x_of_price(p_hat)  # the correction leg must stay on the curve too
         except DomainError:
-            return outside
+            return WitnessCandidate(p_hat, detour, None, False, "out of domain")
+        except HiddenAccountError:
+            return WitnessCandidate(p_hat, detour, None, False, "hidden account cannot support")
         ok = expected > margin * Z99 * sd / math.sqrt(config.replicas)
         return WitnessCandidate(p_hat, detour, expected, True, "screened" if ok else "margin")
 
     if case == "positive_mean":
-        trials = [(p_hat, None) for p_hat in grid if p_hat > spot]
+        trials = [(p_hat, None) for p_hat in grid if p_hat > state0.spot]
     else:  # the largest admissible true price, detours scanned upward
-        bound = min(spot, math.inf if mu == 0.0 else 1.0 / abs(mu))
+        bound = min(state0.spot, math.inf if mu == 0.0 else 1.0 / abs(mu))
         p_hats = [g for g in grid if g < bound]
-        trials = [(p_hats[-1], detour) for detour in grid if detour > spot] if p_hats else []
+        trials = [(p_hats[-1], d) for d in grid if d > state0.spot] if p_hats else []
     candidates: list[WitnessCandidate] = []
     for p_hat, detour in trials:
         candidates.append(screen(p_hat, detour))

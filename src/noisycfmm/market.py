@@ -1,13 +1,12 @@
 """The noisy market maker: reserves, hidden account, fee ledger, trades.
 
-One accepted trade runs through six stages: validate the trade against its
-privacy spec, price the noise, collect the fee into the ledger, pay the
-trader out of the visible reserves at the pre-noise state, draw the noise,
-and execute the noise trade against the operator's hidden account. States
-are immutable; execute_trade returns the successor state plus a record, so a
-rejected trade cannot leave anything half-applied. A trade is rejected when
-the hidden account could not fund the worst-case atom of the noise that was
-about to be drawn.
+One accepted trade runs through these stages: validate the trade against its
+privacy spec; price the noise, check that the hidden account can fund its
+worst-case atom, and charge the fee into the ledger (trade_fee); pay the
+trader out of the visible reserves at the pre-noise state; draw the noise and
+execute it against the operator's hidden account. States are immutable;
+execute_trade returns the successor state plus a record, so a rejected trade
+cannot leave anything half-applied.
 
 The eavesdropper model: an adversary who sees spot prices before and after
 a trade recovers the reserve change exactly by inverting the price curve.
@@ -23,6 +22,7 @@ import enum
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable
 
+from .codec import number, parse_kind
 from .curve import TradingCurve
 from .errors import HiddenAccountError, SpecViolationError
 from .fee import noise_fee
@@ -81,11 +81,20 @@ class FeePolicy:
 
     def _json_shape(self) -> dict:
         """The policy, plus its value under the name the policy gives it, if any."""
-        name = {FeePolicyKind.FIXED: "value", FeePolicyKind.SCALED: "multiplier"}.get(self.kind)
-        return {"policy": self.kind} if name is None else {"policy": self.kind, name: self.value}
+        return {"policy": self.kind, **{k: self.value for k in _FEE_POLICIES[self.kind.value]}}
 
 
 NOISE_FEE_POLICY = FeePolicy.noise_fee()
+
+# The value field each policy takes: parse_fee_policy reads it, _json_shape writes it.
+_FEE_POLICIES = {
+    "noise_fee": {}, "zero": {}, "fixed": {"value": number}, "scaled": {"multiplier": number},
+}
+
+
+def parse_fee_policy(obj: dict, where: str = "fee_policy") -> FeePolicy:
+    fields = parse_kind(obj, "policy", _FEE_POLICIES, ("value", "multiplier"), where)
+    return FeePolicy(FeePolicyKind(fields.pop("policy")), *fields.values())
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,6 +148,20 @@ def support_check(state: MarketState, delta: float, dist: NoiseDistribution) -> 
     return True
 
 
+def trade_fee(
+    state: MarketState, delta: float, dist: NoiseDistribution, fee_policy: FeePolicy
+) -> float:
+    """execute_trade's fee: noise_fee prices dist (DomainError off the curve), the hidden
+    account must fund every atom (HiddenAccountError), fee_policy charges; no noise, no fee."""
+    quote = noise_fee(state.curve, state.x, delta, dist)
+    if not support_check(state, delta, dist):
+        raise HiddenAccountError(
+            f"hidden account (x={state.hidden_x}, y={state.hidden_y}) cannot support "
+            f"the worst-case noise for trade {delta}"
+        )
+    return 0.0 if dist.is_zero_noise else fee_policy.charge(quote.gamma)
+
+
 def execute_trade(
     state: MarketState,
     delta: float,
@@ -162,13 +185,7 @@ def execute_trade(
             f"trade {delta} outside masking interval [{spec.lower}, {spec.upper}]"
         )
     dist = dist_factory(delta, spec)
-    quote = noise_fee(state.curve, state.x, delta, dist)  # also checks the domain
-    if not support_check(state, delta, dist):
-        raise HiddenAccountError(
-            f"hidden account (x={state.hidden_x}, y={state.hidden_y}) cannot support "
-            f"the worst-case noise for trade {delta}"
-        )
-    gamma = 0.0 if dist.is_zero_noise else fee_policy.charge(quote.gamma)
+    gamma = trade_fee(state, delta, dist, fee_policy)
     eta = dist.sample(rng)
 
     s = state.x + delta

@@ -37,8 +37,11 @@ EPSILON_FLOOR = 1e-6
 # Probabilities must sum to one within this before a distribution is accepted.
 PROBABILITY_TOL = 1e-12
 
-# pldp_report identifies outputs of different inputs that agree within this.
+# pldp_report identifies outputs of different inputs that agree within this; on
+# a masking interval narrower than 1, within this times the width, or within
+# MATCH_ULPS ulps of the largest output if that is more.
 MATCH_TOL = 1e-9
+MATCH_ULPS = 4.0
 
 # verify_pldp's largest grid. Each grid point adds one (output, input,
 # probability) entry per atom and puts the entry's input and probability on
@@ -153,7 +156,10 @@ class NoiseDistribution:
         return len(self.atoms) == 1 and self.atoms[0].eta == 0.0
 
     def mean(self) -> float:
-        return sum(a.p * a.eta for a in self.atoms)
+        total = 0.0  # a loop, not sum(), which compensates from Python 3.12 on
+        for a in self.atoms:
+            total += a.p * a.eta
+        return total
 
     def support(self) -> tuple[float, ...]:
         return tuple(a.eta for a in self.atoms)
@@ -329,8 +335,9 @@ def pldp_report(
     Compares the induced distributions of the adversary-visible post-noise
     position v + eta across all pairs of inputs; dists may be an iterator,
     read one distribution at a time. Outputs from different inputs are
-    identified when they agree within MATCH_TOL; two outputs of a single
-    input falling into one bucket make the alignment ambiguous and raise
+    identified when they agree within MATCH_TOL, scaled as its comment says
+    on intervals narrower than 1; two outputs of a single input falling
+    into one bucket make the alignment ambiguous and raise
     MisalignedSupportError. Ratio conventions: 0/0 counts as 1, positive/0
     as infinity. The guarantee is satisfied when the worst ratio is at most
     exp(epsilon), with ``ratio_slack`` relative headroom for float rounding.
@@ -344,15 +351,19 @@ def pldp_report(
         for atom in dist.atoms:
             entries.append((v + atom.eta, i, atom.p))
     entries.sort(key=itemgetter(0))
+    tol = MATCH_TOL
+    if spec.width < 1.0 and entries:
+        big = max(abs(entries[0][0]), abs(entries[-1][0]))
+        tol = max(MATCH_TOL * spec.width, MATCH_ULPS * math.ulp(big))
 
     # a bucket holds the inputs and probabilities of the entries from the
-    # output that opens it to the last output within MATCH_TOL of that one
+    # output that opens it to the last output within tol of that one
     buckets: list[tuple[float, list[int], list[float]]] = []
     anchor = math.nan
     members: list[int] = []
     probs: list[float] = []
     for out, i, p in entries:
-        if not buckets or out - anchor > MATCH_TOL:
+        if not buckets or out - anchor > tol:
             anchor, members, probs = out, [i], [p]
             buckets.append((anchor, members, probs))
         else:
@@ -367,7 +378,7 @@ def pldp_report(
     max_ratio = 1.0
     for anchor, members, probs in buckets:
         if len(set(members)) < len(members):
-            _raise_misaligned(inputs, anchor, members)
+            _raise_misaligned(inputs, anchor, members, tol)
         top, bottom = max(probs), min(probs)
         if len(probs) < n:  # the inputs this output misses give it probability 0
             top, bottom = max(top, 0.0), min(bottom, 0.0)
@@ -407,13 +418,15 @@ def _linspace(lower: float, upper: float, n: int) -> list[float]:
     return grid
 
 
-def _raise_misaligned(inputs: Sequence[float], anchor: float, members: list[int]) -> None:
+def _raise_misaligned(
+    inputs: Sequence[float], anchor: float, members: list[int], tol: float
+) -> None:
     """Name the first input of a bucket that already has an output there."""
     seen: set[int] = set()
     for i in members:
         if i in seen:
             raise MisalignedSupportError(
-                f"input {inputs[i]} has two outputs within {MATCH_TOL} of {anchor}; "
+                f"input {inputs[i]} has two outputs within {tol} of {anchor}; "
                 "alignment across inputs is ambiguous"
             )
         seen.add(i)

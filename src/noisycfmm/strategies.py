@@ -54,7 +54,10 @@ class StrategyTrace:
 
     @property
     def fees_paid(self) -> float:
-        return sum(r.gamma for r in self.steps)
+        total = 0.0  # a loop, not sum(), which compensates from Python 3.12 on
+        for r in self.steps:
+            total += r.gamma
+        return total
 
 
 class _Runner:
@@ -103,11 +106,13 @@ class _Runner:
         return self.trade(delta, PrivacySpec(delta, delta, math.inf))
 
     def finish(self) -> StrategyTrace:
-        profit = (
-            sum(r.y_out for r in self.steps)
-            - sum(r.gamma for r in self.steps)
-            + sum(f.y_cash for f in self.flows)
-        )
+        y_out = fees = cash = 0.0  # loops, not sum(), which compensates from Python 3.12 on
+        for r in self.steps:
+            y_out += r.y_out
+            fees += r.gamma
+        for f in self.flows:
+            cash += f.y_cash
+        profit = y_out - fees + cash
         return StrategyTrace(
             steps=tuple(self.steps),
             external_flows=tuple(self.flows),

@@ -33,7 +33,7 @@ from noisycfmm import (
 from noisycfmm.harness import (
     _POLICY_PERIODS, _POLICY_UNIFORMS, _design, _fee_cost_matrix, _scale_policy, _summarize,
 )
-from noisycfmm.privacy import MATCH_TOL, MAX_GRID_SIZE
+from noisycfmm.privacy import MATCH_TOL, MATCH_ULPS, MAX_GRID_SIZE
 
 # pairwise_noise_lp drops its ratio rows above this epsilon: they carry e^eps,
 # which overflows near epsilon 709. The tests run it at epsilon <= 8.
@@ -297,8 +297,10 @@ def column_verify_pldp(mechanism, spec, grid_size=101, *, ratio_slack=1e-9) -> P
     """verify_pldp with a numpy grid and one grid_size column per distinct output.
 
     The reference for the list form: column o holds p(o|v) for every input v,
-    0 where v has no output within MATCH_TOL of o, and its max and min give
-    the output's worst ratio. Memory grows as outputs x grid_size.
+    0 where v has no output within the match tolerance of o, and its max and
+    min give the output's worst ratio. Memory grows as outputs x grid_size.
+    The tolerance is MATCH_TOL, times the width when the interval is narrower
+    than 1, and at least MATCH_ULPS ulps of the outputs' largest magnitude.
     """
     if grid_size < 1:
         raise ConfigError(f"grid_size must be >= 1, got {grid_size}")
@@ -315,6 +317,11 @@ def column_verify_pldp(mechanism, spec, grid_size=101, *, ratio_slack=1e-9) -> P
         for atom in dist.atoms:
             entries.append((float(v) + atom.eta, i, atom.p))
     entries.sort(key=lambda e: e[0])
+    outputs = np.array([e[0] for e in entries])
+    tol = MATCH_TOL
+    if spec.upper - spec.lower < 1.0:
+        largest = float(np.abs(outputs).max())
+        tol = max(MATCH_TOL * (spec.upper - spec.lower), MATCH_ULPS * float(np.spacing(largest)))
 
     n = len(grid)
     columns: list[np.ndarray] = []
@@ -322,14 +329,14 @@ def column_verify_pldp(mechanism, spec, grid_size=101, *, ratio_slack=1e-9) -> P
     col: np.ndarray | None = None
     filled: set[int] = set()
     for out, i, p in entries:
-        if col is None or out - anchor > MATCH_TOL:
+        if col is None or out - anchor > tol:
             anchor = out
             col = np.zeros(n)
             columns.append(col)
             filled = set()
         if i in filled:
             raise MisalignedSupportError(
-                f"input {grid[i]} has two outputs within {MATCH_TOL} of {anchor}; "
+                f"input {grid[i]} has two outputs within {tol} of {anchor}; "
                 "alignment across inputs is ambiguous"
             )
         filled.add(i)

@@ -343,6 +343,15 @@ ERRORS = {
     ),
     "case1-true-price-below-spot": (experiment(strategy=CASE1, true_price=0.5), ValueError),
     "chasing-domain-exit": (experiment(curve=CSUM), DomainError),
+    # every reserve stays on the curve, but the quote overflows to inf
+    "case1-fee-not-finite": (
+        experiment(
+            curve=TradingCurve.constant_product(1e300, x_max=1e102), initial_x=1e100,
+            strategy=StrategyConfig("case1", trade_size=1e99), privacy=PrivacySpec(0.0, 2e99, 2.0),
+            true_price=2e100,
+        ),
+        DomainError,
+    ),
     # ExperimentConfig refuses a negative seed; one set past that check
     # still fails the same way in both engines
     "negative-seed": (

@@ -232,6 +232,12 @@ class TestSimulate:
         assert code == 0
         assert "contains 0: PASS" in summary
 
+    def test_pool_at_the_true_price_prints_float_zeros(self, capsys, tmp_path):
+        path = write_config(tmp_path, simulate_config(true_price=1.0))
+        code, out, _ = run(capsys, ["simulate", "--config", path, "--output", "json"])
+        assert code == 0
+        assert '"truthful_profit": 0.0,' in [line.strip() for line in out.splitlines()]
+
     def test_failed_expectation_exits_one(self, capsys, tmp_path):
         path = write_config(tmp_path, simulate_config(expect="ci_above_zero"))
         code, _, summary, _ = run_json(capsys, ["simulate", "--config", path])
@@ -399,6 +405,23 @@ class TestSimulateWitnessScan:
         code, _, summary, _ = run_json(capsys, ["simulate", "--config", path])
         assert code == 1
         assert summary.endswith("FAIL")
+
+    def test_starved_positive_mean_scan_labels_its_candidates(self, capsys, tmp_path):
+        # a hidden account of 0.5 X cannot fund the upper atom (about 2.31) of any
+        # candidate: each one is labelled, as the negative-mean scan labels them
+        config = simulate_config(
+            strategy={"kind": "case1", "trade_size": 1.0}, replicas=20000, hidden_x=0.5,
+            expect="witness_found",
+        )
+        config["experiment"] = {"kind": "witness_scan", "case": "positive_mean", "mu": 0.13}
+        path = write_config(tmp_path, config)
+        code, payload, summary, _ = run_json(capsys, ["simulate", "--config", path])
+        assert (code, summary) == (1, "no witness found on the scan grid: FAIL")
+        candidates = payload["result"]["candidates"]
+        assert len(candidates) == 20
+        assert {(c["note"], c["supported"]) for c in candidates} == {
+            ("hidden account cannot support", False)
+        }
 
     def test_bad_case_rejected(self, capsys, tmp_path):
         config = simulate_config()

@@ -341,6 +341,23 @@ class TestWitnessScan:
         assert len(result.candidates) > 0
         assert all(c.note != "screened" for c in result.candidates)
 
+    def test_zero_noise_screen_pays_no_fee(self):
+        # a point interval masks nothing: the screen charges what execute_trade does
+        cfg = config(privacy=PrivacySpec(1.0, 1.0, 2.0), fee_policy=FeePolicy.fixed(5.0))
+        result = reproduce_deviation_theorem("positive_mean", 0.0, cfg)
+        assert {c.expected_excess for c in result.candidates if c.supported} == {0.0}
+
+    def test_negative_mean_control_labels_domain_exits(self):
+        # a trade of -1 on [-2, 0] has atoms -1 -/+ 1.313; from detour 2147.48 on,
+        # sqrt(1e4 / detour) - 1 - 1.313 < 0, so the lower atom leaves the curve
+        cfg = config(
+            privacy=PrivacySpec(-2.0, 0.0, 2.0), strategy=StrategyConfig("case1", trade_size=-1.0),
+        )
+        result = reproduce_deviation_theorem("negative_mean", 0.0, cfg)
+        assert [(c.detour_price, c.note) for c in result.candidates] == [
+            (d, "margin" if d < 2000.0 else "out of domain") for d in factor2_grid() if d > 1.0
+        ]
+
     @settings(max_examples=200, deadline=None)
     @given(
         lmsr=st.booleans(),
@@ -564,9 +581,17 @@ class TestNoiseLP:
         solution = optimize_noise_lp(problem)
         assert validate_lp_solution(solution).pldp == self.grid_report(solution)
 
+    @pytest.mark.parametrize("tau", [(0.0, 1e-300), (0.0, 5e-10), (100.0, 100.0 + 1e-11)])
+    def test_check_matches_the_grid_check_on_narrow_intervals(self, tau):
+        # the match tolerance scales with the width, so these designs check out
+        problem = LPNoiseProblem.build(self.CURVE, 100.0, PrivacySpec(*tau, 2.0), 21, 41)
+        solution = optimize_noise_lp(problem)
+        assert validate_lp_solution(solution).pldp == self.grid_report(solution)
+
     def test_check_raises_what_the_grid_check_raises(self, monkeypatch):
-        # a 1e-300 interval puts every output of an input within MATCH_TOL
-        problem = LPNoiseProblem.build(self.CURVE, 100.0, PrivacySpec(0.0, 1e-300, 2.0), 21, 41)
+        # outputs 1e-12 / (40 tanh(1)) apart at 100 sit within four ulps of each other
+        spec = PrivacySpec(100.0, 100.0 + 1e-12, 2.0)
+        problem = LPNoiseProblem.build(self.CURVE, 100.0, spec, 21, 41)
         original, designs = harness.validate_lp_solution, []
 
         def recording(solution):

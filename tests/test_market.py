@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from noisycfmm import (
+    DomainError,
     FeePolicy,
     HiddenAccountError,
     MarketState,
@@ -16,7 +17,9 @@ from noisycfmm import (
     noise_fee,
     support_check,
     to_json,
+    trade_fee,
 )
+from noisycfmm.market import parse_fee_policy
 
 CP = TradingCurve.constant_product(1e4)
 REF_SPEC = PrivacySpec(0.0, 2.0, 2.0)
@@ -110,6 +113,12 @@ class TestFeePolicies:
         assert to_json(FeePolicy.fixed(0.1)) == {"policy": "fixed", "value": 0.1}
         assert to_json(FeePolicy.scaled(2.0)) == {"policy": "scaled", "multiplier": 2.0}
 
+    @pytest.mark.parametrize("policy", [
+        FeePolicy.noise_fee(), FeePolicy.zero(), FeePolicy.fixed(0.1), FeePolicy.scaled(2.0),
+    ])
+    def test_json_form_reads_back(self, policy):
+        assert parse_fee_policy(to_json(policy)) == policy
+
     def test_ledger_accumulates_charged_amount(self):
         state = fresh_state()
         rng = np.random.default_rng(4)
@@ -118,6 +127,33 @@ class TestFeePolicies:
         quote = noise_fee(CP, 100.0, 1.0, d).gamma
         assert r1.gamma == pytest.approx(3.0 * quote, rel=1e-12)
         assert state.fee_ledger == pytest.approx(3.0 * quote, rel=1e-12)
+
+
+class TestTradeFee:
+    """The fee stages execute_trade runs, in its order: price, support, charge."""
+
+    def test_is_what_execute_trade_charges(self):
+        d = binary_mechanism(1.0, REF_SPEC)
+        for policy in (FeePolicy.noise_fee(), FeePolicy.fixed(0.1), FeePolicy.scaled(3.0)):
+            _, rec = execute_trade(
+                fresh_state(), 1.0, REF_SPEC, np.random.default_rng(0), fee_policy=policy
+            )
+            assert trade_fee(fresh_state(), 1.0, d, policy) == rec.gamma
+
+    def test_domain_is_checked_before_the_hidden_account(self):
+        # the lower atom of a trade of 0 on [-300, 300] leaves the curve
+        d = binary_mechanism(0.0, PrivacySpec(-300.0, 300.0, 2.0))
+        with pytest.raises(DomainError):
+            trade_fee(fresh_state(hidden_x=0.0, hidden_y=0.0), 0.0, d, FeePolicy.noise_fee())
+
+    def test_unsupported_noise_raises(self):
+        d = binary_mechanism(1.0, REF_SPEC)
+        with pytest.raises(HiddenAccountError, match="cannot support"):
+            trade_fee(fresh_state(hidden_x=0.1), 1.0, d, FeePolicy.noise_fee())
+
+    def test_zero_noise_pays_nothing_under_any_policy(self):
+        d = binary_mechanism(1.0, PrivacySpec(1.0, 1.0, 2.0))
+        assert trade_fee(fresh_state(), 1.0, d, FeePolicy.fixed(5.0)) == 0.0
 
 
 class TestHiddenAccount:

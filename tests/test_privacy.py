@@ -303,6 +303,22 @@ class TestVerifyPLDP:
         assert report.satisfied, f"spec={spec} ratio={report.max_ratio}"
         assert report.max_ratio == pytest.approx(math.exp(spec.epsilon), rel=1e-9)
 
+    @given(
+        width=st.floats(1e-300, 1e3),
+        epsilon=st.floats(0.1, 50.0),
+        grid_size=st.sampled_from([2, 11, 101]),
+    )
+    @example(width=5e-10, epsilon=2.0, grid_size=11)
+    @example(width=1e-300, epsilon=50.0, grid_size=101)
+    @settings(max_examples=200, deadline=None)
+    def test_narrow_intervals_pass(self, width, epsilon, grid_size):
+        # the outputs' match tolerance shrinks with the width: no interval is too
+        # narrow for the two-point mechanism's landmarks to line up
+        spec = PrivacySpec(0.0, width, epsilon)
+        report = verify_pldp(lambda v: binary_mechanism(v, spec), spec, grid_size)
+        assert report.satisfied, f"spec={spec} ratio={report.max_ratio}"
+        assert report.n_outputs == 2
+
     # 1 - tanh(eps/2) as a difference cancelled as tanh rounded toward 1: an
     # endpoint's low atom kept only its last bits (ratio off, eps 35 and 36)
     # or none (infinite ratio, eps 40 on); e^710 overflows, and so does the ratio

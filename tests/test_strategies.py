@@ -52,6 +52,12 @@ class TestTruthfulBenchmark:
         assert len(trace.steps) == 1
         assert trace.fees_paid == 0.0
 
+    def test_pool_at_the_true_price_books_float_zeros(self):
+        # no trade at all: every total is the float 0.0, never the int 0
+        trace = truthful_strategy(fresh_state(), 1.0)
+        assert trace.steps == ()
+        assert [repr(trace.total_profit), repr(trace.fees_paid)] == ["0.0", "0.0"]
+
     def test_profit_golden_below_spot(self):
         trace = truthful_strategy(fresh_state(), 0.25)
         assert trace.total_profit == pytest.approx(25.0, rel=1e-12)

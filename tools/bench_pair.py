@@ -11,9 +11,11 @@ the acceptance Monte Carlo test (test_04) the same way, by pytest's JUnit
 report, PAIRS pairs of one LMSR chase (the golden `lmsr_chasing` config of
 tests/golden_mc.json at LMSR_CHASE_REPLICAS replicas, one estimate timed in
 a fresh process, with the mean it returns), and TIER1_PAIRS pairs of the
-whole tier-1 suite by the wall time of its pytest process. Last, one short
-traced run per commit and workload (`--trace 1 --seconds TRACE_SECONDS`)
-records the per-layer metrics under `layers`. The record keeps every result line as run.py printed it, next to
+whole tier-1 suite by the wall time of its pytest process. Last, TRACED_RUNS
+pairs of short traced runs per workload (`--trace 1 --seconds TRACE_SECONDS`),
+alternating the same way, give the per-layer metrics: `layers` keeps the
+median of each over a commit's traced runs, as one traced run cannot place a
+10 % change. The record keeps every result line as run.py printed it, next to
 the machine facts run.py logged for that run (versions and load average)
 and the run's wall time and CPU time (`wall_s`, `cpu_s`: user plus system,
 of run.py and the processes it waited for), so a run whose wall time
@@ -44,7 +46,8 @@ TEST_04 = "tests/test_acceptance.py::test_04_priced_noise_is_truthful"
 SEED = 42
 PAIRS = 10  # runs per side and workload
 TIER1_PAIRS = 3  # runs per side of the tier-1 suite, about 16 s each
-TRACE_SECONDS = 5  # the traced run: per-layer metrics, not timed against the other side
+TRACE_SECONDS = 5  # a traced run: per-layer metrics, not timed against the other side
+TRACED_RUNS = 5  # traced runs per side and workload; layers keeps their medians
 SIDES = ("parent", "change")
 LMSR_CHASE_REPLICAS = 10**4
 # one estimate of tests/golden_mc.json's lmsr_chasing arm; prints its time and mean
@@ -158,6 +161,19 @@ def summarize(runs: list[dict], metrics: list[str]) -> dict:
     }
 
 
+def median_layers(results: list[dict]) -> dict:
+    """Each per-layer metric's median over the traced runs of one side and workload."""
+    metrics = results[0]["metrics"]
+    return {
+        "runs": len(results), "correct": all(r["correct"] for r in results),
+        "metrics": {
+            name: {"value": statistics.median(r["metrics"][name]["value"] for r in results),
+                   "unit": metrics[name]["unit"]}
+            for name in metrics
+        },
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True)
@@ -176,8 +192,8 @@ def main(argv: list[str] | None = None) -> int:
         "lmsr_chase_s": {side: [] for side in SIDES},
         "lmsr_chase_mean": {side: [] for side in SIDES},
         "tier1_s": {side: [] for side in SIDES},
-        "layers": {side: {} for side in SIDES},
     }
+    traced: dict = {side: {w: [] for w in workloads} for side in SIDES}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
@@ -204,11 +220,16 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{side}: tier-1 {k + 1}/{TIER1_PAIRS}", file=sys.stderr, flush=True)
                 record["tier1_s"][side].append(time_tier1(trees[side]))
         for workload in workloads:
-            for side in SIDES:
-                print(f"{side}: {workload} traced", file=sys.stderr, flush=True)
-                record["layers"][side][workload] = run_workload(
-                    trees[side], workload, SEED, TRACE_SECONDS, trace=1
-                )["result"]
+            for k in range(TRACED_RUNS):
+                for side in pair_order(k):
+                    print(f"{side}: {workload} traced {k + 1}/{TRACED_RUNS}", file=sys.stderr,
+                          flush=True)
+                    traced[side][workload].append(run_workload(
+                        trees[side], workload, SEED, TRACE_SECONDS, trace=1
+                    )["result"])
+    record["layers"] = {
+        side: {w: median_layers(traced[side][w]) for w in workloads} for side in SIDES
+    }
     record["summary"] = {
         side: {
             **{w: summarize(record["runs"][side][w], metrics) for w in workloads},
