@@ -348,7 +348,7 @@ class TestWitnessScan:
         assert {c.expected_excess for c in result.candidates if c.supported} == {0.0}
 
     def test_negative_mean_control_labels_domain_exits(self):
-        # a trade of -1 on [-2, 0] has atoms -1 -/+ 1.313; from detour 2147.48 on,
+        # a trade of -1 on [-2, 0] has noise atoms -/+ 1.313; from detour 2147.48 on,
         # sqrt(1e4 / detour) - 1 - 1.313 < 0, so the lower atom leaves the curve
         cfg = config(
             privacy=PrivacySpec(-2.0, 0.0, 2.0), strategy=StrategyConfig("case1", trade_size=-1.0),
