@@ -380,11 +380,20 @@ class ExcessProfitResult:
 
 
 def _summarize(samples: np.ndarray) -> tuple[float, float, tuple[float, float]]:
-    """Mean, standard error and 99% CI; one that overflows raises DomainError."""
+    """Mean, standard error and 99% CI; one that overflows raises DomainError.
+
+    The mean and the standard deviation are np.mean and np.std(ddof=1) bit for
+    bit, in numpy's own steps: the pairwise sum over the count, then the sum of
+    the squared deviations from that mean over the count less one.
+    """
+    n = samples.size
     with np.errstate(all="ignore"):  # reported below, not warned about
-        mean = float(np.mean(samples))
-        se = float(np.std(samples, ddof=1)) / math.sqrt(samples.size) if samples.size > 1 else 0.0
-    ci = (mean - Z99 * se, mean + Z99 * se) if samples.size > 1 else (mean, mean)
+        mean, se = float(np.add.reduce(samples)) / n, 0.0
+        if n > 1:
+            deviation = samples - mean
+            deviation *= deviation
+            se = math.sqrt(float(np.add.reduce(deviation)) / (n - 1)) / math.sqrt(n)
+    ci = (mean - Z99 * se, mean + Z99 * se) if n > 1 else (mean, mean)
     for name, value in zip(("mean", "standard error", "CI end", "CI end"), (mean, se, *ci)):
         if not math.isfinite(value):
             raise DomainError(f"excess-profit {name} {value} is not finite")
@@ -473,7 +482,8 @@ def _reversal_gains(
     if curve.family is Family.CONSTANT_SUM:
         return np.zeros(s.size), np.zeros(s.size)
     # s^3 > 0 on the curve's domain, so eta = 0 gives 0 here too; inf where the fee overflows
-    return tuple(curve.level * eta * eta / (s * s * (s + eta)) for eta in (lo, hi))
+    ss = s * s  # s * s * (s + eta) is (s * s) * (s + eta)
+    return curve.level * lo * lo / (ss * (s + lo)), curve.level * hi * hi / (ss * (s + hi))
 
 
 class _Batch:
@@ -509,8 +519,9 @@ class _Batch:
         strategy = config.strategy
         bound = {"noise_chasing": strategy.max_rounds, "adaptive_random": strategy.bound}
         self.chunk = min(max(1, -(-bound.get(strategy.kind, 1) // 4)), _CHUNK)
-        self.lanes = None  # each row's next chunk of Philox blocks, from the first draw on
-        self.used = np.zeros(n, dtype=np.uint64)  # uniforms each row has drawn
+        self.lanes = None  # each row's chunk of Philox blocks, from the first draw on
+        self.at = np.zeros(n, dtype=np.intp)  # uniforms each row has drawn from its chunk
+        self.next_block = np.full(n, self.chunk + 1, dtype=np.uint64)  # of its next chunk
 
     def _draw(self, rows: np.ndarray) -> np.ndarray:
         """The next uniform of each replica in rows.
@@ -518,19 +529,26 @@ class _Batch:
         Uniform c of a row is lane c % 4 of its block c // 4 + 1. A row holds
         a chunk of consecutive blocks. The first chunk of every row comes from
         the shared _block_table; the rows that have used a chunk up get the
-        next one, all of them from one _philox call.
+        next one, all of them from one _philox call. A draw for every row of
+        the batch reads and replaces the positions without a gather.
         """
         chunk = self.chunk
         if self.lanes is None:
             self.lanes = _chunk_rows(_block_table(*self.stream, chunk), chunk)
-        used = self.used[rows]
-        at = used % (4 * chunk)
-        fresh = rows[(at == 0) & (used != 0)]
+        whole = rows.size == self.at.size
+        at = self.at if whole else self.at[rows]
+        spent = at == 4 * chunk
+        fresh = rows[spent]
         if fresh.size:
-            counter = self.used[fresh] // 4 + 1 + np.arange(chunk, dtype=np.uint64)[:, None]
+            counter = self.next_block[fresh] + np.arange(chunk, dtype=np.uint64)[:, None]
+            self.next_block[fresh] += np.uint64(chunk)
             words = _philox(np.tile(self.key[:, fresh], chunk), counter.ravel())
             self.lanes[fresh] = _chunk_rows(words, chunk)
-        self.used[rows] = used + 1
+            at[spent] = 0
+        if whole:
+            self.at = at + 1
+        else:
+            self.at[rows] = at + 1
         return self.lanes[rows, at]
 
     def trade(
@@ -545,49 +563,67 @@ class _Batch:
         left as they were) and the noise each supported row executed. Raises
         _Failed for the first row on which execute_trade would raise anything
         but HiddenAccountError (anything at all for case1 and case2).
+
+        A trade pays only for the rows it has. One that covers every row of
+        the batch reads and updates the state arrays in place, with no
+        gathers or scatters. One in which every row is noisy has no zero
+        atoms to place and draws for all its rows at once; one in which only
+        some are gives the others the zero atom and draws for the noisy ones.
+        One without noise quotes, supports and draws nothing.
         """
         curve = self.curve
-        x = self.x[rows]
+        # rows ascend without repeats, so a trade with as many rows as the batch covers it
+        whole = rows.size == self.x.size
+        state = self.x, self.hidden_x, self.hidden_y
+        x, hidden_x, hidden_y = state if whole else (a[rows] for a in state)
         # the PrivacySpec, execute_trade's and binary_mechanism's checks; a trade
         # in [lower, upper] has lower <= upper
-        bad = ~(np.isfinite(lower) & np.isfinite(upper) & (epsilon > 0.0) & (lower <= delta)
-                & (delta <= upper))
-        noisy = (lower != upper) & ~np.isinf(epsilon)  # a degenerate spec gets the zero atom
+        valid = (
+            np.isfinite(lower) & np.isfinite(upper) & (epsilon > 0.0) & (lower <= delta)
+            & (delta <= upper)
+        )
+        # a degenerate spec, a point or an infinite budget, gets the zero atom
+        noisy = (lower != upper) & (epsilon < math.inf)
+        count = np.count_nonzero(noisy)
+        quiet, every = count == 0, count == rows.size
         # noise_fee: the post-trade and noised reserves stay on the curve
         s = x + delta
         low = high = s
-        quiet = not noisy.any()  # then no row has noise to quote, support or draw
-        if not quiet:
+        if not quiet:  # some row has noise to quote, support and draw
             lo, hi, p_lo, p_hi = two_point(delta, lower, upper, weights)
             # NoiseDistribution refuses only non-finite atoms here: for a trade in
-            # its interval each probability is in [0, 1] and they sum to 1, up to ulps
-            bad |= noisy & ((epsilon < EPSILON_FLOOR) | ~(np.isfinite(lo) & np.isfinite(hi)))
+            # its interval each probability is in [0, 1] and they sum to 1, up to
+            # ulps. A NaN epsilon, which this lets through, is invalid above.
+            fit = np.isfinite(lo) & np.isfinite(hi) & (epsilon >= EPSILON_FLOOR)
             if self.mu is not None:  # biased_binary: the same atoms with mean mu
                 # coincident atoms, which biased_binary refuses, leave p_hi non-finite
                 p_lo, p_hi = mean_tilt(lo, hi, self.mu)
-                bad |= noisy & ~((0.0 <= p_hi) & (p_hi <= 1.0))
-            # the rows with a degenerate spec get the zero atom
-            lo, hi = np.where(noisy, lo, 0.0), np.where(noisy, hi, 0.0)
+                fit &= (0.0 <= p_hi) & (p_hi <= 1.0)
+            if not every:  # the rows with a degenerate spec get the zero atom
+                fit |= ~noisy
+                lo, hi = np.where(noisy, lo, 0.0), np.where(noisy, hi, 0.0)
+            valid &= fit
             s_lo, s_hi = s + lo, s + hi
             # a NaN anywhere stays NaN and fails both tests below
             low = np.minimum(np.minimum(s, s_lo), s_hi)
             high = np.maximum(np.maximum(s, s_lo), s_hi)
-        bad |= ~((curve.x_lo <= low) & (high <= curve.x_hi))
+        valid &= (curve.x_lo <= low) & (high <= curve.x_hi)
         trade = rows, delta, lower, upper, epsilon
-        if bad.any():
-            raise self._failure(bad, trade)
-        hidden_x, hidden_y = self.hidden_x[rows], self.hidden_y[rows]
-        ok, fee, eta = np.ones(rows.size, dtype=bool), 0.0, np.zeros(rows.size)
+        if np.count_nonzero(valid) < rows.size:
+            raise self._failure(~valid, trade)
         try:  # LMSR goes through the scalar curve queries, which raise as execute_trade's do
             y_s = _y_of_x(curve, s)
-            if not quiet:
+            if quiet:  # a row without noise needs no support
+                ok, fee, eta = ~noisy, 0.0, np.zeros(rows.size)
+            else:
                 gain_lo, gain_hi = _reversal_gains(curve, s, lo, hi)
                 quote = (
                     0.0 + np.where(lo == 0.0, 0.0, p_lo * gain_lo)
                     + np.where(hi == 0.0, 0.0, p_hi * gain_hi)
                 )
-                if not np.isfinite(quote).all():
-                    raise self._failure(~np.isfinite(quote), trade)
+                finite = np.isfinite(quote)
+                if np.count_nonzero(finite) < rows.size:
+                    raise self._failure(~finite, trade)
                 # support_check: can the hidden account fund every atom? The atoms
                 # straddle zero (|center| <= half <= big), so only hi can need X and
                 # only lo can need Y.
@@ -595,7 +631,7 @@ class _Batch:
                     ((hi > 0.0) & (hidden_x < hi))
                     | ((lo < 0.0) & (hidden_y < _y_of_x(curve, s_lo) - y_s))
                 )
-                if not ok.all():
+                if np.count_nonzero(ok) < rows.size:  # only noisy rows: every still holds
                     if self.rejection_fails:
                         raise self._failure(~ok, trade)
                     rows, x, delta, s, y_s, lo, hi, p_lo, noisy, quote, hidden_x, hidden_y = (
@@ -604,23 +640,34 @@ class _Batch:
                             hidden_y,
                         )
                     )
-                fee = np.where(noisy, self.fee_policy.charge(quote), 0.0)
-                eta = np.zeros(rows.size)
-                draw = np.flatnonzero(noisy)
-                if draw.size:  # unless the hidden account refused every noisy row
-                    u = self._draw(rows[draw])
-                    eta[draw] = np.where(u < p_lo[draw], lo[draw], hi[draw])
+                    whole = False
+                fee = self.fee_policy.charge(quote)
+                if every:
+                    eta = np.where(self._draw(rows) < p_lo, lo, hi)
+                else:
+                    fee = np.where(noisy, fee, 0.0)
+                    eta = np.zeros(rows.size)
+                    draw = noisy.nonzero()[0]
+                    if draw.size:  # unless the hidden account refused every noisy row
+                        u = self._draw(rows[draw])
+                        eta[draw] = np.where(u < p_lo[draw], lo[draw], hi[draw])
             post = s + eta
             y_post = _y_of_x(curve, post)
             y_pre = _y_of_x(curve, x)
         except NoisyCfmmError:
             raise self._failure(np.ones(trade[0].size, dtype=bool), trade) from None
-        self.y_out[rows] += y_pre - y_s
-        self.fees[rows] += fee
-        self.cash[rows] += self.true_price * -delta
-        self.x[rows] = post
-        self.hidden_x[rows] = hidden_x - eta
-        self.hidden_y[rows] = hidden_y + (y_s - y_post)
+        y_out, cash = y_pre - y_s, self.true_price * -delta
+        hidden_x, hidden_y = hidden_x - eta, hidden_y + (y_s - y_post)
+        if whole:
+            self.y_out += y_out
+            self.fees += fee
+            self.cash += cash
+            self.x, self.hidden_x, self.hidden_y = post, hidden_x, hidden_y
+        else:
+            self.y_out[rows] += y_out
+            self.fees[rows] += fee
+            self.cash[rows] += cash
+            self.x[rows], self.hidden_x[rows], self.hidden_y[rows] = post, hidden_x, hidden_y
         return ok, eta
 
     def _failure(self, where: np.ndarray, trade: tuple) -> _Failed:
@@ -694,22 +741,28 @@ def _run_block(
         aggression, offset, width, epsilon, period, t, rest = policies[
             (start + rows) // per_policy
         ].T
+        columns = aggression, offset, 0.5 * width, width > 0.0, epsilon, period, t, rest
         live = rows
         # every live replica has made k trades, the count the private cadence reads
         for k in range(strategy.bound):
             if not live.size:
                 break
-            x = batch.x[live]
-            delta = aggression[live] * (target - x) + offset[live]
+            # a round over every replica of the block reads its columns without a gather
+            whole = live.size == rows.size
+            aggression, offset, half, wide, epsilon, period, t, rest = (
+                columns if whole else (c[live] for c in columns)
+            )
+            x = batch.x if whole else batch.x[live]
+            delta = aggression * (target - x) + offset
             cap = 0.25 * x
-            delta = np.where(-cap > delta, -cap, delta)  # min(max(delta, -cap), cap)
+            floor = -cap
+            delta = np.where(floor > delta, floor, delta)  # min(max(delta, -cap), cap)
             delta = np.where(cap < delta, cap, delta)
-            private = (k % period[live] == 0) & (width[live] > 0.0)
-            half = 0.5 * width[live]
+            private = (k % period == 0) & wide
             ok, _ = batch.trade(
                 live, delta, np.where(private, delta - half, delta),
-                np.where(private, delta + half, delta),
-                np.where(private, epsilon[live], math.inf), (t[live], rest[live]),
+                np.where(private, delta + half, delta), np.where(private, epsilon, math.inf),
+                (t, rest),
             )
             live = live[ok]
     elif kind not in ("truthful", "noise_chasing"):
@@ -1033,8 +1086,19 @@ def linprog(*args, **kwargs):
     return solve(*args, **kwargs)
 
 
-# Slack of validate_lp_solution on the zero means and on the ratio bound.
+# Slack of validate_lp_solution on the ratio bound, and on the zero means in
+# units of _mean_scale.
 _CHECK_TOL = 1e-8
+
+
+def _mean_scale(spec: PrivacySpec) -> float:
+    """The unit of a design's means: the masking interval's width, up to 1.
+
+    The noise of a narrow interval is of the interval's size, so its LP mean
+    rows and its zero-mean slack are measured in widths. From width 1 on the
+    unit is 1, which keeps those rows and that slack as they are.
+    """
+    return min(spec.width, 1.0) if spec.width > 0.0 else 1.0
 
 
 def optimize_noise_lp(problem: LPNoiseProblem) -> NoiseLPSolution:
@@ -1057,10 +1121,11 @@ def optimize_noise_lp(problem: LPNoiseProblem) -> NoiseLPSolution:
     m, n = len(vins), len(outs)
     cost = _fee_cost_matrix(problem)
 
-    # equalities: each row sums to one, each row's mean output is its input
+    # equalities: each row sums to one, each row's mean output is its input,
+    # the mean rows in units of _mean_scale
     a_eq = sparse.vstack([
         sparse.kron(sparse.identity(m), np.ones((1, n))),
-        sparse.block_diag((outs - vins[:, None])[:, None, :]),
+        sparse.block_diag(((outs - vins[:, None]) / _mean_scale(problem.spec))[:, None, :]),
     ], format="csc")
     b_eq = np.concatenate([np.ones(m), np.zeros(m)])
     objective = (cost / m).ravel()
@@ -1090,7 +1155,7 @@ def optimize_noise_lp(problem: LPNoiseProblem) -> NoiseLPSolution:
     check = validate_lp_solution(solution)
     if not check.ok:
         failed = []
-        if check.max_zero_mean_violation > _CHECK_TOL:
+        if check.max_zero_mean_violation > _CHECK_TOL * _mean_scale(problem.spec):
             failed.append(f"zero-mean violation {check.max_zero_mean_violation!r}")
         if not check.pldp.satisfied:
             failed.append(f"ratio {check.pldp.max_ratio!r} above e^eps = {check.pldp.bound!r}")
@@ -1151,9 +1216,11 @@ class NoiseSolutionCheck:
 
 def validate_lp_solution(solution: NoiseLPSolution) -> NoiseSolutionCheck:
     """Independent re-check of a designed mechanism: zero means and the
-    likelihood-ratio guarantee on the design's own inputs and distributions."""
+    likelihood-ratio guarantee on the design's own inputs and distributions.
+    The means may miss zero by _CHECK_TOL times the masking interval's width,
+    or times 1 from width 1 on."""
     worst_mean = max(abs(d.mean()) for d in solution.distributions)
     problem = solution.problem
     report = pldp_report(problem.spec, problem.input_grid, solution.distributions, _CHECK_TOL)
-    ok = report.satisfied and worst_mean <= _CHECK_TOL
+    ok = report.satisfied and worst_mean <= _CHECK_TOL * _mean_scale(problem.spec)
     return NoiseSolutionCheck(worst_mean, report, ok)

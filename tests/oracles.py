@@ -23,6 +23,7 @@ from noisycfmm import (
     PrivacySpec,
     StrategyTrace,
     TradingCurve,
+    Z99,
     case1_deviation,
     case2_deviation,
     noise_chasing_strategy,
@@ -258,6 +259,19 @@ def scalar_excess_profit(config, *, keep_samples: bool = False):
         kind, config.fee_policy.kind.value, mean, se, ci, samples.size, benchmark,
         per_policy_means, tuple(samples.tolist()) if keep_samples else None,
     )
+
+
+def numpy_summary(samples: np.ndarray) -> tuple[float, float, tuple[float, float]]:
+    """harness._summarize as np.mean and np.std(ddof=1) compute it, the reference of
+    its numpy-step form."""
+    with np.errstate(all="ignore"):
+        mean = float(np.mean(samples))
+        se = float(np.std(samples, ddof=1)) / math.sqrt(samples.size) if samples.size > 1 else 0.0
+    ci = (mean - Z99 * se, mean + Z99 * se) if samples.size > 1 else (mean, mean)
+    for name, value in zip(("mean", "standard error", "CI end", "CI end"), (mean, se, *ci)):
+        if not math.isfinite(value):
+            raise DomainError(f"excess-profit {name} {value} is not finite")
+    return mean, se, ci
 
 
 def pairwise_noise_lp(problem: LPNoiseProblem) -> NoiseLPSolution:

@@ -32,7 +32,7 @@ from noisycfmm import (
     estimate_excess_profit,
 )
 from noisycfmm import harness, strategies
-from oracles import scalar_excess_profit
+from oracles import numpy_summary, scalar_excess_profit
 
 CP = TradingCurve.constant_product(1e4)
 LMSR = TradingCurve.lmsr(1.0)
@@ -265,6 +265,76 @@ def test_a_trade_without_noise_computes_no_noise(monkeypatch):
         monkeypatch.setattr(harness, name, noise)
     got = estimate_excess_profit(CASES["truthful"], keep_samples=True)
     assert_bit_identical(got, reference("truthful"))
+
+
+def test_a_round_pays_only_for_the_rows_it_has(monkeypatch):
+    """An all-noisy chase over the whole block places no zero atoms and draws for
+    all its rows at once; adaptive's partly private rounds give the public rows
+    the zero atom and draw for the private ones only. Counted by np.where calls
+    inside a trade: two for the quote and one for the draw, plus the zero atoms'
+    two and the fee's one on the subset path."""
+    wheres, draws, trades = 0, [], []
+
+    class Numpy:
+        """numpy, counting np.where calls."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def where(*args):
+            nonlocal wheres
+            wheres += 1
+            return np.where(*args)
+
+    trade, draw = harness._Batch.trade, harness._Batch._draw
+
+    def traced_trade(self, rows, *args):
+        before = wheres, len(draws)
+        out = trade(self, rows, *args)
+        trades.append((rows.size, self.x.size, wheres - before[0], draws[before[1]:]))
+        return out
+
+    def traced_draw(self, rows):
+        draws.append(rows.size)
+        return draw(self, rows)
+
+    monkeypatch.setattr(harness, "np", Numpy())
+    monkeypatch.setattr(harness._Batch, "trade", traced_trade)
+    monkeypatch.setattr(harness._Batch, "_draw", traced_draw)
+    assert_bit_identical(estimate_excess_profit(CASES["chasing"], keep_samples=True),
+                         reference("chasing"))
+    *rounds, correction = trades
+    assert rounds == [(120, 120, 3, [120])] * 8
+    assert correction[2:] == (0, [])
+    trades.clear()
+    assert_bit_identical(estimate_excess_profit(CASES["adaptive"], keep_samples=True),
+                         reference("adaptive"))
+    partial = [t for t in trades if 0 < sum(t[3]) < t[0]]
+    assert partial and all(where == 6 for _, _, where, _ in partial)
+
+
+def summary_or_error(summarize, samples):
+    try:
+        mean, se, ci = summarize(samples)
+    except DomainError as error:
+        return str(error)
+    return np.array([mean, se, *ci]).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    size=st.integers(1, 10**5), exponent=st.floats(-300.0, 300.0), offset=st.floats(-5.0, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(size=1, exponent=0.0, offset=0.0, seed=0)
+@example(size=2, exponent=300.0, offset=5.0, seed=1)  # the squares overflow
+@example(size=100, exponent=307.0, offset=5.0, seed=1)  # the sum overflows
+@example(size=10**5, exponent=-300.0, offset=0.0, seed=2)
+def test_summarize_is_numpy_mean_and_std_bit_for_bit(size, exponent, offset, seed):
+    samples = (np.random.default_rng(seed).standard_normal(size) + offset) * 10.0**exponent
+    want = summary_or_error(numpy_summary, samples)
+    assert summary_or_error(harness._summarize, samples) == want
 
 
 SHARED_ARMS = ("chasing", "chasing-fee-zero", "adaptive", "case1", "case2")

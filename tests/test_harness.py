@@ -18,6 +18,7 @@ from noisycfmm import (
     LPNoiseProblem,
     MisalignedSupportError,
     NoiseConfig,
+    NoiseDistribution,
     OptimizationError,
     PrivacySpec,
     SpecViolationError,
@@ -581,12 +582,42 @@ class TestNoiseLP:
         solution = optimize_noise_lp(problem)
         assert validate_lp_solution(solution).pldp == self.grid_report(solution)
 
-    @pytest.mark.parametrize("tau", [(0.0, 1e-300), (0.0, 5e-10), (100.0, 100.0 + 1e-11)])
+    @pytest.mark.parametrize("tau", [(0.0, 1e-300), (0.0, 5e-10)])
     def test_check_matches_the_grid_check_on_narrow_intervals(self, tau):
         # the match tolerance scales with the width, so these designs check out
         problem = LPNoiseProblem.build(self.CURVE, 100.0, PrivacySpec(*tau, 2.0), 21, 41)
         solution = optimize_noise_lp(problem)
         assert validate_lp_solution(solution).pldp == self.grid_report(solution)
+
+    @pytest.mark.parametrize("epsilon", [0.5, 2.0])
+    def test_a_narrow_interval_gets_zero_means_in_widths(self, epsilon):
+        # mean rows in units of the width: the LP returns the two-point
+        # mechanism, where rows of coefficients near 1e-10 let it send every
+        # input to one output, off zero by about the width itself
+        spec = PrivacySpec(0.0, 5e-10, epsilon)
+        solution = optimize_noise_lp(LPNoiseProblem.build(self.CURVE, 100.0, spec, 21, 41))
+        check = validate_lp_solution(solution)
+        assert check.ok and len(solution.outputs_used) == 2
+        assert check.max_zero_mean_violation <= 1e-15 * spec.width
+
+    def test_a_design_off_zero_by_a_share_of_the_width_fails_its_check(self):
+        spec = PrivacySpec(0.0, 5e-10, 2.0)
+        solution = optimize_noise_lp(LPNoiseProblem.build(self.CURVE, 100.0, spec, 21, 41))
+        off = 2e-8 * spec.width  # twice the slack, far below the absolute 1e-8
+        shifted = tuple(
+            NoiseDistribution(tuple(dataclasses.replace(a, eta=a.eta + off) for a in d.atoms))
+            for d in solution.distributions
+        )
+        check = validate_lp_solution(dataclasses.replace(solution, distributions=shifted))
+        assert check.pldp.satisfied and not check.ok
+
+    def test_a_narrow_interval_the_grid_cannot_center_is_refused(self):
+        # at 100 the grid points sit on ulps of 1.4e-14, a 0.14 % share of this
+        # width, so no design on them has zero means in widths and a ratio
+        # within e^eps; the LP reports that rather than a design off by 0.87 widths
+        spec = PrivacySpec(100.0, 100.0 + 1e-11, 2.0)
+        with pytest.raises(OptimizationError, match="infeasible"):
+            optimize_noise_lp(LPNoiseProblem.build(self.CURVE, 100.0, spec, 21, 41))
 
     def test_check_raises_what_the_grid_check_raises(self, monkeypatch):
         # outputs 1e-12 / (40 tanh(1)) apart at 100 sit within four ulps of each other
