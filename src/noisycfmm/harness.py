@@ -14,7 +14,11 @@ the tests keep as an oracle. The batched step evaluates the same float
 operations in the same order, and transcendental curve queries through the
 same scalar math calls, so every sample is bit-identical to that loop's.
 A replica that would raise there raises the error market.execute_trade
-gives on its arrays, the lowest such replica first.
+gives on its arrays, the lowest such replica first. A trade pays only for
+the rows it has: one over the whole batch reads and updates the state arrays
+in place, with no gathers or scatters; one in which every row is noisy
+places no zero atoms and draws for all its rows at once; one in which some
+rows are quiet gives those the zero atom and draws for the others.
 
 replica_rng defines the noise streams, one numpy Generator at a time;
 random policy j draws its parameters from numpy's Generator on

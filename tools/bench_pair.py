@@ -23,7 +23,8 @@ outgrows its CPU time points at the host. It keeps, for each commit, the
 median and quartiles (inclusive method) of every end-to-end metric, of
 test_04's time, of the LMSR chase's (`lmsr_chase_s`) and of the tier-1 time
 (`tier1_s`), plus the machine and the command that wrote it, and each
-commit's line count of src/noisycfmm/*.py.
+commit's line count of src/noisycfmm/*.py. Last, `verdict` judges each
+workload's end-to-end metrics pair by pair (see verdict()).
 """
 
 from __future__ import annotations
@@ -174,6 +175,40 @@ def median_layers(results: list[dict]) -> dict:
     }
 
 
+def verdict(record: dict, end_to_end: list[dict]) -> dict:
+    """Each workload's end-to-end metrics judged on the record's own pairs.
+
+    Pair k holds run k of each side. ``wins`` counts the pairs the change
+    has better by the metric's direction; a tie counts for neither side.
+    ``gap`` is the change's median less the parent's, and ``spread`` the
+    parent's quartile spread (q3 - q1). The change ``gains`` when it wins at
+    least nine pairs in ten and its median is better by more than the
+    spread. It stays ``within_bound`` unless its median is worse than the
+    parent's by more than the metric's bound, a share of the parent's median.
+    """
+    out: dict = {}
+    for workload in record["runs"]["parent"]:
+        out[workload] = {}
+        for metric in end_to_end:
+            name, lower = metric["name"], metric["better"] == "lower"
+            parent, change = (
+                [r["result"]["metrics"][name]["value"] for r in record["runs"][side][workload]]
+                for side in SIDES
+            )
+            wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+            base, ours = spread(parent), spread(change)
+            gap = ours["median"] - base["median"]
+            better_by = -gap if lower else gap
+            worse_share = -better_by / abs(base["median"]) if base["median"] else 0.0
+            out[workload][name] = {
+                "pairs": len(parent), "wins": wins, "gap": gap,
+                "spread": base["q3"] - base["q1"],
+                "gains": wins >= 0.9 * len(parent) and better_by > base["q3"] - base["q1"],
+                "within_bound": worse_share <= metric["bound"],
+            }
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True)
@@ -239,6 +274,7 @@ def main(argv: list[str] | None = None) -> int:
         }
         for side in SIDES
     }
+    record["verdict"] = verdict(record, bench["end_to_end"])
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
     return 0
 
