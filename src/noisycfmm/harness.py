@@ -24,14 +24,15 @@ replica_rng defines the noise streams, one numpy Generator at a time;
 random policy j draws its parameters from numpy's Generator on
 SeedSequence(seed, spawn_key=(1, j)), as replica i does on spawn key (0, i).
 The batched engine computes the same streams as arrays over all replicas of
-a block (_stream_keys, _philox): uniform c of replica i is lane c % 4 of its
-Philox block c // 4 + 1, bit for bit what replica_rng(seed, i).random()
-returns as its c-th draw. Each replica holds a chunk of up to _CHUNK of the
-blocks it can draw, and one _philox call refills every replica that has used
-its chunk up. Two bounded tables of read-only arrays hold the keys of a
-replica range (_key_table) and its first chunk (_block_table), so every
-estimate on the same seed, replica range and chunk computes them once: a
-batch looks up its keys when it starts and its first chunk at its first
+a block (_stream_keys, _philox) with the integer code streams runs for one
+replica, so it never loads numpy.random: uniform c of replica i is lane
+c % 4 of its Philox block c // 4 + 1, bit for bit what replica_rng(seed,
+i).random() returns as its c-th draw. Each replica holds a chunk of up to
+_CHUNK of the blocks it can draw, and one _philox call refills every replica
+that has used its chunk up. Two bounded tables of read-only arrays hold the
+keys of a replica range (_key_table) and its first chunk (_block_table), so
+every estimate on the same seed, replica range and chunk computes them once:
+a batch looks up its keys when it starts and its first chunk at its first
 draw, so a run without noise computes no blocks.
 """
 
@@ -67,7 +68,7 @@ from .privacy import (
     two_point_weights,
 )
 from .strategies import DEFAULT_MAX_ROUNDS, check_case1, check_case2, truthful_strategy
-from .streams import INIT_A, INIT_B, MIX_L, MIX_R, MULT_A, MULT_B, PHILOX_M, PHILOX_W
+from .streams import MASK32, ReplicaStream, absorb, philox_block, philox_key, seeded_pool
 
 # Two-sided 99% normal quantile; CIs here use the normal approximation.
 Z99 = 2.5758293035489004
@@ -87,91 +88,25 @@ def replica_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0, index))))
 
 
-# -- the same streams as arrays -------------------------------------------------
-#
-# Both steps of replica_rng are fixed integer arithmetic: SeedSequence hashes
-# the entropy words into a pool of four uint32 and hashes the pool into the
-# Philox key; Philox4x64-10 maps (key, counter) to four uint64 lanes
-# (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11). The
-# functions below run them on arrays of stream indices, word for word as
-# numpy does; streams runs them on plain ints for one stream and holds the
-# constants.
-
-_LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
-_MIX_L, _MIX_R = np.uint32(MIX_L), np.uint32(MIX_R)
-_PHILOX_M = np.array(PHILOX_M, dtype=np.uint64)[:, None]
-_PHILOX_W = np.array(PHILOX_W, dtype=np.uint64)[:, None]
-
-
-def _hash4(words: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
-    """SeedSequence's hashmix of four words in turn, starting at hash constant const.
-
-    words broadcasts to (4, n) uint32. Returns the four hashes and the
-    constant the next hashmix starts from.
-    """
-    consts = [const]
-    for _ in range(4):
-        consts.append(consts[-1] * mult & 0xFFFFFFFF)
-    c = np.array(consts, dtype=np.uint32)[:, None]
-    h = (words ^ c[:4]) * c[1:]
-    return h ^ h >> np.uint32(16), consts[-1]
-
-
-def _absorb(pool: np.ndarray, const: int, word: np.ndarray) -> tuple[np.ndarray, int]:
-    """Mix one more entropy word (one per column) into each of the four pool words."""
-    h, const = _hash4(word, const, MULT_A)
-    mixed = _MIX_L * pool - _MIX_R * h
-    return mixed ^ mixed >> np.uint32(16), const
-
-
 def _stream_keys(seed: int, k: int, index: np.ndarray) -> np.ndarray:
     """Philox keys of SeedSequence(seed, spawn_key=(k, i)) for each i in index, shape (2, n).
 
-    The run entropy and k are the same for every stream, so numpy's own
-    SeedSequence(seed, spawn_key=(k,)) gives the pool after them, and raises
-    numpy's error for a seed it refuses. Only the one or two words of each
-    index (two from 2**32 on) are hashed here.
+    The seed and k are the same for every stream, so their pool is computed
+    once, in ints; only the one or two words of each index (two from 2**32
+    on) are absorbed as arrays.
     """
-    prefix = np.random.SeedSequence(seed, spawn_key=(k,))
-    # The hash constant advances once per hashmix: 4 fill the pool, 12
-    # cross-mix it, and 4 more for each entropy word past the pool's 4 (the
-    # seed's words beyond 4, as it is padded to 4, then k).
-    seed_words = -(-int(seed).bit_length() // 32)
-    const = INIT_A * pow(MULT_A, 16 + 4 * (max(seed_words, 4) - 3), 2**32) & 0xFFFFFFFF
-    pool = np.repeat(prefix.pool[:, None], index.size, axis=1)
-    pool, const = _absorb(pool, const, (index & _LOW32).astype(np.uint32))
-    wide = np.flatnonzero(index >> _SHIFT32)
-    if wide.size:
-        high = (index[wide] >> _SHIFT32).astype(np.uint32)
-        pool[:, wide], _ = _absorb(pool[:, wide], const, high)
-    state = _hash4(pool, INIT_B, MULT_B)[0].astype(np.uint64)
-    return state[0::2] | state[1::2] << _SHIFT32  # generate_state(2, uint64)
+    pool, const = absorb(*seeded_pool(seed, k), index & MASK32)
+    pool = np.stack(pool)
+    wide = np.flatnonzero(index >> 32)
+    if wide.size:  # absorb iterates over the four rows of pool[:, wide]
+        pool[:, wide] = absorb(pool[:, wide], const, index[wide] >> 32)[0]
+    return np.stack(philox_key(pool))
 
 
 def _philox(key: np.ndarray, counter: np.ndarray) -> np.ndarray:
-    """Philox4x64-10 block at counter (counter, 0, 0, 0) of each key column; shape (4, n).
-
-    numpy's Philox starts from counter 0 and increments before each block,
-    so its b-th block of four outputs is the one at counter b. The 128-bit
-    products are assembled from 32-bit halves. Every operand is a full (2, n)
-    array: numpy takes about twice as long to broadcast a (2, 1) one.
-    """
-    n = key.shape[1]
-    low, shift = (np.full((2, n), v, dtype=np.uint64) for v in (0xFFFFFFFF, 32))
-    m, w = (np.repeat(c, n, axis=1) for c in (_PHILOX_M, _PHILOX_W))
-    m_lo, m_hi = m & low, m >> shift
-    x = np.zeros((2, n), dtype=np.uint64)  # counter words 0 and 2
-    x[0] = counter
-    y = np.zeros_like(x)  # counter words 1 and 3
-    for r in range(10):
-        if r:
-            key = key + w
-        x_lo, x_hi = x & low, x >> shift
-        t = m_hi * x_lo + (m_lo * x_lo >> shift)
-        u = m_lo * x_hi + (t & low)
-        hi = m_hi * x_hi + (t >> shift) + (u >> shift)
-        x, y = hi[::-1] ^ y ^ key, (m * x)[::-1]
-    return np.stack([x[0], y[0], x[1], y[1]])
+    """streams.philox_block of each key column at its counter, shape (4, n). The
+    counter is cast to uint64: on int64 its 32-bit halves' products overflow."""
+    return np.stack(philox_block(key, np.asarray(counter, dtype=np.uint64)))
 
 
 # -- the tables estimates share ---------------------------------------------------
@@ -209,7 +144,7 @@ def _unit(words: np.ndarray) -> np.ndarray:
 
 def _lemire_rejects(word: np.ndarray, span: int) -> np.ndarray:
     """Where numpy's 32-bit Lemire draw from [0, span) refuses word and draws again."""
-    return (word * np.uint64(span) & _LOW32) < (2**32 - span) % span
+    return (word * span & MASK32) < (2**32 - span) % span
 
 
 def _bounded(key: np.ndarray, block: int, span: int, lanes: np.ndarray) -> np.ndarray:
@@ -224,9 +159,9 @@ def _bounded(key: np.ndarray, block: int, span: int, lanes: np.ndarray) -> np.nd
     while rows.size:
         if k and k % 8 == 0:
             lanes = _philox(key[:, rows], np.full(rows.size, block + k // 8, dtype=np.uint64))
-        word = lanes[k // 2 % 4] >> np.uint64(32 * (k % 2)) & _LOW32
+        word = lanes[k // 2 % 4] >> 32 * (k % 2) & MASK32
         refused = _lemire_rejects(word, span)
-        value[rows[~refused]] = word[~refused] * np.uint64(span) >> _SHIFT32
+        value[rows[~refused]] = word[~refused] * span >> 32
         rows, lanes = rows[refused], lanes[:, refused]
         k += 1
     return value
@@ -518,7 +453,7 @@ class _Batch:
         self.fees = np.zeros(n)
         self.cash = np.zeros(n)
         self.stream = seed, 0, start, stop
-        self.key = _key_table(*self.stream)  # eager: numpy refuses a bad seed here
+        self.key = _key_table(*self.stream)  # eager: a negative seed fails here
         # the uniforms a replica can draw: one per round, at most one for case1 and case2
         strategy = config.strategy
         bound = {"noise_chasing": strategy.max_rounds, "adaptive_random": strategy.bound}
@@ -688,7 +623,7 @@ class _Batch:
             try:
                 spec = PrivacySpec(*(a[k].item() for a in (lower, upper, epsilon)))
                 execute_trade(
-                    state, delta[k].item(), spec, np.random.default_rng(0),
+                    state, delta[k].item(), spec, ReplicaStream(0, 0),
                     dist_factory=self.factory, fee_policy=self.fee_policy,
                 )
             except NoisyCfmmError as error:

@@ -139,12 +139,23 @@ COLD_START = textwrap.dedent("""
     attack = run(["attack-demo", "--curve", "cp", "--level", "1e4", "--x", "100",
                   "--delta", "1", "--tau", "0,2", "--epsilon", "2", "--seed", "3"])
     after_attack = loaded()
+    market = {"curve": {"family": "constant_product", "level": 1e4}, "initial_x": 100.0,
+              "true_price": 1.5, "privacy": {"tau": [0.0, 2.0], "epsilon": 2.0}, "seed": 42}
+    simulate = [
+        run(["simulate"], {**market, "strategy": {"kind": "noise_chasing", "max_rounds": 8},
+                           "fee_policy": {"policy": "noise_fee"}, "noise": {"kind": "binary"},
+                           "replicas": 10000, "expect": "ci_contains_or_below_zero"}),
+        run(["simulate"], {**market, "replicas": 200,
+                           "strategy": {"kind": "adaptive_random", "policies": 20, "bound": 8}}),
+    ]
+    random_loaded = "numpy.random" in sys.modules
     lp = {"curve": {"family": "constant_product", "level": 1e4}, "reference_x": 100.0,
           "privacy": {"tau": [0.0, 2.0], "epsilon": 2.0}, "n_inputs": 21, "n_outputs": 41,
           "expect": {"max_average_fee": 0.017, "max_fee_at": [1.0, 0.017]}}
     lp_code = run(["optimize-noise", "--output", "json"], lp)
     print(json.dumps({"lean": lean, "after_lean": after_lean, "attack": attack,
-                      "after_attack": after_attack, "lp_code": lp_code,
+                      "after_attack": after_attack, "simulate": simulate,
+                      "random_loaded": random_loaded, "lp_code": lp_code,
                       "solver_loaded": "scipy.optimize" in sys.modules}))
 """)
 
@@ -163,6 +174,8 @@ def test_cli_loads_scipy_only_for_the_noise_lp():
     assert result["after_attack"] == {
         "numpy": False, "harness": False, "market": True, "strategies": False, "scipy": [],
     }
+    # the Monte Carlo computes its streams without numpy's generators
+    assert (result["simulate"], result["random_loaded"]) == ([0, 0], False)
     assert result["lp_code"] == 0
     assert result["solver_loaded"]
 

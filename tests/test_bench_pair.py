@@ -41,6 +41,7 @@ def test_a_clear_gain():
     # equal runs: every pair a tie, no gain, inside the bound
     assert got["ok_ops_ratio"] == {
         "pairs": 10, "wins": 0, "gap": 0.0, "spread": 0.0, "gains": False, "within_bound": True,
+        "unresolved": False,
     }
 
 
@@ -67,3 +68,21 @@ def test_the_bound_is_a_share_of_the_parents_median_in_the_worse_direction():
     got = judge({"wall_s": ONES, "ok_ops_ratio": ONES},
                 {"wall_s": [1.2] * 10, "ok_ops_ratio": [1.0] * 10})
     assert got["wall_s"]["within_bound"] and got["ok_ops_ratio"]["within_bound"]
+
+
+def test_a_spread_wider_than_the_bound_leaves_the_metric_unresolved():
+    """quote_grid setup_s as BENCH_11 read it: parent quartiles 0.646-0.920 s
+    around 0.725 s, 38 % of the median against a 25 % bound."""
+    parent = [0.60, 0.646, 0.646, 0.70, 0.72, 0.73, 0.80, 0.92, 0.92, 1.00]
+    worse = judge({"wall_s": parent, "ok_ops_ratio": ONES},
+                  {"wall_s": [1.3 * v for v in parent], "ok_ops_ratio": ONES})["wall_s"]
+    assert worse["spread"] > 0.25 * 0.725
+    assert (worse["within_bound"], worse["unresolved"]) == (False, True)
+    # unless every run of the change is better than every run of the parent
+    better = judge({"wall_s": parent, "ok_ops_ratio": ONES},
+                   {"wall_s": [0.5 * v for v in parent], "ok_ops_ratio": ONES})["wall_s"]
+    assert (better["gains"], better["unresolved"]) == (True, False)
+    # a spread inside the bound resolves, worse or not
+    tight = judge({"wall_s": ONES, "ok_ops_ratio": ONES},
+                  {"wall_s": [1.3] * 10, "ok_ops_ratio": ONES})["wall_s"]
+    assert (tight["within_bound"], tight["unresolved"]) == (False, False)

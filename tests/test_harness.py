@@ -425,6 +425,42 @@ class TestScalingStudy:
         assert deep.max_relative_spread == pytest.approx(0.00012497843069389825, rel=1e-9)
         assert deep.max_relative_spread < shallow.max_relative_spread / 50
 
+    @staticmethod
+    def inverse_liquidity_law(base, multipliers, price, delta, spec):
+        """Each row's fee * |L| against 1/2 E[eta^2] x^3 / (s (s + eta1) (s + eta2)),
+        with x the reserve at the price and s = x + delta: the worst relative
+        error, and each row's product over 1/2 E[eta^2]."""
+        dist = binary_mechanism(delta, spec)
+        half_var = 0.5 * sum(a.p * a.eta * a.eta for a in dist.atoms)
+        eta1, eta2 = (a.eta for a in dist.atoms)
+        worst, ratios = 0.0, []
+        for row in liquidity_scaling_study(base, multipliers, price, delta, spec).rows:
+            x = TradingCurve.constant_product(row.level).x_of_price(price)
+            s = x + delta
+            predicted = half_var * x**3 / (s * (s + eta1) * (s + eta2))
+            worst = max(worst, abs(row.fee_liquidity_product - predicted) / predicted)
+            ratios.append(row.fee_liquidity_product / half_var)
+        return worst, ratios
+
+    def test_products_tend_to_half_the_noise_variance(self):
+        worst, ratios = self.inverse_liquidity_law(1e4, (1.0, 4.0, 16.0), 1.0, 1.0, REF_SPEC)
+        assert worst <= 1e-12
+        assert [round(r, 3) for r in ratios] == [0.971, 0.985, 0.993]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        base=st.floats(1e4, 1e8), multipliers=st.lists(st.floats(1.0, 16.0), min_size=1, max_size=4),
+        price=st.floats(0.1, 10.0), lower=st.floats(-2.0, 2.0), width=st.floats(0.01, 2.0),
+        at=st.floats(0.0, 1.0), epsilon=st.floats(0.5, 5.0),
+    )
+    def test_inverse_liquidity_law_on_constant_product(
+        self, base, multipliers, price, lower, width, at, epsilon
+    ):
+        spec = PrivacySpec(lower, lower + width, epsilon)
+        delta = min(lower + at * width, spec.upper)
+        worst, _ = self.inverse_liquidity_law(base, multipliers, price, delta, spec)
+        assert worst <= 1e-12
+
     @pytest.mark.parametrize("rows", [1, 3, 7, 8, 12])
     def test_spread_against_numpy_mean(self, rows):
         # numpy sums 8 or more values in eight partial sums, the study left

@@ -3,10 +3,11 @@ CLI, against numpy's own generators.
 
 replica_rng(seed, i) and oracles.policy_rng(seed, j) define the noise and
 the random policies: numpy's Generator(Philox(SeedSequence(seed,
-spawn_key=(k, i)))). The engine computes the same keys and Philox blocks as
-arrays over many indices at once, and streams.ReplicaStream computes replica
-i's in Python ints; every word and every uniform must equal numpy's, and a
-seed numpy refuses must fail with numpy's error.
+spawn_key=(k, i)))). streams computes the same keys and Philox blocks with
+one integer code: the engine runs it on arrays over many indices at once, and
+streams.ReplicaStream on Python ints for replica i; every word and every
+uniform must equal numpy's, and a seed numpy refuses must fail with numpy's
+error.
 """
 
 import json
@@ -28,7 +29,8 @@ from noisycfmm import (
 )
 from noisycfmm import cli, harness, market
 from noisycfmm.privacy import two_point_weights
-from noisycfmm.streams import ReplicaStream
+from noisycfmm import streams
+from noisycfmm.streams import MASK32, ReplicaStream
 from oracles import policy_params, policy_rng
 
 SEEDS = [0, 2**32 - 1, 2**64 + 1, 2**130 + 3]
@@ -124,7 +126,7 @@ def test_lemire_rejection_agrees_with_numpy():
     word of the product."""
     span = 3 * 2**30
     keys = harness._stream_keys(5, 1, np.arange(200, dtype=np.uint64))
-    words = harness._philox(keys, np.full(200, 2, dtype=np.uint64))[0] & harness._LOW32
+    words = harness._philox(keys, np.full(200, 2, dtype=np.uint64))[0] & MASK32
     refused = harness._lemire_rejects(words, span)
     assert 20 < refused.sum() < 80
     for j in range(200):
@@ -189,6 +191,28 @@ def test_plain_int_stream_matches_replica_rng(seed):
 def test_plain_int_stream_matches_on_any_seed_and_index(seed, index):
     stream = ReplicaStream(seed, index)
     assert [stream.random() for _ in range(9)] == replica_rng(seed, index).random(9).tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**130 - 1), k=st.integers(0, 1),
+    # (index, counter) pairs; 2**32 - 1 and 2**32 join every index array
+    pairs=st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(1, 2**64 - 1)), max_size=6),
+)
+def test_keys_and_blocks_match_numpy_as_ints_and_as_arrays(seed, k, pairs):
+    pairs = pairs + [(2**32 - 1, 1), (2**32, 2**64 - 1)]
+    indices, counters = (list(column) for column in zip(*pairs))
+    keys = harness._stream_keys(seed, k, np.array(indices, dtype=np.uint64))
+    blocks = streams.philox_block(keys, np.array(counters, dtype=np.uint64))
+    for col, (index, counter) in enumerate(pairs):
+        sequence = np.random.SeedSequence(seed, spawn_key=(k, index))
+        key = tuple(sequence.generate_state(2, np.uint64).tolist())
+        assert keys[:, col].tolist() == list(key)
+        assert streams.philox_key(streams.seeded_pool(seed, k, index)[0]) == key
+        philox = np.random.Philox(counter=counter - 1, key=key[0] | key[1] << 64)  # next block: counter
+        want = philox.random_raw(4).tolist()
+        assert list(streams.philox_block(key, counter)) == want
+        assert [lane[col].item() for lane in blocks] == want
 
 
 @pytest.mark.parametrize("seed", [0, 7, 42, 2**64 + 1])

@@ -185,6 +185,10 @@ def verdict(record: dict, end_to_end: list[dict]) -> dict:
     least nine pairs in ten and its median is better by more than the
     spread. It stays ``within_bound`` unless its median is worse than the
     parent's by more than the metric's bound, a share of the parent's median.
+    The metric is ``unresolved`` when the parent's spread, as a share of its
+    median, exceeds that bound, so the bound cannot tell a change from the
+    host's noise, unless every run of the change is better than every run of
+    the parent.
     """
     out: dict = {}
     for workload in record["runs"]["parent"]:
@@ -200,11 +204,14 @@ def verdict(record: dict, end_to_end: list[dict]) -> dict:
             gap = ours["median"] - base["median"]
             better_by = -gap if lower else gap
             worse_share = -better_by / abs(base["median"]) if base["median"] else 0.0
+            width = base["q3"] - base["q1"]
+            wide = width > metric["bound"] * abs(base["median"])
+            all_better = max(change) < min(parent) if lower else min(change) > max(parent)
             out[workload][name] = {
-                "pairs": len(parent), "wins": wins, "gap": gap,
-                "spread": base["q3"] - base["q1"],
-                "gains": wins >= 0.9 * len(parent) and better_by > base["q3"] - base["q1"],
+                "pairs": len(parent), "wins": wins, "gap": gap, "spread": width,
+                "gains": wins >= 0.9 * len(parent) and better_by > width,
                 "within_bound": worse_share <= metric["bound"],
+                "unresolved": wide and not all_better,
             }
     return out
 
