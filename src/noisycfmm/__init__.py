@@ -59,7 +59,6 @@ __all__ = [
     "EXPECTATIONS",
     "ExcessProfitResult",
     "ExperimentConfig",
-    "ExternalFlow",
     "Family",
     "FeeMethod",
     "FeePolicy",

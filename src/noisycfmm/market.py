@@ -1,12 +1,12 @@
-"""The noisy market maker: reserves, hidden account, fee ledger, trades.
+"""The noisy market maker: reserves, hidden account, trades.
 
 One accepted trade runs through these stages: validate the trade against its
 privacy spec; price the noise, check that the hidden account can fund its
-worst-case atom, and charge the fee into the ledger (trade_fee); pay the
-trader out of the visible reserves at the pre-noise state; draw the noise and
-execute it against the operator's hidden account. States are immutable;
-execute_trade returns the successor state plus a record, so a rejected trade
-cannot leave anything half-applied.
+worst-case atom, and charge the fee (trade_fee); pay the trader out of the
+visible reserves at the pre-noise state; draw the noise and execute it
+against the operator's hidden account. States are immutable; execute_trade
+returns the successor state plus a record of the trade, its fee and its
+noise, so a rejected trade cannot leave anything half-applied.
 
 The eavesdropper model: an adversary who sees spot prices before and after
 a trade recovers the reserve change exactly by inverting the price curve.
@@ -110,13 +110,12 @@ class TradeRecord:
 
 @dataclass(frozen=True, slots=True)
 class MarketState:
-    """Immutable snapshot: visible reserves, hidden account, ledger, trade count."""
+    """Immutable snapshot: visible reserves, hidden account, trade count."""
 
     curve: TradingCurve
     x: float
     hidden_x: float
     hidden_y: float
-    fee_ledger: float = 0.0
     trades: int = 0
 
     @property
@@ -174,7 +173,7 @@ def execute_trade(
     """Run one trade through the mechanism; returns (successor state, record).
 
     The trader sells ``delta`` units of X (buys, when negative), is paid at
-    the pre-noise state, and pays the privacy fee into the ledger. The noise
+    the pre-noise state, and pays the privacy fee the record keeps. The noise
     is then drawn and executed against the hidden account, so the successor's
     visible reserve is x + delta + eta. Raises without any state change when
     the trade violates its masking interval, exits the curve domain, or is
@@ -208,7 +207,6 @@ def execute_trade(
         x=post_x,
         hidden_x=state.hidden_x - eta,
         hidden_y=state.hidden_y + (y_s - y_post),
-        fee_ledger=state.fee_ledger + gamma,
         trades=state.trades + 1,
     )
     return new_state, record

@@ -37,9 +37,9 @@ EPSILON_FLOOR = 1e-6
 # Probabilities must sum to one within this before a distribution is accepted.
 PROBABILITY_TOL = 1e-12
 
-# pldp_report identifies outputs of different inputs that agree within this; on
-# a masking interval narrower than 1, within this times the width, or within
-# MATCH_ULPS ulps of the largest output if that is more.
+# pldp_report identifies outputs of different inputs that agree within this times
+# min(width, 1) of the masking interval, or within MATCH_ULPS ulps of the largest
+# output if that is more.
 MATCH_TOL = 1e-9
 MATCH_ULPS = 4.0
 
@@ -335,12 +335,12 @@ def pldp_report(
     Compares the induced distributions of the adversary-visible post-noise
     position v + eta across all pairs of inputs; dists may be an iterator,
     read one distribution at a time. Outputs from different inputs are
-    identified when they agree within MATCH_TOL, scaled as its comment says
-    on intervals narrower than 1; two outputs of a single input falling
-    into one bucket make the alignment ambiguous and raise
-    MisalignedSupportError. Ratio conventions: 0/0 counts as 1, positive/0
-    as infinity. The guarantee is satisfied when the worst ratio is at most
-    exp(epsilon), with ``ratio_slack`` relative headroom for float rounding.
+    identified when they agree within MATCH_TOL, scaled as its comment says;
+    two outputs of a single input falling into one bucket make the alignment
+    ambiguous and raise MisalignedSupportError. Ratio conventions: 0/0 counts
+    as 1, positive/0 as infinity. The guarantee is satisfied when the worst
+    ratio is at most exp(epsilon), with ``ratio_slack`` relative headroom for
+    float rounding.
     An exp(epsilon) beyond float range is an infinite bound, which an
     infinite ratio still breaks unless epsilon itself is infinite.
     """
@@ -351,10 +351,8 @@ def pldp_report(
         for atom in dist.atoms:
             entries.append((v + atom.eta, i, atom.p))
     entries.sort(key=itemgetter(0))
-    tol = MATCH_TOL
-    if spec.width < 1.0 and entries:
-        big = max(abs(entries[0][0]), abs(entries[-1][0]))
-        tol = max(MATCH_TOL * spec.width, MATCH_ULPS * math.ulp(big))
+    big = max(abs(entries[0][0]), abs(entries[-1][0])) if entries else 0.0
+    tol = max(MATCH_TOL * min(spec.width, 1.0), MATCH_ULPS * math.ulp(big))
 
     # a bucket holds the inputs and probabilities of the entries from the
     # output that opens it to the last output within tol of that one

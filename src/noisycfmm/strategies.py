@@ -9,8 +9,9 @@ kill in expectation: chasing the noise round after round, or wrapping a
 private trade inside corrections, must not beat honesty when the noise is
 zero-mean and priced.
 
-Traces record every market trade and every external settlement, in memory,
-which lets tests verify the profit decomposition step by step rather than
+Traces keep one record per market trade, in memory. Each record carries the
+trade's fee and its X leg, whose hedge at the true price is the rest of the
+profit, which lets tests verify the decomposition step by step rather than
 trusting the bottom line.
 """
 
@@ -38,17 +39,8 @@ DEFAULT_MAX_ROUNDS = 64
 
 
 @dataclass(frozen=True, slots=True)
-class ExternalFlow:
-    """One settlement on the outside venue: X sold (negative = bought) and Y received."""
-
-    x_amount: float
-    y_cash: float
-
-
-@dataclass(frozen=True, slots=True)
 class StrategyTrace:
     steps: tuple[TradeRecord, ...]
-    external_flows: tuple[ExternalFlow, ...]
     total_profit: float
     terminal_spot: float
 
@@ -77,7 +69,6 @@ class _Runner:
         self.fee_policy = fee_policy
         self.dist_factory = dist_factory
         self.steps: list[TradeRecord] = []
-        self.flows: list[ExternalFlow] = []
 
     def trade(self, delta: float, spec: PrivacySpec) -> TradeRecord:
         self.state, record = execute_trade(
@@ -89,33 +80,28 @@ class _Runner:
             fee_policy=self.fee_policy,
         )
         self.steps.append(record)
-        # The trader handed delta X to the market; buy it back (sell, when
-        # negative) outside immediately so inventory stays flat in X.
-        y_cash = self.true_price * -delta
-        self.flows.append(ExternalFlow(-delta, y_cash))
         return record
 
-    def correction_delta(self) -> float:
-        return self.state.curve.x_of_price(self.true_price) - self.state.x
+    def delta_to(self, price: float) -> float:
+        return self.state.curve.x_of_price(price) - self.state.x
 
-    def trade_to_true_price(self) -> TradeRecord | None:
-        """Non-private trade landing the spot exactly on the true price."""
-        delta = self.correction_delta()
-        if delta == 0.0:
-            return None
-        return self.trade(delta, PrivacySpec(delta, delta, math.inf))
+    def trade_to(self, price: float) -> None:
+        """Non-private trade landing the spot exactly on ``price``."""
+        delta = self.delta_to(price)
+        if delta != 0.0:
+            self.trade(delta, PrivacySpec(delta, delta, math.inf))
 
     def finish(self) -> StrategyTrace:
-        y_out = fees = cash = 0.0  # loops, not sum(), which compensates from Python 3.12 on
+        y_out = fees = cash = 0.0  # a loop, not sum(), which compensates from Python 3.12 on
         for r in self.steps:
             y_out += r.y_out
             fees += r.gamma
-        for f in self.flows:
-            cash += f.y_cash
+            # The trader handed delta X to the market and bought it back (sold
+            # it, when negative) outside at once, so inventory stays flat in X.
+            cash += self.true_price * -r.delta
         profit = y_out - fees + cash
         return StrategyTrace(
             steps=tuple(self.steps),
-            external_flows=tuple(self.flows),
             total_profit=profit,
             terminal_spot=self.state.spot,
         )
@@ -129,7 +115,7 @@ def truthful_strategy(state: MarketState, true_price: float) -> StrategyTrace:
     true price over the traded reserve interval.
     """
     runner = _Runner(state, true_price, None, NOISE_FEE_POLICY, binary_mechanism)
-    runner.trade_to_true_price()
+    runner.trade_to(true_price)
     return runner.finish()
 
 
@@ -158,14 +144,14 @@ def noise_chasing_strategy(
         return truthful_strategy(state, true_price)
     runner = _Runner(state, true_price, rng, fee_policy, dist_factory)
     for _ in range(max_rounds):
-        delta = runner.correction_delta()
+        delta = runner.delta_to(true_price)
         try:
             record = runner.trade(delta, spec.recentered(delta))
         except HiddenAccountError:
             break
         if record.eta == 0.0:
             break
-    runner.trade_to_true_price()
+    runner.trade_to(true_price)
     return runner.finish()
 
 
@@ -203,7 +189,7 @@ def case1_deviation(
     check_case1(true_price, state.spot)
     runner = _Runner(state, true_price, rng, fee_policy, dist_factory)
     runner.trade(trade_size, spec)
-    runner.trade_to_true_price()
+    runner.trade_to(true_price)
     return runner.finish()
 
 
@@ -229,11 +215,9 @@ def case2_deviation(
     """
     check_case2(true_price, detour_price, state.spot)
     runner = _Runner(state, true_price, rng, fee_policy, dist_factory)
-    detour = state.curve.x_of_price(detour_price) - state.x
-    if detour != 0.0:
-        runner.trade(detour, PrivacySpec(detour, detour, math.inf))
+    runner.trade_to(detour_price)
     runner.trade(trade_size, spec)
-    runner.trade_to_true_price()
+    runner.trade_to(true_price)
     return runner.finish()
 
 

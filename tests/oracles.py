@@ -313,8 +313,8 @@ def column_verify_pldp(mechanism, spec, grid_size=101, *, ratio_slack=1e-9) -> P
     The reference for the list form: column o holds p(o|v) for every input v,
     0 where v has no output within the match tolerance of o, and its max and
     min give the output's worst ratio. Memory grows as outputs x grid_size.
-    The tolerance is MATCH_TOL, times the width when the interval is narrower
-    than 1, and at least MATCH_ULPS ulps of the outputs' largest magnitude.
+    The tolerance is MATCH_TOL times min(width, 1), and at least MATCH_ULPS
+    ulps of the outputs' largest magnitude.
     """
     if grid_size < 1:
         raise ConfigError(f"grid_size must be >= 1, got {grid_size}")
@@ -332,10 +332,9 @@ def column_verify_pldp(mechanism, spec, grid_size=101, *, ratio_slack=1e-9) -> P
             entries.append((float(v) + atom.eta, i, atom.p))
     entries.sort(key=lambda e: e[0])
     outputs = np.array([e[0] for e in entries])
-    tol = MATCH_TOL
-    if spec.upper - spec.lower < 1.0:
-        largest = float(np.abs(outputs).max())
-        tol = max(MATCH_TOL * (spec.upper - spec.lower), MATCH_ULPS * float(np.spacing(largest)))
+    width = spec.upper - spec.lower
+    largest = float(np.abs(outputs).max())
+    tol = max(MATCH_TOL * min(width, 1.0), MATCH_ULPS * float(np.spacing(largest)))
 
     n = len(grid)
     columns: list[np.ndarray] = []

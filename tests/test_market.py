@@ -43,7 +43,6 @@ class TestExecuteTrade:
         hidden_y_move = CP.y_of_x(101.0 + rec.eta) - CP.y_of_x(101.0)
         assert new.hidden_y == pytest.approx(state.hidden_y - hidden_y_move, abs=1e-9)
         assert rec.y_out == pytest.approx(-visible_y_move, abs=1e-9)
-        assert new.fee_ledger == rec.gamma
 
     def test_trader_pays_visible_amount_only(self):
         # the trader's Y payout is computed at s, before noise lands
@@ -119,14 +118,12 @@ class TestFeePolicies:
     def test_json_form_reads_back(self, policy):
         assert parse_fee_policy(to_json(policy)) == policy
 
-    def test_ledger_accumulates_charged_amount(self):
-        state = fresh_state()
+    def test_record_keeps_the_scaled_charge(self):
         rng = np.random.default_rng(4)
-        state, r1 = execute_trade(state, 1.0, REF_SPEC, rng, fee_policy=FeePolicy.scaled(3.0))
+        _, r1 = execute_trade(fresh_state(), 1.0, REF_SPEC, rng, fee_policy=FeePolicy.scaled(3.0))
         d = binary_mechanism(1.0, REF_SPEC)
         quote = noise_fee(CP, 100.0, 1.0, d).gamma
         assert r1.gamma == pytest.approx(3.0 * quote, rel=1e-12)
-        assert state.fee_ledger == pytest.approx(3.0 * quote, rel=1e-12)
 
 
 class TestTradeFee:

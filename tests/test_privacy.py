@@ -319,6 +319,27 @@ class TestVerifyPLDP:
         assert report.satisfied, f"spec={spec} ratio={report.max_ratio}"
         assert report.n_outputs == 2
 
+    @given(
+        spec=st.builds(
+            lambda exponent, share, epsilon: PrivacySpec(
+                share * 10.0**exponent, (share + 1.0) * 10.0**exponent, epsilon
+            ),
+            st.floats(0.0, 300.0),
+            st.floats(-1.0, 1.0),
+            st.floats(0.1, 8.0),
+        )
+    )
+    @example(spec=PrivacySpec(0.0, 1e20, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_wide_intervals_pass(self, spec):
+        # past about 1e7 an absolute 1e-9 is below one ulp of the outputs, so
+        # the match tolerance must grow with them; the column oracle agrees
+        mechanism = lambda v: binary_mechanism(v, spec)  # noqa: E731
+        report = verify_pldp(mechanism, spec)
+        assert report.satisfied, f"spec={spec} ratio={report.max_ratio}"
+        assert report.max_ratio == pytest.approx(math.exp(spec.epsilon), rel=1e-9)
+        assert repr(report) == repr(column_verify_pldp(mechanism, spec))
+
     # 1 - tanh(eps/2) as a difference cancelled as tanh rounded toward 1: an
     # endpoint's low atom kept only its last bits (ratio off, eps 35 and 36)
     # or none (infinite ratio, eps 40 on); e^710 overflows, and so does the ratio

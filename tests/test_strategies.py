@@ -188,8 +188,22 @@ class TestAdaptiveRunner:
         trace = run_adaptive(restless, fresh_state(), 1.0, 5)
         assert len(trace.steps) == 5
 
-    def test_flat_x_inventory(self):
-        trace = noise_chasing_strategy(fresh_state(), 1.5, REF_SPEC, 6, np.random.default_rng(8))
-        bought_on_market = sum(r.delta for r in trace.steps)
-        hedged_outside = sum(f.x_amount for f in trace.external_flows)
-        assert bought_on_market + hedged_outside == pytest.approx(0.0, abs=1e-12)
+
+class TestProfitBooks:
+    def test_profit_is_payouts_less_fees_plus_hedges(self):
+        # every step's X leg is hedged at the true price, so the profit is the
+        # steps' payouts, less their fees, plus their hedges, added in order
+        chase = noise_chasing_strategy(fresh_state(), 1.5, REF_SPEC, 6, np.random.default_rng(8))
+        case2 = case2_deviation(
+            fresh_state(), 0.5, 2.0, -1.0, PrivacySpec(-2.0, 0.0, 2.0), np.random.default_rng(4)
+        )
+        for trace, true_price in ((chase, 1.5), (case2, 0.5)):
+            assert len(trace.steps) >= 3
+            y_out = fees = hedges = 0.0
+            for r in trace.steps:
+                assert r.y_out == CP.y_of_x(r.pre_x) - CP.y_of_x(r.pre_x + r.delta)
+                y_out += r.y_out
+                fees += r.gamma
+                hedges += true_price * -r.delta
+            assert fees > 0.0
+            assert trace.total_profit == y_out - fees + hedges
