@@ -345,36 +345,48 @@ _POLICY_UNIFORMS = ((0.2, 1.2), (-0.4, 0.4), (0.5, 2.0), (0.5, 2.0))
 _POLICY_PERIODS = (1, 4)
 
 
-def _scale_policy(draws: Sequence, base_spec: PrivacySpec) -> tuple:
-    """Aggression, offset, width and epsilon from a policy's four uniforms."""
-    aggression, offset, width, epsilon = draws
-    return (
-        aggression, offset * max(base_spec.width, 1.0), base_spec.width * width,
-        base_spec.epsilon * epsilon,
-    )
+def _scale_policy(draws: Sequence, width: float, epsilon: float) -> tuple:
+    """Aggression, offset, width and epsilon from a policy's four uniforms, on a
+    base spec of this width and epsilon."""
+    aggression, offset, width_factor, epsilon_factor = draws
+    return aggression, offset * max(width, 1.0), width * width_factor, epsilon * epsilon_factor
+
+
+@functools.lru_cache(maxsize=_TABLES)
+def _policy_rows(seed: int, start: int, stop: int, width: float, epsilon: float) -> np.ndarray:
+    """Rows start..stop-1 of _policy_table on a base spec of this width and epsilon,
+    read-only. Policy j draws its parameters from numpy's Generator on
+    SeedSequence(seed, spawn_key=(1, j)): Generator.uniform's low + (high - low) * u
+    on lanes 0-3 of Philox block 1, then integers(*_POLICY_PERIODS) from block 2 on,
+    both blocks from one _block_table entry."""
+    first, top = _POLICY_PERIODS
+    n = stop - start
+    blocks = _block_table(seed, 1, start, stop, 2)
+    key = _key_table(seed, 1, start, stop)
+    period = first + _bounded(key, 2, top - first, blocks[:, n:])
+    uniforms = _unit(blocks[:, :n])
+    draws = [low + (high - low) * u for (low, high), u in zip(_POLICY_UNIFORMS, uniforms)]
+    params = _scale_policy(draws, width, epsilon)
+    weights = zip(*map(two_point_weights, params[3].tolist()))
+    rows = np.column_stack([*params, period, *weights])
+    rows.flags.writeable = False
+    return rows
 
 
 def _policy_table(seed: int, n_policies: int, base_spec: PrivacySpec) -> np.ndarray:
     """Random policies 0..n_policies-1, one row each: aggression, offset, width,
     epsilon, private period and the two_point_weights of the epsilon.
 
-    Policy j draws them from numpy's Generator on SeedSequence(seed, spawn_key=(1, j)):
-    Generator.uniform's low + (high - low) * u on lanes 0-3 of Philox block 1,
-    then integers(*_POLICY_PERIODS) from block 2 on. Blocks 1 and 2 of _BLOCK
-    policies at a time come from one _block_table entry."""
-    first, stop = _POLICY_PERIODS
-    uniforms, period = np.empty((4, n_policies)), np.empty(n_policies, dtype=np.uint64)
-    for start in range(0, n_policies, _BLOCK):
-        end = min(start + _BLOCK, n_policies)
-        n = end - start
-        blocks = _block_table(seed, 1, start, end, 2)
-        uniforms[:, start:end] = _unit(blocks[:, :n])
-        key = _key_table(seed, 1, start, end)
-        period[start:end] = first + _bounded(key, 2, stop - first, blocks[:, n:])
-    draws = [low + (high - low) * u for (low, high), u in zip(_POLICY_UNIFORMS, uniforms)]
-    params = _scale_policy(draws, base_spec)
-    weights = zip(*map(two_point_weights, params[3].tolist()))
-    return np.column_stack([*params, period, *weights])
+    The third table estimates share, beside _key_table and _block_table: the
+    rows of _BLOCK policies at a time are one _policy_rows entry, so every
+    estimate on the same seed and base spec derives them once. A table of one
+    entry is that entry, read-only."""
+    width, epsilon = base_spec.width, base_spec.epsilon
+    parts = [
+        _policy_rows(seed, start, min(start + _BLOCK, n_policies), width, epsilon)
+        for start in range(0, n_policies, _BLOCK)
+    ]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 # -- the batched replica engine --------------------------------------------------
@@ -430,9 +442,11 @@ class _Batch:
 
     The arrays hold what the scalar engine keeps per replica: MarketState's
     visible reserve and hidden account, and the running sums of y_out, fee
-    and external cash that _Runner.finish totals. Replica i takes its
-    uniforms from the stream replica_rng(seed, i) defines, one per noisy
-    trade, as NoiseDistribution.sample does.
+    and external cash that _Runner.finish totals. They also carry each
+    replica's Y reserve, y_of_x of its X reserve: a trade's pre-trade Y is the
+    post-trade Y of the one before it, so no trade recomputes it. Replica i
+    takes its uniforms from the stream replica_rng(seed, i) defines, one per
+    noisy trade, as NoiseDistribution.sample does.
     """
 
     def __init__(
@@ -447,6 +461,8 @@ class _Batch:
         self.mu = config.noise.mu if config.noise.kind == "biased_binary" else None
         self.rejection_fails = config.strategy.kind in ("case1", "case2")
         self.x = np.full(n, state0.x, dtype=float)
+        # the benchmark, run first, has already read y_of_x at state0.x
+        self.y = np.full(n, self.curve.y_of_x(state0.x), dtype=float)
         self.hidden_x = np.full(n, state0.hidden_x, dtype=float)
         self.hidden_y = np.full(n, state0.hidden_y, dtype=float)
         self.y_out = np.zeros(n)
@@ -462,14 +478,19 @@ class _Batch:
         self.at = np.zeros(n, dtype=np.intp)  # uniforms each row has drawn from its chunk
         self.next_block = np.full(n, self.chunk + 1, dtype=np.uint64)  # of its next chunk
 
-    def _draw(self, rows: np.ndarray) -> np.ndarray:
-        """The next uniform of each replica in rows.
+    def _draw(self, rows: np.ndarray, take: np.ndarray | None = None) -> np.ndarray:
+        """The next uniform of each replica in rows; with a mask ``take``, only the
+        rows it marks draw one.
 
         Uniform c of a row is lane c % 4 of its block c // 4 + 1. A row holds
         a chunk of consecutive blocks. The first chunk of every row comes from
-        the shared _block_table; the rows that have used a chunk up get the
-        next one, all of them from one _philox call. A draw for every row of
-        the batch reads and replaces the positions without a gather.
+        the shared _block_table; the drawing rows that have used a chunk up
+        get the next one, all of them from one _philox call. Each drawing row
+        advances by one. A row that does not draw reads the uniform at its
+        position, clamped to its chunk, and keeps its position: a round that
+        is partly private hands every row here, and its public rows' zero
+        atoms make what they read irrelevant. A draw over every row of the
+        batch reads and updates the positions without a gather.
         """
         chunk = self.chunk
         if self.lanes is None:
@@ -477,18 +498,24 @@ class _Batch:
         whole = rows.size == self.at.size
         at = self.at if whole else self.at[rows]
         spent = at == 4 * chunk
-        fresh = rows[spent]
-        if fresh.size:
+        if take is not None:
+            spent &= take
+        if np.count_nonzero(spent):
+            fresh = rows[spent]
             counter = self.next_block[fresh] + np.arange(chunk, dtype=np.uint64)[:, None]
             self.next_block[fresh] += np.uint64(chunk)
             words = _philox(np.tile(self.key[:, fresh], chunk), counter.ravel())
             self.lanes[fresh] = _chunk_rows(words, chunk)
             at[spent] = 0
-        if whole:
-            self.at = at + 1
+        if take is None:
+            u = self.lanes[rows, at]
+            at += 1
         else:
-            self.at[rows] = at + 1
-        return self.lanes[rows, at]
+            u = self.lanes[rows, np.minimum(at, 4 * chunk - 1)]
+            at += take
+        if not whole:
+            self.at[rows] = at
+        return u
 
     def trade(
         self, rows: np.ndarray, delta: np.ndarray, lower: np.ndarray, upper: np.ndarray,
@@ -506,20 +533,20 @@ class _Batch:
         A trade pays only for the rows it has. One that covers every row of
         the batch reads and updates the state arrays in place, with no
         gathers or scatters. One in which every row is noisy has no zero
-        atoms to place and draws for all its rows at once; one in which only
-        some are gives the others the zero atom and draws for the noisy ones.
-        One without noise quotes, supports and draws nothing.
+        atoms to place; one in which only some are gives the others the zero
+        atom. Either draws once, for every row it keeps. One without noise
+        quotes, supports and draws nothing.
         """
         curve = self.curve
         # rows ascend without repeats, so a trade with as many rows as the batch covers it
         whole = rows.size == self.x.size
-        state = self.x, self.hidden_x, self.hidden_y
-        x, hidden_x, hidden_y = state if whole else (a[rows] for a in state)
-        # the PrivacySpec, execute_trade's and binary_mechanism's checks; a trade
-        # in [lower, upper] has lower <= upper
+        state = self.x, self.y, self.hidden_x, self.hidden_y
+        x, y_pre, hidden_x, hidden_y = state if whole else (a[rows] for a in state)
+        # the PrivacySpec, execute_trade's and binary_mechanism's checks: the width
+        # is finite only for finite bounds that do not overflow it, and a trade in
+        # [lower, upper] has lower <= upper
         valid = (
-            np.isfinite(lower) & np.isfinite(upper) & (epsilon > 0.0) & (lower <= delta)
-            & (delta <= upper)
+            np.isfinite(upper - lower) & (epsilon > 0.0) & (lower <= delta) & (delta <= upper)
         )
         # a degenerate spec, a point or an infinite budget, gets the zero atom
         noisy = (lower != upper) & (epsilon < math.inf)
@@ -530,10 +557,11 @@ class _Batch:
         low = high = s
         if not quiet:  # some row has noise to quote, support and draw
             lo, hi, p_lo, p_hi = two_point(delta, lower, upper, weights)
-            # NoiseDistribution refuses only non-finite atoms here: for a trade in
-            # its interval each probability is in [0, 1] and they sum to 1, up to
-            # ulps. A NaN epsilon, which this lets through, is invalid above.
-            fit = np.isfinite(lo) & np.isfinite(hi) & (epsilon >= EPSILON_FLOOR)
+            # NoiseDistribution refuses only non-finite atoms here, and those put s + lo
+            # or s + hi off the finite domain: for a trade in its interval each
+            # probability is in [0, 1] and they sum to 1, up to ulps. A NaN epsilon,
+            # which this lets through, is invalid above.
+            fit = epsilon >= EPSILON_FLOOR
             if self.mu is not None:  # biased_binary: the same atoms with mean mu
                 # coincident atoms, which biased_binary refuses, leave p_hi non-finite
                 p_lo, p_hi = mean_tilt(lo, hi, self.mu)
@@ -543,23 +571,26 @@ class _Batch:
                 lo, hi = np.where(noisy, lo, 0.0), np.where(noisy, hi, 0.0)
             valid &= fit
             s_lo, s_hi = s + lo, s + hi
-            # a NaN anywhere stays NaN and fails both tests below
-            low = np.minimum(np.minimum(s, s_lo), s_hi)
-            high = np.maximum(np.maximum(s, s_lo), s_hi)
+            # a row inside its interval has lo <= hi; a NaN anywhere stays NaN and
+            # fails both tests below
+            low, high = np.minimum(s, s_lo), np.maximum(s, s_hi)
         valid &= (curve.x_lo <= low) & (high <= curve.x_hi)
         trade = rows, delta, lower, upper, epsilon
         if np.count_nonzero(valid) < rows.size:
             raise self._failure(~valid, trade)
         try:  # LMSR goes through the scalar curve queries, which raise as execute_trade's do
             y_s = _y_of_x(curve, s)
-            if quiet:  # a row without noise needs no support
-                ok, fee, eta = ~noisy, 0.0, np.zeros(rows.size)
+            if quiet:  # a row without noise needs no support and stays at s
+                ok, fee, eta, post, y_post = ~noisy, 0.0, np.zeros(rows.size), s, y_s
             else:
                 gain_lo, gain_hi = _reversal_gains(curve, s, lo, hi)
-                quote = (
-                    0.0 + np.where(lo == 0.0, 0.0, p_lo * gain_lo)
-                    + np.where(hi == 0.0, 0.0, p_hi * gain_hi)
-                )
+                if every:  # every p is finite, and a zero atom's gain is +0.0
+                    quote = 0.0 + p_lo * gain_lo + p_hi * gain_hi
+                else:  # a public row's probabilities may be NaN
+                    quote = (
+                        0.0 + np.where(lo == 0.0, 0.0, p_lo * gain_lo)
+                        + np.where(hi == 0.0, 0.0, p_hi * gain_hi)
+                    )
                 finite = np.isfinite(quote)
                 if np.count_nonzero(finite) < rows.size:
                     raise self._failure(~finite, trade)
@@ -573,40 +604,37 @@ class _Batch:
                 if np.count_nonzero(ok) < rows.size:  # only noisy rows: every still holds
                     if self.rejection_fails:
                         raise self._failure(~ok, trade)
-                    rows, x, delta, s, y_s, lo, hi, p_lo, noisy, quote, hidden_x, hidden_y = (
+                    rows, delta, s, y_s, y_pre, lo, hi, p_lo, noisy, quote, hidden_x, hidden_y = (
                         a[ok] for a in (
-                            rows, x, delta, s, y_s, lo, hi, p_lo, noisy, quote, hidden_x,
+                            rows, delta, s, y_s, y_pre, lo, hi, p_lo, noisy, quote, hidden_x,
                             hidden_y,
                         )
                     )
                     whole = False
                 fee = self.fee_policy.charge(quote)
                 if every:
-                    eta = np.where(self._draw(rows) < p_lo, lo, hi)
-                else:
+                    u = self._draw(rows)
+                else:  # a public row draws nothing, pays nothing and keeps its zero atom
                     fee = np.where(noisy, fee, 0.0)
-                    eta = np.zeros(rows.size)
-                    draw = noisy.nonzero()[0]
-                    if draw.size:  # unless the hidden account refused every noisy row
-                        u = self._draw(rows[draw])
-                        eta[draw] = np.where(u < p_lo[draw], lo[draw], hi[draw])
-            post = s + eta
-            y_post = _y_of_x(curve, post)
-            y_pre = _y_of_x(curve, x)
+                    u = self._draw(rows, noisy)
+                eta = np.where(u < p_lo, lo, hi)
+                post = s + eta
+                y_post = _y_of_x(curve, post)
         except NoisyCfmmError:
             raise self._failure(np.ones(trade[0].size, dtype=bool), trade) from None
-        y_out, cash = y_pre - y_s, self.true_price * -delta
+        y_out, cash = y_pre - y_s, self.true_price * delta
         hidden_x, hidden_y = hidden_x - eta, hidden_y + (y_s - y_post)
         if whole:
             self.y_out += y_out
             self.fees += fee
-            self.cash += cash
-            self.x, self.hidden_x, self.hidden_y = post, hidden_x, hidden_y
+            self.cash -= cash
+            self.x, self.y, self.hidden_x, self.hidden_y = post, y_post, hidden_x, hidden_y
         else:
             self.y_out[rows] += y_out
             self.fees[rows] += fee
-            self.cash[rows] += cash
-            self.x[rows], self.hidden_x[rows], self.hidden_y[rows] = post, hidden_x, hidden_y
+            self.cash[rows] -= cash
+            self.x[rows], self.y[rows] = post, y_post
+            self.hidden_x[rows], self.hidden_y[rows] = hidden_x, hidden_y
         return ok, eta
 
     def _failure(self, where: np.ndarray, trade: tuple) -> _Failed:
@@ -662,7 +690,8 @@ def _run_block(
         for _ in range(strategy.max_rounds):
             if not live.size:
                 break
-            delta = target - batch.x[live]
+            # a round over every replica of the block reads the reserves without a gather
+            delta = target - (batch.x if live.size == rows.size else batch.x[live])
             ok, eta = batch.trade(live, delta, delta - half, delta + half, spec.epsilon, weights)
             live = live[ok][eta != 0.0]  # a rejected trade or a zero draw ends the chase
     elif kind in ("case1", "case2"):
@@ -694,9 +723,10 @@ def _run_block(
             x = batch.x if whole else batch.x[live]
             delta = aggression * (target - x) + offset
             cap = 0.25 * x
-            floor = -cap
-            delta = np.where(floor > delta, floor, delta)  # min(max(delta, -cap), cap)
-            delta = np.where(cap < delta, cap, delta)
+            # min(max(delta, -cap), cap): numpy's maximum and minimum return their
+            # second argument on a tie and NaN from either, so delta's own bits
+            # survive every tie, a signed zero included
+            delta = np.minimum(cap, np.maximum(-cap, delta))
             private = (k % period == 0) & wide
             ok, _ = batch.trade(
                 live, delta, np.where(private, delta - half, delta),

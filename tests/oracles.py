@@ -159,7 +159,8 @@ def policy_params(
     drawn one numpy call at a time: the reference for harness._policy_table."""
     rng = policy_rng(seed, index)
     draws = [rng.uniform(low, high) for low, high in _POLICY_UNIFORMS]
-    return (*_scale_policy(draws, base_spec), int(rng.integers(*_POLICY_PERIODS)))
+    period = int(rng.integers(*_POLICY_PERIODS))
+    return (*_scale_policy(draws, base_spec.width, base_spec.epsilon), period)
 
 
 def make_random_policy(

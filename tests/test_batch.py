@@ -8,6 +8,7 @@ floats; a run the scalar engine would stop with an error must stop with the
 same error, without the batched run calling a scalar strategy.
 """
 
+import contextlib
 import dataclasses
 import functools
 import math
@@ -25,6 +26,7 @@ from noisycfmm import (
     FeePolicy,
     HiddenAccountError,
     NoiseConfig,
+    NoisyCfmmError,
     PrivacySpec,
     SpecViolationError,
     StrategyConfig,
@@ -234,10 +236,11 @@ def counting(monkeypatch, name: str) -> list:
 
 @pytest.fixture
 def cold_tables():
-    """Empty the stream tables estimates share, so that a count of _philox calls
-    does not depend on what the tests before it computed."""
+    """Empty the tables estimates share, so that a count of _philox calls does not
+    depend on what the tests before it computed."""
     harness._key_table.cache_clear()
     harness._block_table.cache_clear()
+    harness._policy_rows.cache_clear()
 
 
 @pytest.mark.usefixtures("cold_tables")
@@ -270,9 +273,10 @@ def test_a_trade_without_noise_computes_no_noise(monkeypatch):
 def test_a_round_pays_only_for_the_rows_it_has(monkeypatch):
     """An all-noisy chase over the whole block places no zero atoms and draws for
     all its rows at once; adaptive's partly private rounds give the public rows
-    the zero atom and draw for the private ones only. Counted by np.where calls
-    inside a trade: two for the quote and one for the draw, plus the zero atoms'
-    two and the fee's one on the subset path."""
+    the zero atom and hand every row to one draw, with a mask of the private
+    ones, gathering no subset. Counted by np.where calls inside a trade: one for
+    the draw on an all-noisy round; on a partly private one also the zero
+    atoms' two, the quote's two and the fee's one."""
     wheres, draws, trades = 0, [], []
 
     class Numpy:
@@ -295,9 +299,10 @@ def test_a_round_pays_only_for_the_rows_it_has(monkeypatch):
         trades.append((rows.size, self.x.size, wheres - before[0], draws[before[1]:]))
         return out
 
-    def traced_draw(self, rows):
-        draws.append(rows.size)
-        return draw(self, rows)
+    def traced_draw(self, rows, take=None):
+        # (rows handed over, rows that take a uniform, or None for all of them)
+        draws.append((rows.size, None if take is None else int(np.count_nonzero(take))))
+        return draw(self, rows, take)
 
     monkeypatch.setattr(harness, "np", Numpy())
     monkeypatch.setattr(harness._Batch, "trade", traced_trade)
@@ -305,13 +310,17 @@ def test_a_round_pays_only_for_the_rows_it_has(monkeypatch):
     assert_bit_identical(estimate_excess_profit(CASES["chasing"], keep_samples=True),
                          reference("chasing"))
     *rounds, correction = trades
-    assert rounds == [(120, 120, 3, [120])] * 8
+    assert rounds == [(120, 120, 1, [(120, None)])] * 8
     assert correction[2:] == (0, [])
     trades.clear()
     assert_bit_identical(estimate_excess_profit(CASES["adaptive"], keep_samples=True),
                          reference("adaptive"))
-    partial = [t for t in trades if 0 < sum(t[3]) < t[0]]
-    assert partial and all(where == 6 for _, _, where, _ in partial)
+    partial = [t for t in trades if t[3] and t[3][0][1] is not None]
+    assert partial
+    for size, _, where, drawn in partial:
+        # one draw over every row the trade has, some of them private
+        assert where == 6 and len(drawn) == 1 and drawn[0][0] == size
+        assert 0 < drawn[0][1] < size
 
 
 def summary_or_error(summarize, samples):
@@ -337,6 +346,75 @@ def test_summarize_is_numpy_mean_and_std_bit_for_bit(size, exponent, offset, see
     assert summary_or_error(harness._summarize, samples) == want
 
 
+@contextlib.contextmanager
+def carried_y_checked(seen: set):
+    """_Batch.trade, asserting after every trade that the Y the batch carries is
+    _y_of_x of its X bit for bit; seen collects the kinds of round met."""
+    trade = harness._Batch.trade
+
+    def checked(self, rows, delta, lower, upper, epsilon, weights):
+        noisy = np.count_nonzero((lower != upper) & (epsilon < math.inf))
+        ok, eta = trade(self, rows, delta, lower, upper, epsilon, weights)
+        assert self.y.tobytes() == harness._y_of_x(self.curve, self.x).tobytes()
+        seen.add("whole" if rows.size == self.x.size else "subset")
+        if 0 < noisy < rows.size:
+            seen.add("partly private")
+        if np.count_nonzero(ok) < rows.size:
+            seen.add("starved")
+        return ok, eta
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness._Batch, "trade", checked)
+        yield
+
+
+MARKETS = {
+    "cp": {},
+    "lmsr": dict(curve=LMSR, initial_x=1.0, true_price=0.8, privacy=PrivacySpec(0.0, 0.2, 2.0)),
+    "csum": dict(curve=CSUM),
+}
+# a hidden account that cannot fund the upper atom of a few trades in a row
+STARVED_X = {"cp": 1.5, "lmsr": 0.15, "csum": 1.5}
+
+
+@pytest.mark.parametrize("family", sorted(MARKETS))
+def test_carried_y_meets_every_kind_of_round(family):
+    seen = set()
+    config = experiment(
+        **MARKETS[family], strategy=ADAPTIVE, hidden_x=STARVED_X[family], replicas=40
+    )
+    with carried_y_checked(seen):
+        estimate_excess_profit(config)
+    assert {"whole", "subset", "partly private", "starved"} <= seen
+
+
+@given(
+    family=st.sampled_from(sorted(MARKETS)),
+    kind=st.sampled_from(["noise_chasing", "adaptive_random"]),
+    starved=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    width=st.floats(0.01, 2.0),
+    epsilon=st.floats(0.05, 8.0),
+    replicas=st.integers(1, 30),
+)
+@settings(max_examples=30, deadline=None)
+def test_property_the_carried_y_is_y_of_x(family, kind, starved, seed, width, epsilon, replicas):
+    market = MARKETS[family]
+    spec = market.get("privacy", REF_SPEC)
+    config = experiment(
+        **{**market, "privacy": PrivacySpec(spec.lower, spec.lower + width * spec.width, epsilon)},
+        strategy=StrategyConfig(kind, max_rounds=6, policies=3, bound=6),
+        hidden_x=STARVED_X[family] if starved else 1e9, seed=seed, replicas=replicas,
+    )
+    seen = set()
+    try:
+        with carried_y_checked(seen):
+            estimate_excess_profit(config)
+    except NoisyCfmmError:  # every trade before the failing one was checked
+        return
+    assert seen
+
+
 SHARED_ARMS = ("chasing", "chasing-fee-zero", "adaptive", "case1", "case2")
 
 
@@ -358,14 +436,31 @@ def test_estimates_on_one_seed_and_range_share_their_streams(monkeypatch):
 
 
 def test_shared_tables_are_read_only_and_bounded():
-    for table in (harness._key_table(42, 0, 0, 120), harness._block_table(42, 0, 0, 120, 2)):
+    tables = (
+        harness._key_table(42, 0, 0, 120), harness._block_table(42, 0, 0, 120, 2),
+        harness._policy_table(42, 100, REF_SPEC),
+    )
+    for table in tables:
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 0
     for start in range(3 * harness._TABLES):
-        harness._block_table(7, 0, start, start + 1, 1)
-    for table in (harness._key_table, harness._block_table):
+        harness._policy_rows(7, start, start + 1, 2.0, 2.0)
+    for table in (harness._key_table, harness._block_table, harness._policy_rows):
         info = table.cache_info()
         assert info.currsize == info.maxsize == harness._TABLES
+
+
+@pytest.mark.usefixtures("cold_tables")
+def test_the_policy_table_holds_at_most_a_block_of_policies_per_entry(monkeypatch):
+    want = harness._policy_table(42, 20, REF_SPEC)
+    harness._policy_rows.cache_clear()
+    monkeypatch.setattr(harness, "_BLOCK", 7)
+    got = harness._policy_table(42, 20, REF_SPEC)
+    assert got.tobytes() == want.tobytes()
+    assert harness._policy_rows.cache_info().currsize == 3  # policies 0-6, 7-13 and 14-19
+    # a second estimate on the same seed and spec derives nothing
+    harness._policy_table(42, 20, REF_SPEC)
+    assert harness._policy_rows.cache_info().misses == 3
 
 
 @pytest.mark.parametrize("kind", ["noise_chasing", "case1", "adaptive_random"])

@@ -79,7 +79,16 @@ def test_batch_draws_follow_each_stream_across_chunks(chunk, monkeypatch):
     check_batch_draws(2**64 + 1)
 
 
-def check_batch_draws(seed):
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_masked_batch_draws_follow_each_replica_stream(seed, chunk, monkeypatch):
+    """Handed every row and a mask, _Batch._draw advances and refills only the rows
+    the mask marks; the others, spent chunks included, read a uniform and keep it."""
+    monkeypatch.setattr(harness, "_CHUNK", chunk)
+    check_batch_draws(seed, masked=True)
+
+
+def check_batch_draws(seed, masked=False):
     config = ExperimentConfig(
         curve=TradingCurve.constant_product(1e4), initial_x=100.0, true_price=1.5,
         privacy=PrivacySpec(0.0, 2.0, 2.0), strategy=StrategyConfig("noise_chasing"),
@@ -92,8 +101,12 @@ def check_batch_draws(seed):
     for step in range(60):
         # row r skips every (r + 2)-th step, so the rows drift apart in lane
         rows = np.array([r for r in range(6) if drawn[r] < 13 and (step + r) % (r + 2)])
-        if rows.size:
+        if masked:  # every row, the others reading a uniform they do not take
+            take = np.isin(np.arange(6), rows)
+            got = batch._draw(np.arange(6), take)[take]
+        elif rows.size:
             got = batch._draw(rows)
+        if rows.size:
             assert np.array_equal(got, [streams[r].random() for r in rows.tolist()])
             for r in rows.tolist():
                 drawn[r] += 1
