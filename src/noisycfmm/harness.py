@@ -17,8 +17,11 @@ A replica that would raise there raises the error market.execute_trade
 gives on its arrays, the lowest such replica first. A trade pays only for
 the rows it has: one over the whole batch reads and updates the state arrays
 in place, with no gathers or scatters; one in which every row is noisy
-places no zero atoms and draws for all its rows at once; one in which some
-rows are quiet gives those the zero atom and draws for the others.
+places no zero atoms; one in which some rows are quiet gives those the zero
+atom. There is one draw path: a noisy trade reads a uniform for every row it
+keeps, and only its noisy rows take theirs. The batch carries each
+replica's Y reserve, so a trade's pre-trade Y is the last trade's post-trade
+Y and is never recomputed.
 
 replica_rng defines the noise streams, one numpy Generator at a time;
 random policy j draws its parameters from numpy's Generator on
@@ -29,11 +32,12 @@ replica, so it never loads numpy.random: uniform c of replica i is lane
 c % 4 of its Philox block c // 4 + 1, bit for bit what replica_rng(seed,
 i).random() returns as its c-th draw. Each replica holds a chunk of up to
 _CHUNK of the blocks it can draw, and one _philox call refills every replica
-that has used its chunk up. Two bounded tables of read-only arrays hold the
-keys of a replica range (_key_table) and its first chunk (_block_table), so
-every estimate on the same seed, replica range and chunk computes them once:
-a batch looks up its keys when it starts and its first chunk at its first
-draw, so a run without noise computes no blocks.
+that has used its chunk up. Three bounded tables of read-only arrays hold the
+keys of a replica range (_key_table), its first chunk (_block_table) and the
+parameters of a range of random policies (_policy_rows), so every estimate on
+the same seed, range, chunk and base spec computes them once: a batch looks
+up its keys when it starts and its first chunk at its first draw, so a run
+without noise computes no blocks.
 """
 
 from __future__ import annotations
@@ -112,9 +116,10 @@ def _philox(key: np.ndarray, counter: np.ndarray) -> np.ndarray:
 # -- the tables estimates share ---------------------------------------------------
 #
 # A range spans at most _BLOCK streams, so an entry holds at most 64 KiB of
-# keys or chunk * 128 KiB of blocks: at chunk 2, at most 4 and 16 MiB per
-# table. _TABLES lets the five test_04 arms share theirs, 25 ranges of 10**5
-# replicas at chunks 1 and 2 and one policy range (about 11 MiB).
+# keys, chunk * 128 KiB of blocks or 224 KiB of policy rows: at chunk 2, at
+# most 4, 16 and 14 MiB per table, 34 MiB together. _TABLES lets the five
+# test_04 arms share theirs, 25 ranges of 10**5 replicas at chunks 1 and 2 and
+# one policy range (about 11 MiB).
 _TABLES = 64
 
 
