@@ -133,6 +133,7 @@ def record(workdir: Path) -> None:
         entry = {"exit_code": code}
         if len(out.encode()) > INLINE_LIMIT:
             entry["stdout_sha256"] = hashlib.sha256(out.encode()).hexdigest()
+            (GOLDEN / f"{name}.out").unlink(missing_ok=True)
         else:
             (GOLDEN / f"{name}.out").write_text(out)
         commands[name] = entry
