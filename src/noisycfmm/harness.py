@@ -14,14 +14,13 @@ the tests keep as an oracle. The batched step evaluates the same float
 operations in the same order, and transcendental curve queries through the
 same scalar math calls, so every sample is bit-identical to that loop's.
 A replica that would raise there raises the error market.execute_trade
-gives on its arrays, the lowest such replica first. A trade pays only for
-the rows it has: one over the whole batch reads and updates the state arrays
-in place, with no gathers or scatters; one in which every row is noisy
-places no zero atoms; one in which some rows are quiet gives those the zero
-atom. There is one draw path: a noisy trade reads a uniform for every row it
-keeps, and only its noisy rows take theirs. The batch carries each
-replica's Y reserve, so a trade's pre-trade Y is the last trade's post-trade
-Y and is never recomputed.
+gives on its arrays, the lowest such replica first. Every trade covers every
+replica of the block, in place: a replica that has stopped, or that the
+hidden account refuses, is a quiet row, delta 0 and the zero atom, so it pays
+and draws nothing and keeps its state. A noisy trade draws once: every row
+when all are noisy, else the noisy rows through a mask. The batch carries
+each replica's Y reserve, so a trade's pre-trade Y is the last trade's
+post-trade Y and is never recomputed.
 
 replica_rng defines the noise streams, one numpy Generator at a time;
 random policy j draws its parameters from numpy's Generator on
@@ -451,7 +450,9 @@ class _Batch:
     replica's Y reserve, y_of_x of its X reserve: a trade's pre-trade Y is the
     post-trade Y of the one before it, so no trade recomputes it. Replica i
     takes its uniforms from the stream replica_rng(seed, i) defines, one per
-    noisy trade, as NoiseDistribution.sample does.
+    noisy trade, as NoiseDistribution.sample does. Every trade covers every
+    replica: one that has stopped trades as a quiet row, delta 0 on a
+    degenerate spec, which keeps it as it was.
     """
 
     def __init__(
@@ -459,11 +460,11 @@ class _Batch:
     ) -> None:
         n = stop - start
         self.start = start
+        self.rows = np.arange(n)
         self.curve = config.curve
         self.true_price = config.true_price
         self.fee_policy = config.fee_policy
-        self.factory = config.noise.factory()
-        self.mu = config.noise.mu if config.noise.kind == "biased_binary" else None
+        self.noise = config.noise
         self.rejection_fails = config.strategy.kind in ("case1", "case2")
         self.x = np.full(n, state0.x, dtype=float)
         # the benchmark, run first, has already read y_of_x at state0.x
@@ -483,70 +484,59 @@ class _Batch:
         self.at = np.zeros(n, dtype=np.intp)  # uniforms each row has drawn from its chunk
         self.next_block = np.full(n, self.chunk + 1, dtype=np.uint64)  # of its next chunk
 
-    def _draw(self, rows: np.ndarray, take: np.ndarray | None = None) -> np.ndarray:
-        """The next uniform of each replica in rows; with a mask ``take``, only the
-        rows it marks draw one.
+    def _draw(self, take: np.ndarray | None = None) -> np.ndarray:
+        """The next uniform of every row; with a mask ``take``, only the rows it
+        marks draw one.
 
         Uniform c of a row is lane c % 4 of its block c // 4 + 1. A row holds
         a chunk of consecutive blocks. The first chunk of every row comes from
         the shared _block_table; the drawing rows that have used a chunk up
         get the next one, all of them from one _philox call. Each drawing row
         advances by one. A row that does not draw reads the uniform at its
-        position, clamped to its chunk, and keeps its position: a round that
-        is partly private hands every row here, and its public rows' zero
-        atoms make what they read irrelevant. A draw over every row of the
-        batch reads and updates the positions without a gather.
+        position, clamped to its chunk, and keeps its position: its zero atom
+        makes what it reads irrelevant.
         """
-        chunk = self.chunk
+        chunk, at = self.chunk, self.at
         if self.lanes is None:
             self.lanes = _chunk_rows(_block_table(*self.stream, chunk), chunk)
-        whole = rows.size == self.at.size
-        at = self.at if whole else self.at[rows]
         spent = at == 4 * chunk
         if take is not None:
             spent &= take
         if np.count_nonzero(spent):
-            fresh = rows[spent]
-            counter = self.next_block[fresh] + np.arange(chunk, dtype=np.uint64)[:, None]
-            self.next_block[fresh] += np.uint64(chunk)
-            words = _philox(np.tile(self.key[:, fresh], chunk), counter.ravel())
-            self.lanes[fresh] = _chunk_rows(words, chunk)
+            counter = self.next_block[spent] + np.arange(chunk, dtype=np.uint64)[:, None]
+            self.next_block[spent] += np.uint64(chunk)
+            words = _philox(np.tile(self.key[:, spent], chunk), counter.ravel())
+            self.lanes[spent] = _chunk_rows(words, chunk)
             at[spent] = 0
         if take is None:
-            u = self.lanes[rows, at]
+            u = self.lanes[self.rows, at]
             at += 1
         else:
-            u = self.lanes[rows, np.minimum(at, 4 * chunk - 1)]
+            u = self.lanes[self.rows, np.minimum(at, 4 * chunk - 1)]
             at += take
-        if not whole:
-            self.at[rows] = at
         return u
 
     def trade(
-        self, rows: np.ndarray, delta: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+        self, delta: np.ndarray, lower: np.ndarray, upper: np.ndarray,
         epsilon: np.ndarray | float, weights: tuple,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """execute_trade plus the external hedge, for each replica in rows.
+        """execute_trade plus the external hedge, for every replica.
 
         The masking spec is [lower, upper] with budget epsilon, and weights
         is two_point_weights(epsilon), a pair of floats or of arrays.
         Returns the mask of rows the hidden account supported (the others are
-        left as they were) and the noise each supported row executed. Raises
-        _Failed for the first row on which execute_trade would raise anything
-        but HiddenAccountError (anything at all for case1 and case2).
+        left as they were) and the noise each row executed. Raises _Failed
+        for the first row on which execute_trade would raise anything but
+        HiddenAccountError (anything at all for case1 and case2).
 
-        A trade pays only for the rows it has. One that covers every row of
-        the batch reads and updates the state arrays in place, with no
-        gathers or scatters. One in which every row is noisy has no zero
-        atoms to place; one in which only some are gives the others the zero
-        atom. Either draws once, for every row it keeps. One without noise
-        quotes, supports and draws nothing.
+        A row with a degenerate spec takes the zero atom, pays no fee and
+        draws nothing; so does a row the hidden account refuses, at delta 0.
+        A trade in which every row is noisy has no zero atoms to place and
+        draws for every row; one in which only some are draws for those. One
+        without noise quotes, supports and draws nothing.
         """
         curve = self.curve
-        # rows ascend without repeats, so a trade with as many rows as the batch covers it
-        whole = rows.size == self.x.size
-        state = self.x, self.y, self.hidden_x, self.hidden_y
-        x, y_pre, hidden_x, hidden_y = state if whole else (a[rows] for a in state)
+        x, y_pre, n = self.x, self.y, self.x.size
         # the PrivacySpec, execute_trade's and binary_mechanism's checks: the width
         # is finite only for finite bounds that do not overflow it, and a trade in
         # [lower, upper] has lower <= upper
@@ -556,7 +546,7 @@ class _Batch:
         # a degenerate spec, a point or an infinite budget, gets the zero atom
         noisy = (lower != upper) & (epsilon < math.inf)
         count = np.count_nonzero(noisy)
-        quiet, every = count == 0, count == rows.size
+        quiet, every = count == 0, count == n
         # noise_fee: the post-trade and noised reserves stay on the curve
         s = x + delta
         low = high = s
@@ -567,9 +557,9 @@ class _Batch:
             # probability is in [0, 1] and they sum to 1, up to ulps. A NaN epsilon,
             # which this lets through, is invalid above.
             fit = epsilon >= EPSILON_FLOOR
-            if self.mu is not None:  # biased_binary: the same atoms with mean mu
+            if self.noise.kind == "biased_binary":  # the same atoms with mean mu
                 # coincident atoms, which biased_binary refuses, leave p_hi non-finite
-                p_lo, p_hi = mean_tilt(lo, hi, self.mu)
+                p_lo, p_hi = mean_tilt(lo, hi, self.noise.mu)
                 fit &= (0.0 <= p_hi) & (p_hi <= 1.0)
             if not every:  # the rows with a degenerate spec get the zero atom
                 fit |= ~noisy
@@ -580,13 +570,13 @@ class _Batch:
             # fails both tests below
             low, high = np.minimum(s, s_lo), np.maximum(s, s_hi)
         valid &= (curve.x_lo <= low) & (high <= curve.x_hi)
-        trade = rows, delta, lower, upper, epsilon
-        if np.count_nonzero(valid) < rows.size:
+        trade = delta, lower, upper, epsilon
+        if np.count_nonzero(valid) < n:
             raise self._failure(~valid, trade)
         try:  # LMSR goes through the scalar curve queries, which raise as execute_trade's do
             y_s = _y_of_x(curve, s)
             if quiet:  # a row without noise needs no support and stays at s
-                ok, fee, eta, post, y_post = ~noisy, 0.0, np.zeros(rows.size), s, y_s
+                ok, fee, eta, post, y_post = ~noisy, 0.0, np.zeros(n), s, y_s
             else:
                 gain_lo, gain_hi = _reversal_gains(curve, s, lo, hi)
                 if every:  # every p is finite, and a zero atom's gain is +0.0
@@ -597,80 +587,68 @@ class _Batch:
                         + np.where(hi == 0.0, 0.0, p_hi * gain_hi)
                     )
                 finite = np.isfinite(quote)
-                if np.count_nonzero(finite) < rows.size:
+                if np.count_nonzero(finite) < n:
                     raise self._failure(~finite, trade)
                 # support_check: can the hidden account fund every atom? The atoms
                 # straddle zero (|center| <= half <= big), so only hi can need X and
                 # only lo can need Y.
                 ok = ~(
-                    ((hi > 0.0) & (hidden_x < hi))
-                    | ((lo < 0.0) & (hidden_y < _y_of_x(curve, s_lo) - y_s))
+                    ((hi > 0.0) & (self.hidden_x < hi))
+                    | ((lo < 0.0) & (self.hidden_y < _y_of_x(curve, s_lo) - y_s))
                 )
-                if np.count_nonzero(ok) < rows.size:  # only noisy rows: every still holds
+                take = None if every else noisy
+                if np.count_nonzero(ok) < n:  # only noisy rows are refused
                     if self.rejection_fails:
                         raise self._failure(~ok, trade)
-                    rows, delta, s, y_s, y_pre, lo, hi, p_lo, noisy, quote, hidden_x, hidden_y = (
-                        a[ok] for a in (
-                            rows, delta, s, y_s, y_pre, lo, hi, p_lo, noisy, quote, hidden_x,
-                            hidden_y,
-                        )
-                    )
-                    whole = False
+                    # a refused row stays as it was: delta 0 and the zero atom
+                    take = noisy & ok
+                    delta, s = np.where(ok, delta, 0.0), np.where(ok, s, x)
+                    y_s = np.where(ok, y_s, y_pre)
+                    lo, hi = np.where(ok, lo, 0.0), np.where(ok, hi, 0.0)
                 fee = self.fee_policy.charge(quote)
-                if every:
-                    u = self._draw(rows)
-                else:  # a public row draws nothing, pays nothing and keeps its zero atom
-                    fee = np.where(noisy, fee, 0.0)
-                    u = self._draw(rows, noisy)
+                if take is None:
+                    u = self._draw()
+                else:  # a quiet row draws nothing, pays nothing and keeps its zero atom
+                    fee = np.where(take, fee, 0.0)
+                    u = self._draw(take)
                 eta = np.where(u < p_lo, lo, hi)
                 post = s + eta
                 y_post = _y_of_x(curve, post)
         except NoisyCfmmError:
-            raise self._failure(np.ones(trade[0].size, dtype=bool), trade) from None
-        y_out, cash = y_pre - y_s, self.true_price * delta
-        hidden_x, hidden_y = hidden_x - eta, hidden_y + (y_s - y_post)
-        if whole:
-            self.y_out += y_out
-            self.fees += fee
-            self.cash -= cash
-            self.x, self.y, self.hidden_x, self.hidden_y = post, y_post, hidden_x, hidden_y
-        else:
-            self.y_out[rows] += y_out
-            self.fees[rows] += fee
-            self.cash[rows] -= cash
-            self.x[rows], self.y[rows] = post, y_post
-            self.hidden_x[rows], self.hidden_y[rows] = hidden_x, hidden_y
+            raise self._failure(np.ones(n, dtype=bool), trade) from None
+        self.y_out += y_pre - y_s
+        self.fees += fee
+        self.cash -= self.true_price * delta
+        self.hidden_x, self.hidden_y = self.hidden_x - eta, self.hidden_y + (y_s - y_post)
+        self.x, self.y = post, y_post
         return ok, eta
 
     def _failure(self, where: np.ndarray, trade: tuple) -> _Failed:
-        """The first of rows[where] whose trade fails its replica, with the error
-        execute_trade raises there; trade is trade()'s (rows, delta, lower,
-        upper, epsilon). Its draw cannot change the error: the queries after it
-        meet only reserves its checks passed, or (LMSR's upper atom) one above.
+        """The first row in where whose trade fails its replica, with the error
+        execute_trade raises there; trade is trade()'s (delta, lower, upper,
+        epsilon). Its draw cannot change the error: the queries after it meet
+        only reserves its checks passed, or (LMSR's upper atom) one above.
         """
-        rows, delta, lower, upper, epsilon = np.broadcast_arrays(*trade)
-        for k in np.flatnonzero(where).tolist():
-            r = rows[k].item()
+        delta, lower, upper, epsilon = np.broadcast_arrays(*trade)
+        factory = self.noise.factory()
+        for r in np.flatnonzero(where).tolist():
             reserves = (a[r].item() for a in (self.x, self.hidden_x, self.hidden_y))
             state = MarketState(self.curve, *reserves)
             try:
-                spec = PrivacySpec(*(a[k].item() for a in (lower, upper, epsilon)))
+                spec = PrivacySpec(*(a[r].item() for a in (lower, upper, epsilon)))
                 execute_trade(
-                    state, delta[k].item(), spec, ReplicaStream(0, 0),
-                    dist_factory=self.factory, fee_policy=self.fee_policy,
+                    state, delta[r].item(), spec, ReplicaStream(0, 0),
+                    dist_factory=factory, fee_policy=self.fee_policy,
                 )
             except NoisyCfmmError as error:
                 if self.rejection_fails or not isinstance(error, HiddenAccountError):
                     return _Failed(self.start + r, error)
         raise AssertionError("the batch failed a trade that execute_trade accepts")
 
-    def trade_to(self, rows: np.ndarray, target: float) -> None:
+    def trade_to(self, target: float) -> None:
         """Non-private trades landing each replica's reserve on ``target``."""
-        delta = target - self.x[rows]
-        move = delta != 0.0
-        rows, delta = rows[move], delta[move]
-        if rows.size:
-            self.trade(rows, delta, delta, delta, math.inf, two_point_weights(math.inf))
+        delta = target - self.x
+        self.trade(delta, delta, delta, math.inf, two_point_weights(math.inf))
 
 
 def _run_block(
@@ -679,53 +657,49 @@ def _run_block(
 ) -> np.ndarray:
     """Excess profits of replicas start..stop-1, as the scalar strategies compute them.
 
-    ``policies`` is the _policy_table for adaptive_random. Raises _Failed for
-    the first replica the batch finds failing, which need not be the lowest,
-    and an error every replica raises before its first trade as it is.
+    ``policies`` is the _policy_table for adaptive_random. A replica that has
+    stopped trades on as a quiet row, delta 0 on a point spec: the chase stops
+    on a refusal or a zero draw, adaptive_random on a refusal. Raises _Failed
+    for the first replica the batch finds failing, which need not be the
+    lowest, and an error every replica raises before its first trade as it is.
     """
     strategy, spec, curve = config.strategy, config.privacy, config.curve
     kind = strategy.kind
     target = curve.x_of_price(config.true_price)
-    rows = np.arange(stop - start)
+    n = stop - start
+    live = np.ones(n, dtype=bool)
     weights = spec.weights
     batch = _Batch(config, state0, seed, start, stop)
     if kind == "noise_chasing" and not spec.degenerate:
         half = 0.5 * spec.width  # PrivacySpec.recentered
-        live = rows
         for _ in range(strategy.max_rounds):
-            if not live.size:
+            count = np.count_nonzero(live)
+            if not count:
                 break
-            # a round over every replica of the block reads the reserves without a gather
-            delta = target - (batch.x if live.size == rows.size else batch.x[live])
-            ok, eta = batch.trade(live, delta, delta - half, delta + half, spec.epsilon, weights)
-            live = live[ok][eta != 0.0]  # a rejected trade or a zero draw ends the chase
+            delta, reach = target - batch.x, half
+            if count < n:
+                delta, reach = np.where(live, delta, 0.0), np.where(live, half, 0.0)
+            ok, eta = batch.trade(delta, delta - reach, delta + reach, spec.epsilon, weights)
+            live &= ok & (eta != 0.0)  # a rejected trade or a zero draw ends the chase
     elif kind in ("case1", "case2"):
         if kind == "case1":
             check_case1(config.true_price, state0.spot)
         else:
             check_case2(config.true_price, strategy.detour_price, state0.spot)
-            batch.trade_to(rows, curve.x_of_price(strategy.detour_price))
-        size = np.full(rows.size, strategy.trade_size, dtype=float)
-        batch.trade(
-            rows, size, np.full(rows.size, spec.lower), np.full(rows.size, spec.upper),
-            spec.epsilon, weights,
-        )
+            batch.trade_to(curve.x_of_price(strategy.detour_price))
+        size = np.full(n, strategy.trade_size, dtype=float)
+        batch.trade(size, np.full(n, spec.lower), np.full(n, spec.upper), spec.epsilon, weights)
     elif kind == "adaptive_random":
         aggression, offset, width, epsilon, period, t, rest = policies[
-            (start + rows) // per_policy
+            (start + batch.rows) // per_policy
         ].T
-        columns = aggression, offset, 0.5 * width, width > 0.0, epsilon, period, t, rest
-        live = rows
+        half, wide = 0.5 * width, width > 0.0
         # every live replica has made k trades, the count the private cadence reads
         for k in range(strategy.bound):
-            if not live.size:
+            count = np.count_nonzero(live)
+            if not count:
                 break
-            # a round over every replica of the block reads its columns without a gather
-            whole = live.size == rows.size
-            aggression, offset, half, wide, epsilon, period, t, rest = (
-                columns if whole else (c[live] for c in columns)
-            )
-            x = batch.x if whole else batch.x[live]
+            x = batch.x
             delta = aggression * (target - x) + offset
             cap = 0.25 * x
             # min(max(delta, -cap), cap): numpy's maximum and minimum return their
@@ -733,16 +707,18 @@ def _run_block(
             # survive every tie, a signed zero included
             delta = np.minimum(cap, np.maximum(-cap, delta))
             private = (k % period == 0) & wide
+            if count < n:
+                delta, private = np.where(live, delta, 0.0), private & live
             ok, _ = batch.trade(
-                live, delta, np.where(private, delta - half, delta),
+                delta, np.where(private, delta - half, delta),
                 np.where(private, delta + half, delta), np.where(private, epsilon, math.inf),
                 (t, rest),
             )
-            live = live[ok]
+            live &= ok
     elif kind not in ("truthful", "noise_chasing"):
         raise ConfigError(f"unknown strategy kind {kind!r}")
     if kind != "adaptive_random":
-        batch.trade_to(rows, target)
+        batch.trade_to(target)
     # _Runner.finish's total; its terminal spot read cannot fail inside the curve's domain
     return batch.y_out - batch.fees + batch.cash - benchmark
 

@@ -97,6 +97,9 @@ CASES = {
     # the hidden account runs dry, so replicas stop at different rounds
     "chasing-starved": experiment(hidden_x=1.5),
     "adaptive-starved": experiment(strategy=ADAPTIVE, hidden_x=1.5),
+    "chasing-starved-64-rounds": experiment(strategy=StrategyConfig("noise_chasing"), hidden_x=1.5),
+    # LMSR's stopped rows still go through the scalar curve queries
+    "lmsr-chasing-starved": lmsr(replicas=40, hidden_x=0.15),
     "lmsr-chasing": lmsr(replicas=40),
     "lmsr-adaptive": lmsr(strategy=ADAPTIVE, replicas=40),
     "lmsr-case2": lmsr(
@@ -270,13 +273,15 @@ def test_a_trade_without_noise_computes_no_noise(monkeypatch):
     assert_bit_identical(got, reference("truthful"))
 
 
-def test_a_round_pays_only_for_the_rows_it_has(monkeypatch):
-    """An all-noisy chase over the whole block places no zero atoms and draws for
-    all its rows at once; adaptive's partly private rounds give the public rows
-    the zero atom and hand every row to one draw, with a mask of the private
-    ones, gathering no subset. Counted by np.where calls inside a trade: one for
-    the draw on an all-noisy round; on a partly private one also the zero
-    atoms' two, the quote's two and the fee's one."""
+def test_a_round_pays_only_for_the_noise_it_has(monkeypatch):
+    """Every trade covers the whole block and draws at most once. An all-noisy
+    round places no zero atoms and draws for every row without a mask. A round
+    with quiet rows (adaptive's public ones, a chase's stopped ones) gives them
+    the zero atom, and a refused row turns quiet; either hands the one draw a
+    mask of the rows that take a uniform. Counted by np.where calls inside a
+    trade: one for the draw; four for the zero atoms and the quote where some
+    row is quiet; one for the fee where some row is quiet or refused; five for
+    the refused rows' delta, reserve, Y and atoms."""
     wheres, draws, trades = 0, [], []
 
     class Numpy:
@@ -293,16 +298,18 @@ def test_a_round_pays_only_for_the_rows_it_has(monkeypatch):
 
     trade, draw = harness._Batch.trade, harness._Batch._draw
 
-    def traced_trade(self, rows, *args):
+    def traced_trade(self, delta, lower, upper, epsilon, weights):
         before = wheres, len(draws)
-        out = trade(self, rows, *args)
-        trades.append((rows.size, self.x.size, wheres - before[0], draws[before[1]:]))
-        return out
+        noisy = np.count_nonzero((lower != upper) & (epsilon < math.inf))
+        ok, eta = trade(self, delta, lower, upper, epsilon, weights)
+        quiet, refused = 0 < noisy < ok.size, np.count_nonzero(ok) < ok.size
+        trades.append((noisy > 0, quiet, refused, wheres - before[0], draws[before[1]:]))
+        return ok, eta
 
-    def traced_draw(self, rows, take=None):
-        # (rows handed over, rows that take a uniform, or None for all of them)
-        draws.append((rows.size, None if take is None else int(np.count_nonzero(take))))
-        return draw(self, rows, take)
+    def traced_draw(self, take=None):
+        # the rows that take a uniform, or None for all of them
+        draws.append(None if take is None else int(np.count_nonzero(take)))
+        return draw(self, take)
 
     monkeypatch.setattr(harness, "np", Numpy())
     monkeypatch.setattr(harness._Batch, "trade", traced_trade)
@@ -310,17 +317,23 @@ def test_a_round_pays_only_for_the_rows_it_has(monkeypatch):
     assert_bit_identical(estimate_excess_profit(CASES["chasing"], keep_samples=True),
                          reference("chasing"))
     *rounds, correction = trades
-    assert rounds == [(120, 120, 1, [(120, None)])] * 8
-    assert correction[2:] == (0, [])
-    trades.clear()
-    assert_bit_identical(estimate_excess_profit(CASES["adaptive"], keep_samples=True),
-                         reference("adaptive"))
-    partial = [t for t in trades if t[3] and t[3][0][1] is not None]
-    assert partial
-    for size, _, where, drawn in partial:
-        # one draw over every row the trade has, some of them private
-        assert where == 6 and len(drawn) == 1 and drawn[0][0] == size
-        assert 0 < drawn[0][1] < size
+    assert rounds == [(True, False, False, 1, [None])] * 8
+    assert correction == (False, False, False, 0, [])
+    kinds = set()
+    for name in ("adaptive", "chasing-starved"):
+        trades.clear()
+        assert_bit_identical(estimate_excess_profit(CASES[name], keep_samples=True),
+                             reference(name))
+        for noisy, quiet, refused, where, drawn in trades:
+            if noisy:
+                kinds.add((quiet, refused))
+                assert where == 1 + 4 * quiet + (quiet or refused) + 5 * refused
+                assert len(drawn) == 1
+                if quiet or refused:  # a mask marking some but not all of the rows
+                    assert 0 < drawn[0] < 120
+                else:
+                    assert drawn == [None]
+    assert kinds == {(False, False), (True, False), (False, True), (True, True)}
 
 
 def summary_or_error(summarize, samples):
@@ -352,15 +365,17 @@ def carried_y_checked(seen: set):
     _y_of_x of its X bit for bit; seen collects the kinds of round met."""
     trade = harness._Batch.trade
 
-    def checked(self, rows, delta, lower, upper, epsilon, weights):
+    def checked(self, delta, lower, upper, epsilon, weights):
         noisy = np.count_nonzero((lower != upper) & (epsilon < math.inf))
-        ok, eta = trade(self, rows, delta, lower, upper, epsilon, weights)
+        stopped = np.count_nonzero((delta == 0.0) & (lower == 0.0) & (upper == 0.0))
+        ok, eta = trade(self, delta, lower, upper, epsilon, weights)
         assert self.y.tobytes() == harness._y_of_x(self.curve, self.x).tobytes()
-        seen.add("whole" if rows.size == self.x.size else "subset")
-        if 0 < noisy < rows.size:
-            seen.add("partly private")
-        if np.count_nonzero(ok) < rows.size:
-            seen.add("starved")
+        n = self.x.size
+        seen.add("quiet" if not noisy else "all noisy" if noisy == n else "partly private")
+        if stopped:
+            seen.add("stopped")
+        if np.count_nonzero(ok) < n:
+            seen.add("refused")
         return ok, eta
 
     with pytest.MonkeyPatch.context() as patch:
@@ -385,7 +400,48 @@ def test_carried_y_meets_every_kind_of_round(family):
     )
     with carried_y_checked(seen):
         estimate_excess_profit(config)
-    assert {"whole", "subset", "partly private", "starved"} <= seen
+    assert {"all noisy", "partly private", "stopped", "refused"} <= seen
+
+
+BATCH_STATE = ("x", "y", "hidden_x", "hidden_y", "y_out", "fees", "cash", "at", "next_block")
+
+
+@pytest.mark.parametrize("family, kind", [
+    ("cp", "noise_chasing"), ("cp", "adaptive_random"), ("lmsr", "noise_chasing"),
+    ("lmsr", "adaptive_random"), ("csum", "adaptive_random"),
+])
+def test_a_quiet_row_stays_as_it_was(family, kind, monkeypatch):
+    """A row the hidden account refuses is left as it was by that trade, and a
+    replica that has stopped (refused, or a chase's zero draw) by every trade
+    after it up to the final correction: its reserves, sums and stream position
+    keep their bits."""
+    trade, met = harness._Batch.trade, {"stopped": 0, "refused": 0}
+    stopped = {}
+
+    def checked(self, delta, lower, upper, epsilon, weights):
+        before = {name: getattr(self, name).copy() for name in BATCH_STATE}
+        ok, eta = trade(self, delta, lower, upper, epsilon, weights)
+        if np.ndim(epsilon) == 0 and epsilon == math.inf:  # a correction leg
+            return ok, eta
+        rows = stopped.setdefault(id(self), np.zeros(self.x.size, dtype=bool))
+        met["stopped"] += np.count_nonzero(rows)
+        met["refused"] += np.count_nonzero(~ok)
+        for name in BATCH_STATE:
+            after = getattr(self, name)
+            assert after[rows | ~ok].tobytes() == before[name][rows | ~ok].tobytes(), name
+        rows |= ~ok if kind == "adaptive_random" else ~ok | (eta == 0.0)
+        return ok, eta
+
+    monkeypatch.setattr(harness._Batch, "trade", checked)
+    config = experiment(
+        **MARKETS[family], strategy=StrategyConfig(kind, policies=10, bound=8),
+        hidden_x=STARVED_X[family], replicas=40,
+    )
+    assert_bit_identical(
+        estimate_excess_profit(config, keep_samples=True),
+        scalar_excess_profit(config, keep_samples=True),
+    )
+    assert met["stopped"] and met["refused"]
 
 
 @given(

@@ -68,27 +68,31 @@ def test_blocks_match_philox(seed, k):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_batch_draws_follow_each_replica_stream(seed):
-    """_Batch._draw hands each replica its next uniform, for 1 to 13 draws at mixed offsets."""
-    check_batch_draws(seed)
+    """_Batch._draw hands each replica its next uniform: masked draws leave the rows
+    at mixed offsets, and every third draw, without a mask, advances them all."""
+    check_batch_draws(seed, unmasked_every=3)
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3])
 def test_batch_draws_follow_each_stream_across_chunks(chunk, monkeypatch):
     """Rows that hold 1 to 3 blocks refill at different draws, several times each."""
     monkeypatch.setattr(harness, "_CHUNK", chunk)
-    check_batch_draws(2**64 + 1)
+    check_batch_draws(2**64 + 1, unmasked_every=3)
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_masked_batch_draws_follow_each_replica_stream(seed, chunk, monkeypatch):
-    """Handed every row and a mask, _Batch._draw advances and refills only the rows
-    the mask marks; the others, spent chunks included, read a uniform and keep it."""
+    """With a mask, _Batch._draw advances and refills only the rows the mask
+    marks; the others, spent chunks included, read a uniform and keep it."""
     monkeypatch.setattr(harness, "_CHUNK", chunk)
-    check_batch_draws(seed, masked=True)
+    check_batch_draws(seed)
 
 
-def check_batch_draws(seed, masked=False):
+def check_batch_draws(seed, unmasked_every=0):
+    """Draw 40 times from a batch of 6 replicas, row r skipping every (r + 2)-th
+    masked draw, and compare each uniform with the replica's numpy stream; every
+    ``unmasked_every``-th draw, if set, is one without a mask."""
     config = ExperimentConfig(
         curve=TradingCurve.constant_product(1e4), initial_x=100.0, true_price=1.5,
         privacy=PrivacySpec(0.0, 2.0, 2.0), strategy=StrategyConfig("noise_chasing"),
@@ -97,20 +101,16 @@ def check_batch_draws(seed, masked=False):
     start = 2**32 - 3  # the indices cross into two words
     batch = harness._Batch(config, config.initial_state(), seed, start, start + 6)
     streams = [replica_rng(seed, i) for i in range(start, start + 6)]
-    drawn = [0] * 6
-    for step in range(60):
-        # row r skips every (r + 2)-th step, so the rows drift apart in lane
-        rows = np.array([r for r in range(6) if drawn[r] < 13 and (step + r) % (r + 2)])
-        if masked:  # every row, the others reading a uniform they do not take
-            take = np.isin(np.arange(6), rows)
-            got = batch._draw(np.arange(6), take)[take]
-        elif rows.size:
-            got = batch._draw(rows)
-        if rows.size:
-            assert np.array_equal(got, [streams[r].random() for r in rows.tolist()])
-            for r in rows.tolist():
-                drawn[r] += 1
-    assert drawn == [13] * 6
+    drawn = np.zeros(6, dtype=int)
+    for step in range(40):
+        if unmasked_every and step % unmasked_every == unmasked_every - 1:
+            take, got = np.ones(6, dtype=bool), batch._draw()
+        else:
+            take = np.array([(step + r) % (r + 2) != 0 for r in range(6)])
+            got = batch._draw(take)[take]
+        assert np.array_equal(got, [streams[r].random() for r in np.flatnonzero(take).tolist()])
+        drawn += take
+    assert len(set(drawn.tolist())) > 1  # the rows ended at different offsets
 
 
 SPECS = [PrivacySpec(0.0, 2.0, 2.0), PrivacySpec(-3.0, 0.5, 0.3), PrivacySpec(1.0, 1.0, math.inf)]

@@ -8,22 +8,26 @@ For every workload in BENCHMARK.json the script runs PAIRS pairs of
 workload's run_seconds as S, one run of each commit per pair; the commit
 that goes first alternates from pair to pair. Then it times PAIRS pairs of
 the acceptance Monte Carlo test (test_04) the same way, by pytest's JUnit
-report, PAIRS pairs of one LMSR chase (the golden `lmsr_chasing` config of
-tests/golden_mc.json at LMSR_CHASE_REPLICAS replicas, one estimate timed in
-a fresh process, with the mean it returns), and TIER1_PAIRS pairs of the
-whole tier-1 suite by the wall time of its pytest process. Last, TRACED_RUNS
-pairs of short traced runs per workload (`--trace 1 --seconds TRACE_SECONDS`),
-alternating the same way, give the per-layer metrics: `layers` keeps the
-median of each over a commit's traced runs, as one traced run cannot place a
-10 % change. The record keeps every result line as run.py printed it, next to
-the machine facts run.py logged for that run (versions and load average)
-and the run's wall time and CPU time (`wall_s`, `cpu_s`: user plus system,
-of run.py and the processes it waited for), so a run whose wall time
-outgrows its CPU time points at the host. It keeps, for each commit, the
-median and quartiles (inclusive method) of every end-to-end metric, of
-test_04's time, of the LMSR chase's (`lmsr_chase_s`) and of the tier-1 time
-(`tier1_s`), plus the machine and the command that wrote it, and each
-commit's line count of src/noisycfmm/*.py. Last, `verdict` judges each
+report; PAIRS pairs of each estimate in ESTIMATES, one estimate timed in a
+fresh process, with the mean it returns: an LMSR chase (the golden
+`lmsr_chasing` config of tests/golden_mc.json at LMSR_CHASE_REPLICAS
+replicas) and an early-stopping chase (test_batch's `chasing-starved` config
+at 64 rounds and STARVED_CHASE_REPLICAS replicas, whose replicas stop at
+different rounds); and TIER1_PAIRS pairs of the whole tier-1 suite by the
+wall time of its pytest process. Last, TRACED_RUNS pairs of short traced runs
+per workload (`--trace 1 --seconds TRACE_SECONDS`), alternating the same
+way, give the per-layer metrics: `layers` keeps the median of each over a
+commit's traced runs, as one traced run cannot place a 10 % change. The
+record keeps every result line as run.py printed it, next to the machine
+facts run.py logged for that run (versions and load average) and the run's
+wall time and CPU time (`wall_s`, `cpu_s`: user plus system, of run.py and
+the processes it waited for), so a run whose wall time outgrows its CPU time
+points at the host. It keeps each estimate's times and means
+(`lmsr_chase_s`, `lmsr_chase_mean`, `starved_chase_s`, `starved_chase_mean`)
+and, for each commit, the median and quartiles (inclusive method) of every
+end-to-end metric, of test_04's time, of each estimate's time and of the
+tier-1 time (`tier1_s`), plus the machine and the command that wrote it, and
+each commit's line count of src/noisycfmm/*.py. Last, `verdict` judges each
 workload's end-to-end metrics pair by pair (see verdict()).
 """
 
@@ -51,21 +55,33 @@ TRACE_SECONDS = 5  # a traced run: per-layer metrics, not timed against the othe
 TRACED_RUNS = 5  # traced runs per side and workload; layers keeps their medians
 SIDES = ("parent", "change")
 LMSR_CHASE_REPLICAS = 10**4
-# one estimate of tests/golden_mc.json's lmsr_chasing arm; prints its time and mean
-LMSR_CHASE = f"""
+STARVED_CHASE_REPLICAS = 4096
+# one estimate of a config in a fresh process; prints its time and mean
+ESTIMATE = """
 from time import perf_counter
 from noisycfmm import (
     ExperimentConfig, PrivacySpec, StrategyConfig, TradingCurve, estimate_excess_profit,
 )
-config = ExperimentConfig(
-    curve=TradingCurve.lmsr(1.5), initial_x=50.0, true_price=0.8,
-    privacy=PrivacySpec(0.0, 0.5, 2.0), strategy=StrategyConfig("noise_chasing", max_rounds=8),
-    replicas={LMSR_CHASE_REPLICAS}, seed={SEED},
-)
+config = ExperimentConfig({config})
 t0 = perf_counter()
 mean = estimate_excess_profit(config).mean
 print(perf_counter() - t0, repr(mean))
 """
+ESTIMATES = {
+    # tests/golden_mc.json's lmsr_chasing arm
+    "lmsr_chase": f"""
+    curve=TradingCurve.lmsr(1.5), initial_x=50.0, true_price=0.8,
+    privacy=PrivacySpec(0.0, 0.5, 2.0), strategy=StrategyConfig("noise_chasing", max_rounds=8),
+    replicas={LMSR_CHASE_REPLICAS}, seed={SEED},
+""",
+    # tests/test_batch.py's chasing-starved case at 64 rounds: the hidden account
+    # runs dry, so the replicas stop at different rounds
+    "starved_chase": f"""
+    curve=TradingCurve.constant_product(1e4), initial_x=100.0, true_price=1.5,
+    privacy=PrivacySpec(0.0, 2.0, 2.0), strategy=StrategyConfig("noise_chasing", max_rounds=64),
+    replicas={STARVED_CHASE_REPLICAS}, seed={SEED}, hidden_x=1.5,
+""",
+}
 
 
 def export(rev: str, into: Path) -> str:
@@ -112,11 +128,11 @@ def time_test_04(tree: Path) -> float:
     return float(ET.parse(report).find(".//testcase").get("time"))
 
 
-def time_lmsr_chase(tree: Path) -> tuple[float, float]:
-    """Seconds of one LMSR chase estimate in a fresh process, and its mean."""
+def time_estimate(tree: Path, config: str) -> tuple[float, float]:
+    """Seconds of one estimate of ESTIMATES' config in a fresh process, and its mean."""
     out = subprocess.run(
-        [sys.executable, "-c", LMSR_CHASE], cwd=tree, check=True, capture_output=True,
-        text=True, env={**os.environ, "PYTHONPATH": "src"},
+        [sys.executable, "-c", ESTIMATE.format(config=config)], cwd=tree, check=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": "src"},
     ).stdout.split()
     return float(out[0]), float(out[1])
 
@@ -231,8 +247,8 @@ def main(argv: list[str] | None = None) -> int:
         "commits": {}, "src_lines": {}, "pairs": PAIRS,
         "runs": {side: {w: [] for w in workloads} for side in SIDES},
         "test_04_s": {side: [] for side in SIDES},
-        "lmsr_chase_s": {side: [] for side in SIDES},
-        "lmsr_chase_mean": {side: [] for side in SIDES},
+        **{f"{name}_{what}": {side: [] for side in SIDES}
+           for name in ESTIMATES for what in ("s", "mean")},
         "tier1_s": {side: [] for side in SIDES},
     }
     traced: dict = {side: {w: [] for w in workloads} for side in SIDES}
@@ -251,12 +267,13 @@ def main(argv: list[str] | None = None) -> int:
         for k in range(PAIRS):
             for side in pair_order(k):
                 record["test_04_s"][side].append(time_test_04(trees[side]))
-        for k in range(PAIRS):
-            for side in pair_order(k):
-                print(f"{side}: lmsr chase {k + 1}/{PAIRS}", file=sys.stderr, flush=True)
-                seconds, mean = time_lmsr_chase(trees[side])
-                record["lmsr_chase_s"][side].append(seconds)
-                record["lmsr_chase_mean"][side].append(mean)
+        for name, config in ESTIMATES.items():
+            for k in range(PAIRS):
+                for side in pair_order(k):
+                    print(f"{side}: {name} {k + 1}/{PAIRS}", file=sys.stderr, flush=True)
+                    seconds, mean = time_estimate(trees[side], config)
+                    record[f"{name}_s"][side].append(seconds)
+                    record[f"{name}_mean"][side].append(mean)
         for k in range(TIER1_PAIRS):
             for side in pair_order(k):
                 print(f"{side}: tier-1 {k + 1}/{TIER1_PAIRS}", file=sys.stderr, flush=True)
@@ -276,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
         side: {
             **{w: summarize(record["runs"][side][w], metrics) for w in workloads},
             "test_04_s": spread(record["test_04_s"][side]),
-            "lmsr_chase_s": spread(record["lmsr_chase_s"][side]),
+            **{f"{name}_s": spread(record[f"{name}_s"][side]) for name in ESTIMATES},
             "tier1_s": spread(record["tier1_s"][side]),
         }
         for side in SIDES
