@@ -451,8 +451,8 @@ class _Batch:
     post-trade Y of the one before it, so no trade recomputes it. Replica i
     takes its uniforms from the stream replica_rng(seed, i) defines, one per
     noisy trade, as NoiseDistribution.sample does. Every trade covers every
-    replica: one that has stopped trades as a quiet row, delta 0 on a
-    degenerate spec, which keeps it as it was.
+    replica: one that has stopped trades as a quiet row, delta 0 on a point
+    spec, which keeps it as it was.
     """
 
     def __init__(

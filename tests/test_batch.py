@@ -97,7 +97,9 @@ CASES = {
     # the hidden account runs dry, so replicas stop at different rounds
     "chasing-starved": experiment(hidden_x=1.5),
     "adaptive-starved": experiment(strategy=ADAPTIVE, hidden_x=1.5),
-    "chasing-starved-64-rounds": experiment(strategy=StrategyConfig("noise_chasing"), hidden_x=1.5),
+    "chasing-starved-64-rounds": experiment(
+        strategy=StrategyConfig("noise_chasing"), hidden_x=1.5
+    ),
     # LMSR's stopped rows still go through the scalar curve queries
     "lmsr-chasing-starved": lmsr(replicas=40, hidden_x=0.15),
     "lmsr-chasing": lmsr(replicas=40),
@@ -416,20 +418,19 @@ def test_a_quiet_row_stays_as_it_was(family, kind, monkeypatch):
     after it up to the final correction: its reserves, sums and stream position
     keep their bits."""
     trade, met = harness._Batch.trade, {"stopped": 0, "refused": 0}
-    stopped = {}
+    stopped = np.zeros(40, dtype=bool)  # the replicas of the one block
 
     def checked(self, delta, lower, upper, epsilon, weights):
         before = {name: getattr(self, name).copy() for name in BATCH_STATE}
         ok, eta = trade(self, delta, lower, upper, epsilon, weights)
         if np.ndim(epsilon) == 0 and epsilon == math.inf:  # a correction leg
             return ok, eta
-        rows = stopped.setdefault(id(self), np.zeros(self.x.size, dtype=bool))
-        met["stopped"] += np.count_nonzero(rows)
+        met["stopped"] += np.count_nonzero(stopped)
         met["refused"] += np.count_nonzero(~ok)
+        quiet = stopped | ~ok
         for name in BATCH_STATE:
-            after = getattr(self, name)
-            assert after[rows | ~ok].tobytes() == before[name][rows | ~ok].tobytes(), name
-        rows |= ~ok if kind == "adaptive_random" else ~ok | (eta == 0.0)
+            assert getattr(self, name)[quiet].tobytes() == before[name][quiet].tobytes(), name
+        stopped[:] = quiet if kind == "adaptive_random" else quiet | (eta == 0.0)
         return ok, eta
 
     monkeypatch.setattr(harness._Batch, "trade", checked)
